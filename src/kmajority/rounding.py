@@ -11,29 +11,64 @@ with, writing ``S_z(v)`` and ``S_x(v)`` for the incident weight sums:
       vertex has an integer weight sum, and the ledger's cycles are pairwise
       independent (vertex-disjoint, with no graph edge joining them).
 
-The construction keeps fractional values alive as a "support" subgraph and
-repeatedly moves them along zero-sum directions of the incidence system until
-only isolated edges and odd cycles remain; those are finished off directly.
-All arithmetic is exact over :class:`fractions.Fraction`.  Every result is
-re-certified against (i)-(iii) before being returned; a certification failure
-raises :class:`~kmajority.errors.InternalInvariantError`.
+Values are scaled integers: ``x(e)`` is stored as a numerator in ``[0, D]``
+over a common denominator ``D``, which starts at the least common denominator
+of the weights.  An edge is *live* (in the support) while ``0 < x(e) < D``;
+each vertex keeps a dict of its live edges, and an edge leaves both dicts the
+moment it becomes integral.
+
+The kernel walks the support along live edges, never straight back, and keeps
+its walk from one move to the next.  At each vertex every live edge back onto
+the walk closes a cycle; failing that, the walk steps on along the lowest
+fresh edge.  Every move is an alternating +1/-1 walk, added up per edge:
+
+* a path between two leaves (support degree 1), or an even cycle (the
+  shortest one closed);
+* a lollipop: a stem from a leaf into an odd cycle and back (stem +-2);
+* an odd cycle ``C1`` with no leaf in sight is held while the walk goes on
+  from it, until the walk closes a theta graph (its even cycle is used), a
+  figure-eight, a dumbbell (``C1``, path, second odd cycle, path back; the
+  path gets +-2) or reaches a leaf (a lollipop into ``C1``).  Where the walk
+  cannot go on, it is laid anew around ``C1`` to end at a vertex of ``C1``
+  that has another live edge; with no such vertex ``C1`` is a whole
+  component.
+
+Each move is pushed until an edge becomes integral, in whichever direction
+makes more edges integral (ties go to the walk's own orientation).  A +-2
+step can need half a unit; then ``D`` doubles, exactly, and each numerator is
+doubled when a move next reads it.  What is left is finished off directly: an
+edge whose two ends are leaves is set to 1, and a component that is exactly
+one odd cycle goes to :func:`resolve_cycles`.
+
+Sums change only at leaves: kernel moves leave every vertex sum alone, and
+leaf moves leave the sums of their inner vertices alone.  A leaf has one live
+edge and integral others, so from the moment ``v`` becomes a leaf until the
+end ``S_x(v)`` moves inside ``[S_z(v) - x0, S_z(v) + 1 - x0]`` with ``x0`` in
+``(0, 1)`` the leaf edge's value at that moment: less than 1 in total, and
+(i) holds strictly there.  A vertex with integral ``S_z(v)`` can never be a
+leaf, because at that moment ``S_x(v) = S_z(v)`` would be an integer plus
+``x0``.  Leaf moves therefore need not wait until no kernel move is left, and
+integral sums, the ones (iii) relies on, are kept exactly.
+
+Every result is re-certified against (i)-(iii) over integers before being
+returned; a certification failure raises
+:class:`~kmajority.errors.InternalInvariantError`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .graph import Graph
+from .graph import Graph, circuit_vertices, components, edge_subgraph
 
 HALF = Fraction(1, 2)
 
-# Edge coefficients of a zero-sum move; integers are used where the
-# construction stays integral, halves appear on lollipop and merge cycles.
+# Edge coefficients of a zero-sum move; integers from the walk kernel, halves
+# on the public lollipop and in bad-cycle merges.
 Direction = dict[int, "Fraction | int"]
 
 
@@ -57,7 +92,7 @@ def _as_weight(value, e: int) -> Fraction:
             value = Fraction(value)
         except (TypeError, ValueError):
             raise InputError(f"weight for edge {e} is not rational: {value!r}") from None
-    if not 0 <= value <= 1:
+    if not 0 <= value.numerator <= value.denominator:
         raise InputError(f"weight {value} for edge {e} is outside [0, 1]")
     return value
 
@@ -72,268 +107,298 @@ def vertex_sums(graph: Graph, values: Sequence[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Support views and direction construction
+# Walks over the support
 # ---------------------------------------------------------------------------
 
-
-def _support_adjacency(
-    graph: Graph, support: Sequence[bool], vertices: Iterable[int]
-) -> dict[int, list[tuple[int, int]]]:
-    vset = set(vertices)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for v in vset:
-        adj[v] = [(u, e) for u, e in graph.adjacency[v] if support[e] and u in vset]
-    return adj
+# Outcomes of _next_move besides an ordinary move.
+_MOVE, _ISOLATED, _TERMINAL = range(3)
 
 
-def _split_components(adj: Mapping[int, list[tuple[int, int]]]) -> list[list[int]]:
-    """Connected pieces with at least one edge, ordered by least vertex."""
-    seen: set[int] = set()
-    out = []
-    for root in sorted(adj):
-        if root in seen or not adj[root]:
-            continue
-        seen.add(root)
-        block = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    block.append(u)
-                    stack.append(u)
-        block.sort()
-        out.append(block)
-    return out
+def _live_adjacency(graph: Graph, live: Iterable[int]) -> list[dict[int, int]]:
+    """Per vertex, live edge -> other end; ``live`` ascending keeps dicts ordered."""
+    nbr: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
+    edges = graph.edges
+    for e in live:
+        u, v = edges[e]
+        nbr[u][e] = v
+        nbr[v][e] = u
+    return nbr
 
 
-class _Tree:
-    """BFS spanning tree of one support component, plus its chords."""
+def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int, int]) -> list[int]:
+    """Even closed walk from two odd closings ``(end, p, chord)``, chord from vs[end] to vs[p].
 
-    def __init__(self, adj: Mapping[int, list[tuple[int, int]]], root: int):
-        self.parent = {root: -1}
-        self.parent_edge = {root: -1}
-        self.depth = {root: 0}
-        self.chords: list[tuple[int, int, int]] = []  # (edge, u, v) with u seen first
-        chord_seen: set[int] = set()
-        tree_edges: set[int] = set()
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u, e in adj[v]:
-                if u not in self.parent:
-                    self.parent[u] = v
-                    self.parent_edge[u] = e
-                    self.depth[u] = self.depth[v] + 1
-                    tree_edges.add(e)
-                    queue.append(u)
-                elif e not in tree_edges and e not in chord_seen:
-                    chord_seen.add(e)
-                    self.chords.append((e, v, u))
-        self.chords.sort()
-
-    def fundamental_cycle(self, chord: tuple[int, int, int]) -> tuple[list[int], list[int]]:
-        """Cycle (vertex sequence, edge sequence) closed by ``chord``."""
-        e, u, v = chord
-        left_v, left_e, right_v, right_e = [u], [], [v], []
-        a, b = u, v
-        while self.depth[a] > self.depth[b]:
-            left_e.append(self.parent_edge[a])
-            a = self.parent[a]
-            left_v.append(a)
-        while self.depth[b] > self.depth[a]:
-            right_e.append(self.parent_edge[b])
-            b = self.parent[b]
-            right_v.append(b)
-        while a != b:
-            left_e.append(self.parent_edge[a])
-            a = self.parent[a]
-            left_v.append(a)
-            right_e.append(self.parent_edge[b])
-            b = self.parent[b]
-            right_v.append(b)
-        vseq = left_v + right_v[-2::-1]
-        eseq = left_e + right_e[::-1] + [e]
-        return vseq, eseq
+    ``first`` ends no later than ``second``.  Overlapping cycles leave one
+    even cycle; otherwise the walk is a figure-eight or a dumbbell.
+    """
+    end, p, c1 = first
+    end2, p2, c2 = second
+    if p2 < end:
+        if p <= p2:
+            return es[p:p2] + [c2] + es[end:end2][::-1] + [c1]
+        return es[p2:p] + [c1] + es[end:end2] + [c2]
+    path = es[end:p2]
+    return [c1] + es[p:end] + path + es[p2:end2] + [c2] + path[::-1]
 
 
-def _rotate_cycle(
-    vseq: Sequence[int], eseq: Sequence[int], start: int
-) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
-    """Both traversals of a cycle starting at ``start``; lower first-edge id first."""
-    i = vseq.index(start)
-    fwd_v = list(vseq[i:]) + list(vseq[:i])
-    fwd_e = list(eseq[i:]) + list(eseq[:i])
-    rev_v = [fwd_v[0]] + fwd_v[:0:-1]
-    rev_e = fwd_e[::-1]
-    if fwd_e[0] <= rev_e[0]:
-        return (fwd_v, fwd_e), (rev_v, rev_e)
-    return (rev_v, rev_e), (fwd_v, fwd_e)
+def _next_move(
+    nbr: Sequence[dict[int, int]], vs: list[int], es: list[int], pos: dict[int, int]
+) -> Optional[tuple[int, list[int]]]:
+    """Extend the walk ``vs``/``es`` (a path of live edges) until it yields a move.
+
+    At each vertex every live edge back onto the walk is a closing; the
+    shortest even cycle wins.  An odd cycle is held while the walk goes on,
+    until a second odd closing or a dead end completes a move with it.
+    Returns ``(_MOVE, walk)`` with an edge walk to alternate,
+    ``(_ISOLATED, [e])`` for an edge between two leaves,
+    ``(_TERMINAL, cycle)`` for a component that is exactly one odd cycle, or
+    ``None`` when the walk's only vertex has no live edge.
+    """
+    held = None
+    x = vs[-1]
+    back = es[-1] if es else -1
+    chord = -1  # the held chord, when it touches the end of the walk
+    while True:
+        end = len(vs) - 1
+        fresh = -1
+        even = odd = odd2 = None
+        for e, u in nbr[x].items():
+            if e == back or e == chord:
+                continue
+            p = pos.get(u)
+            if p is None:
+                if fresh < 0:
+                    fresh, fresh_u = e, u
+            elif (end - p) % 2:
+                if even is None or p > even[1]:
+                    even = (end, p, e)
+            elif odd is None or p > odd[1]:
+                odd2, odd = odd, (end, p, e)
+            elif odd2 is None or p > odd2[1]:
+                odd2 = (end, p, e)
+        if even is not None:
+            return _MOVE, es[even[1]:] + [even[2]]
+        if odd is not None:
+            if held is not None:
+                return _MOVE, _join_odd(es, held, odd)
+            if odd2 is not None:
+                return _MOVE, _join_odd(es, odd2, odd)
+            p, c = odd[1], odd[2]
+            if len(nbr[vs[0]]) == 1:  # lollipop from the walk's leaf
+                return _MOVE, es + [c] + es[p - 1::-1]
+            held = odd
+            if fresh < 0:
+                # The walk cannot go on from x: re-lay it to end at a vertex of
+                # the cycle that has another edge, and hold the cycle there.
+                if p:  # around the cycle, then back down its stem
+                    vs.reverse()
+                    es.reverse()
+                    held = (end - p, 0, c)
+                else:
+                    j = next((j for j, v in enumerate(vs) if len(nbr[v]) > 2), None)
+                    if j is None:
+                        return _TERMINAL, es + [c]
+                    chord = es[j]
+                    held = (end, 0, chord)
+                    vs[:] = vs[j + 1:] + vs[:j + 1]
+                    es[:] = es[j + 1:] + [c] + es[:j]
+                pos.clear()
+                pos.update((v, i) for i, v in enumerate(vs))
+                x, back = vs[-1], es[-1]
+                continue
+        if fresh < 0:
+            if held is not None:  # lollipop from the leaf reached into the held cycle
+                hend, p, c = held
+                stem = es[hend:]
+                return _MOVE, stem[::-1] + [c] + es[p:hend] + stem
+            if not es:
+                return None
+            if len(nbr[vs[0]]) != 1:  # not from a leaf: walk on from the leaf reached
+                vs.reverse()
+                es.reverse()
+                pos.clear()
+                pos.update((v, i) for i, v in enumerate(vs))
+                x, back = vs[-1], es[-1]
+                continue
+            return (_ISOLATED if len(es) == 1 else _MOVE), es[:]
+        es.append(fresh)
+        pos[fresh_u] = len(vs)
+        vs.append(fresh_u)
+        x, back, chord = fresh_u, fresh, -1
 
 
-def _cycle_direction(eseq: Sequence[int]) -> Direction:
-    """+1/-1 alternation around an even simple cycle (edges never repeat)."""
-    return {e: 1 if i % 2 == 0 else -1 for i, e in enumerate(eseq)}
+def _alternating_direction(walk: Sequence[int]) -> dict[int, int]:
+    """Add up +1/-1 along a walk.
 
-
-def _alternating_direction(walk: Sequence[int]) -> Direction:
-    """Accumulate +1/-1 along a closed walk; zero net coefficients are dropped."""
+    No coefficient cancels on the kernel's walks: an edge is used twice only
+    on a lollipop stem or a dumbbell path, both times with the same sign.
+    """
     direction: dict[int, int] = {}
-    for i, e in enumerate(walk):
-        direction[e] = direction.get(e, 0) + (1 if i % 2 == 0 else -1)
-    return {e: c for e, c in direction.items() if c}
-
-
-def _bfs_path(
-    adj: Mapping[int, list[tuple[int, int]]], sources: Iterable[int], targets: set[int]
-) -> tuple[list[int], list[int]]:
-    """Shortest path from the source set to the target set, deterministic."""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = set(sources)
-    queue = deque(sorted(seen))
-    hit = None
-    while queue and hit is None:
-        v = queue.popleft()
-        if v in targets:
-            hit = v
-            break
-        for u, e in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = (v, e)
-                if u in targets:
-                    hit = u
-                    queue.clear()
-                    break
-                queue.append(u)
-    if hit is None:
-        raise InternalInvariantError("no path between cycle pair inside one component")
-    vpath, epath = [hit], []
-    v = hit
-    while v in parent:
-        v, e = parent[v]
-        vpath.append(v)
-        epath.append(e)
-    vpath.reverse()
-    epath.reverse()
-    return vpath, epath
-
-
-def _two_odd_cycles_direction(
-    adj: Mapping[int, list[tuple[int, int]]],
-    c1: tuple[list[int], list[int]],
-    c2: tuple[list[int], list[int]],
-) -> Direction:
-    """Zero-sum direction from an even closed walk through two odd cycles.
-
-    The walk traverses the first cycle, reaches the second (directly when they
-    share a vertex, otherwise via a connecting path used once in each
-    direction), traverses it, and returns.  Alternating signs along the walk
-    vanish at every vertex; the second cycle's chord keeps the result nonzero.
-    """
-    v1, e1 = c1
-    v2, e2 = c2
-    shared = sorted(set(v1) & set(v2))
-    if shared:
-        a = shared[0]
-        (w1v, w1e), _ = _rotate_cycle(v1, e1, a)
-        first, second = _rotate_cycle(v2, e2, a)
-        for _, w2e in (first, second):
-            if w2e[0] != w1e[-1] and w2e[-1] != w1e[0]:
-                return _alternating_direction(w1e + w2e)
-        raise InternalInvariantError("no admissible junction between shared odd cycles")
-    pv, pe = _bfs_path(adj, v1, set(v2))
-    (_, w1e), _ = _rotate_cycle(v1, e1, pv[0])
-    (_, w2e), _ = _rotate_cycle(v2, e2, pv[-1])
-    return _alternating_direction(w1e + pe + w2e + pe[::-1])
-
-
-def _iter_live_kernel_directions(
-    adj: Mapping[int, list[tuple[int, int]]], comp: Sequence[int], support: Sequence[bool]
-):
-    """Kernel directions from one spanning tree, skipping stale ones.
-
-    Even fundamental cycles alternate individually; odd ones combine in
-    pairs.  A direction built from this tree stays valid while all its edges
-    remain fractional, so one tree build serves many saturations: liveness is
-    re-read from ``support`` each time the generator resumes.
-    """
-    tree = _Tree(adj, comp[0])
-    odds = []
-    for chord in tree.chords:
-        vseq, eseq = tree.fundamental_cycle(chord)
-        if len(eseq) % 2 == 0:
-            if all(support[e] for e in eseq):
-                yield _cycle_direction(eseq)
-        else:
-            odds.append((vseq, eseq))
-    for c1, c2 in zip(odds[0::2], odds[1::2]):
-        if all(support[e] for e in c1[1]) and all(support[e] for e in c2[1]):
-            direction = _two_odd_cycles_direction(adj, c1, c2)
-            if all(support[e] for e in direction):
-                yield direction
-
-
-def _two_core(adj: Mapping[int, list[tuple[int, int]]], comp: Sequence[int]) -> set[int]:
-    degree = {v: len(adj[v]) for v in comp}
-    queue = deque(v for v in comp if degree[v] == 1)
-    dead: set[int] = set()
-    while queue:
-        v = queue.popleft()
-        dead.add(v)
-        for u, _ in adj[v]:
-            if u not in dead:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    queue.append(u)
-    return {v for v in comp if v not in dead}
-
-
-def _pendant_direction(
-    adj: Mapping[int, list[tuple[int, int]]], comp: Sequence[int]
-) -> Direction:
-    leaves = sorted(v for v in comp if len(adj[v]) == 1)
-    if not leaves or all(len(adj[v]) <= 1 for v in comp):
-        raise InternalInvariantError("pendant direction needs a leaf and an internal vertex")
-    if len(leaves) >= 2:
-        _, epath = _bfs_path(adj, [leaves[0]], {leaves[1]})
-        return {e: 1 if i % 2 == 0 else -1 for i, e in enumerate(epath)}
-    # One leaf hanging off an odd cycle: alternate along the stem, then close
-    # the cycle with halved alternating coefficients so the junction cancels.
-    core = _two_core(adj, comp)
-    vpath, epath = _bfs_path(adj, [leaves[0]], core)
-    direction: Direction = {e: 1 if i % 2 == 0 else -1 for i, e in enumerate(epath)}
-    junction = vpath[-1]
-    stem_sign = 1 if (len(epath) - 1) % 2 == 0 else -1
-    cyc_v, cyc_e = _trace_cycle(adj, junction, core)
-    if len(cyc_e) % 2 == 0:
-        raise InternalInvariantError("pendant component core should be an odd cycle")
-    for i, e in enumerate(cyc_e):
-        direction[e] = Fraction(-stem_sign, 2) if i % 2 == 0 else Fraction(stem_sign, 2)
+    sign = 1
+    for e in walk:
+        direction[e] = direction.get(e, 0) + sign
+        sign = -sign
     return direction
 
 
-def _trace_cycle(
-    adj: Mapping[int, list[tuple[int, int]]], start: int, core: set[int]
-) -> tuple[list[int], list[int]]:
-    """Walk a 2-regular core from ``start``, preferring the lower edge id."""
-    vseq, eseq = [start], []
-    prev_edge = -1
-    v = start
-    while True:
-        u, e = next((u, e) for u, e in adj[v] if u in core and e != prev_edge)
-        eseq.append(e)
-        if u == start:
-            return vseq, eseq
-        vseq.append(u)
-        prev_edge = e
-        v = u
+def _drop(edges: Sequence[tuple[int, int]], nbr: Sequence[dict[int, int]], e: int) -> None:
+    u, v = edges[e]
+    del nbr[u][e]
+    del nbr[v][e]
+
+
+def _truncate(
+    edges: Sequence[tuple[int, int]],
+    vs: list[int],
+    es: list[int],
+    pos: dict[int, int],
+    dropped: Iterable[int],
+) -> None:
+    """Cut the walk back to its longest prefix of still-live path edges."""
+    cut = len(vs) - 1
+    for e in dropped:
+        a, b = edges[e]
+        ka, kb = pos.get(a), pos.get(b)
+        if ka is not None and kb is not None:
+            k = min(ka, kb)
+            if k < cut and es[k] == e:
+                cut = k
+    for v in vs[cut + 1:]:
+        del pos[v]
+    del vs[cut + 1:]
+    del es[cut:]
+
+
+class _Kernel:
+    """Scaled-integer support with lazy doubling.
+
+    Edge ``e`` holds the value ``x[e] / (base << level[e])``; the common
+    scale is ``base << top``, and a numerator is brought up to ``top`` when
+    a move next reads it, so doubling the scale costs O(1).  Live edges are
+    those in ``nbr``.
+    """
+
+    def __init__(self, graph: Graph, scale: int, x: list[int]):
+        self.edges = graph.edges
+        self.base = scale
+        self.top = 0
+        self.x = x
+        self.level = [0] * len(x)
+        self.nbr = _live_adjacency(graph, (e for e, v in enumerate(x) if 0 < v < scale))
+
+    def value(self, e: int) -> Fraction:
+        return Fraction(self.x[e], self.base << self.level[e])
+
+    def run(self) -> tuple[list[int], list[list[int]]]:
+        """Move until no edge is live; returns (isolated edges, terminal odd cycles)."""
+        edges, nbr = self.edges, self.nbr
+        isolated: list[int] = []
+        cycles: list[list[int]] = []
+        vs: list[int] = []
+        es: list[int] = []
+        pos: dict[int, int] = {}
+        lo = 0
+        while True:
+            if not vs:
+                while lo < len(nbr) and not nbr[lo]:
+                    lo += 1
+                if lo == len(nbr):
+                    return isolated, cycles
+                vs.append(lo)
+                pos[lo] = 0
+            found = _next_move(nbr, vs, es, pos)
+            if found is None:
+                vs.clear()
+                es.clear()
+                pos.clear()
+                continue
+            kind, walk = found
+            if kind == _MOVE:
+                dropped = self._step(_alternating_direction(walk))
+            else:
+                dropped = walk
+                for e in walk:
+                    _drop(edges, nbr, e)
+                if kind == _ISOLATED:
+                    isolated.extend(walk)
+                else:
+                    cycles.append(walk)
+            _truncate(edges, vs, es, pos, dropped)
+
+    def _step(self, direction: dict[int, int]) -> list[int]:
+        """Move along ``direction`` until an edge value hits 0 or the scale.
+
+        Step lengths are counted in half units so that +-2 coefficients stay
+        exact; an odd count doubles the scale.  Of the two signs, the one
+        integralising more edges wins, ties going to +.  Returns the edges
+        that became integral.
+        """
+        x, level, top = self.x, self.level, self.top
+        scale = self.base << top
+        t_pos = t_neg = 2 * scale + 1
+        n_pos = n_neg = 0
+        for e, a in direction.items():
+            xe = x[e]
+            if level[e] != top:
+                xe <<= top - level[e]
+                x[e] = xe
+                level[e] = top
+            if a > 0:
+                up, down = scale - xe, xe
+            else:
+                up, down = xe, scale - xe
+            if a == 1 or a == -1:
+                up += up
+                down += down
+            if up < t_pos:
+                t_pos, n_pos = up, 1
+            elif up == t_pos:
+                n_pos += 1
+            if down < t_neg:
+                t_neg, n_neg = down, 1
+            elif down == t_neg:
+                n_neg += 1
+        step = t_pos if n_pos >= n_neg else -t_neg
+        grow = step % 2
+        if grow:
+            top += 1
+            scale += scale
+            self.top = top
+        else:
+            step //= 2
+        edges, nbr = self.edges, self.nbr
+        dropped = []
+        for e, a in direction.items():
+            value = (x[e] << grow) + a * step
+            if not 0 <= value <= scale:
+                raise InternalInvariantError(f"step pushed edge {e} to {value}/{scale}")
+            x[e] = value
+            level[e] = top
+            if value == 0 or value == scale:
+                dropped.append(e)
+                _drop(edges, nbr, e)
+        if not dropped:
+            raise InternalInvariantError("move made no edge integral")
+        return dropped
 
 
 # ---------------------------------------------------------------------------
 # Public direction API
 # ---------------------------------------------------------------------------
+
+
+def _component_adjacency(
+    graph: Graph, support: Iterable[int], component: Iterable[int]
+) -> tuple[list[int], Optional[list[dict[int, int]]]]:
+    """Sorted component and its support adjacency, or ``None`` if not connected."""
+    comp = sorted(component)
+    inside = set(comp)
+    live = [e for e in sorted(set(support)) if inside.issuperset(graph.edges[e])]
+    nbr = _live_adjacency(graph, live)
+    connected = bool(comp) and bool(nbr[comp[0]]) and (
+        tuple(comp) in components(edge_subgraph(graph, live)[0])
+    )
+    return comp, nbr if connected else None
 
 
 def find_kernel_direction(
@@ -342,19 +407,31 @@ def find_kernel_direction(
     """Zero-sum direction on a support component, or ``None``.
 
     A direction exists exactly when the component contains an even cycle or
-    two distinct cycles: an even fundamental cycle alternates +1/-1, and two
-    odd cycles combine through an even closed walk.  Vertex sums of the
-    result vanish everywhere, so adding any multiple to the edge values
-    leaves all weight sums unchanged.
+    two distinct cycles.  Leaves are pruned first, so the walk kernel meets
+    only kernel moves: an even cycle alternates +1/-1, and two odd cycles
+    combine through an even closed walk.  Vertex sums of the result vanish
+    everywhere, so adding any multiple to the edge values leaves all weight
+    sums unchanged.
     """
-    flags = _as_support_flags(graph, support)
-    comp = sorted(component)
-    adj = _support_adjacency(graph, flags, comp)
-    if _split_components(adj) != [comp]:
+    comp, nbr = _component_adjacency(graph, support, component)
+    if nbr is None:
         raise InputError("component is not connected in the given support")
-    direction = next(_iter_live_kernel_directions(adj, comp, flags), None)
-    if direction is not None:
-        _assert_zero_sums(graph, direction, constrained=None)
+    leaves = [v for v in comp if len(nbr[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(nbr[v]) == 1:
+            e, u = next(iter(nbr[v].items()))
+            _drop(graph.edges, nbr, e)
+            if len(nbr[u]) == 1:
+                leaves.append(u)
+    start = next((v for v in comp if nbr[v]), None)
+    if start is None:
+        return None
+    kind, walk = _next_move(nbr, [start], [], {start: 0})
+    if kind == _TERMINAL:
+        return None
+    direction: Direction = _alternating_direction(walk)
+    _assert_zero_sums(graph, direction, constrained=None)
     return direction
 
 
@@ -364,25 +441,23 @@ def pendant_direction(
     """Direction whose sums vanish at every degree->=2 vertex of the component.
 
     Requires the component (a tree, or a tree plus one odd cycle) to contain
-    both a leaf and an internal vertex; realised as a leaf-to-leaf alternating
-    path or as a leaf-to-cycle "lollipop".
+    both a leaf and an internal vertex; realised by the walk kernel from the
+    least leaf as a leaf-to-leaf alternating path or as a leaf-to-cycle
+    "lollipop", halved so that its stem is +-1 and its cycle +-1/2.
     """
-    flags = _as_support_flags(graph, support)
-    comp = sorted(component)
-    adj = _support_adjacency(graph, flags, comp)
-    if _split_components(adj) != [comp]:
+    comp, nbr = _component_adjacency(graph, support, component)
+    if nbr is None:
         raise InternalInvariantError("component is not connected in the given support")
-    direction = _pendant_direction(adj, comp)
-    internal = {v for v in comp if len(adj[v]) >= 2}
+    leaves = [v for v in comp if len(nbr[v]) == 1]
+    internal = {v for v in comp if len(nbr[v]) >= 2}
+    if not leaves or not internal:
+        raise InternalInvariantError("pendant direction needs a leaf and an internal vertex")
+    _, walk = _next_move(nbr, [leaves[0]], [], {leaves[0]: 0})
+    direction: Direction = _alternating_direction(walk)
+    if any(abs(c) == 2 for c in direction.values()):
+        direction = {e: Fraction(c, 2) for e, c in direction.items()}
     _assert_zero_sums(graph, direction, constrained=internal)
     return direction
-
-
-def _as_support_flags(graph: Graph, support: Iterable[int]) -> list[bool]:
-    flags = [False] * graph.edge_count
-    for e in support:
-        flags[e] = True
-    return flags
 
 
 def _assert_zero_sums(graph: Graph, direction: Direction, constrained: Optional[set[int]]) -> None:
@@ -401,86 +476,22 @@ def _assert_zero_sums(graph: Graph, direction: Direction, constrained: Optional[
 
 
 # ---------------------------------------------------------------------------
-# Saturation
-# ---------------------------------------------------------------------------
-
-
-def _saturate(x: list[Fraction], support: list[bool], direction: Direction) -> None:
-    """Move along ``direction`` until an edge value hits 0 or 1.
-
-    Of the two signs, the one integralising more edges wins; remaining ties
-    go to the lower newly-integral edge index, then to the positive sign.
-    """
-    items = list(direction.items())
-    cpos = cneg = None
-    for e, a in items:
-        xe = x[e]
-        if a == 1:
-            up, down = 1 - xe, xe
-        elif a == -1:
-            up, down = xe, 1 - xe
-        elif a > 0:
-            up, down = (1 - xe) / a, xe / a
-        else:
-            up, down = xe / -a, (1 - xe) / -a
-        if cpos is None or up < cpos:
-            cpos = up
-        if cneg is None or down < cneg:
-            cneg = down
-    cneg = -cneg
-    if not (cpos > 0 > cneg):
-        raise InternalInvariantError("degenerate saturation step")
-
-    def lands(c: Fraction) -> list[int]:
-        out = []
-        for e, a in items:
-            if a == 1:
-                value = x[e] + c
-            elif a == -1:
-                value = x[e] - c
-            else:
-                value = x[e] + c * a
-            if value.denominator == 1:
-                out.append(e)
-        return out
-
-    spos, sneg = lands(cpos), lands(cneg)
-    if len(spos) != len(sneg):
-        c = cpos if len(spos) > len(sneg) else cneg
-    elif min(spos) != min(sneg):
-        c = cpos if min(spos) < min(sneg) else cneg
-    else:
-        c = cpos
-    for e, a in items:
-        if a == 1:
-            value = x[e] + c
-        elif a == -1:
-            value = x[e] - c
-        else:
-            value = x[e] + c * a
-        if not 0 <= value <= 1:
-            raise InternalInvariantError(f"saturation pushed edge {e} to {value}")
-        x[e] = value
-        if value.denominator == 1:
-            support[e] = False
-
-
-# ---------------------------------------------------------------------------
 # Odd-cycle resolution
 # ---------------------------------------------------------------------------
 
 
-def cycle_vertices(graph: Graph, eseq: Sequence[int]) -> list[int]:
-    """Vertex order of a closed edge sequence (cycle), starting opposite eseq[1]."""
-    if len(eseq) < 3:
-        raise InputError("cycles in a simple graph have at least 3 edges")
-    a, b = set(graph.edges[eseq[0]]), set(graph.edges[eseq[1]])
-    first = (a - b).pop()
-    order = [first]
-    for e in eseq[:-1]:
-        u, v = graph.edges[e]
-        order.append(v if order[-1] == u else u)
-    return order
+def _rotate_cycle(
+    vseq: Sequence[int], eseq: Sequence[int], start: int
+) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+    """Both traversals of a cycle starting at ``start``; lower first-edge id first."""
+    i = vseq.index(start)
+    fwd_v = list(vseq[i:]) + list(vseq[:i])
+    fwd_e = list(eseq[i:]) + list(eseq[:i])
+    rev_v = [fwd_v[0]] + fwd_v[:0:-1]
+    rev_e = fwd_e[::-1]
+    if fwd_e[0] <= rev_e[0]:
+        return (fwd_v, fwd_e), (rev_v, rev_e)
+    return (rev_v, rev_e), (fwd_v, fwd_e)
 
 
 def resolve_cycles(
@@ -490,10 +501,11 @@ def resolve_cycles(
 
     First merges pairs of bad cycles (every edge exactly 1/2) that are joined
     by an edge of the graph - flipping that edge and shifting both cycles by
-    alternating halves keeps all vertex sums intact.  The surviving cycles are
-    then rounded to nearest with the per-vertex tie rule; each remaining bad
-    cycle contributes one designated vertex, rounded up on both sides, to the
-    returned ledger.
+    alternating halves keeps all vertex sums intact.  Joining edges are taken
+    in ascending order, skipping cycles already merged.  The surviving cycles
+    are then rounded to nearest with the per-vertex tie rule; each remaining
+    bad cycle contributes one designated vertex, rounded up on both sides, to
+    the returned ledger.
     """
     x = list(x)
     if not cycles:
@@ -503,27 +515,25 @@ def resolve_cycles(
         eseq = list(eseq)
         if len(eseq) % 2 == 0:
             raise InternalInvariantError(f"cycle {eseq} has even length")
-        cycs.append((cycle_vertices(graph, eseq), eseq))
+        cycs.append((circuit_vertices(graph, eseq)[:-1], eseq))
     cycs.sort(key=lambda c: min(c[0]))
 
     bad = {
         i for i, (_, eseq) in enumerate(cycs) if all(x[e] == HALF for e in eseq)
     }
+    owner = {v: i for i in bad for v in cycs[i][0]}
+    joining = sorted(
+        e0
+        for v, i in owner.items()
+        for u, e0 in graph.adjacency[v]
+        if u < v and owner.get(u, i) != i
+    )
     retired: set[int] = set()
-    while True:
-        owner: dict[int, int] = {}
-        for i in bad - retired:
-            for v in cycs[i][0]:
-                owner[v] = i
-        joining = None
-        for e0, (u, v) in enumerate(graph.edges):
-            iu, iv = owner.get(u), owner.get(v)
-            if iu is not None and iv is not None and iu != iv:
-                joining = (e0, u, v, iu, iv)
-                break
-        if joining is None:
-            break
-        e0, u, v, iu, iv = joining
+    for e0 in joining:
+        u, v = graph.edges[e0]
+        iu, iv = owner[u], owner[v]
+        if iu in retired or iv in retired:
+            continue
         if x[e0].denominator != 1:
             raise InternalInvariantError(f"joining edge {e0} is not integral")
         direction: Direction = {e0: 2}
@@ -583,13 +593,20 @@ def _round_mixed_cycle(x: list[Fraction], eseq: Sequence[int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_weights(z: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Common denominator and integer numerators: z[e] = zl[e] / scale."""
-    scale = 1
-    for w in z:
-        d = w.denominator
-        scale = scale * d // gcd(scale, d)
-    return scale, [w.numerator * (scale // w.denominator) for w in z]
+def _scaled_weights(weights: Sequence) -> tuple[int, list[int]]:
+    """Validate the weights; common denominator and numerators, w[e] = zl[e] / scale.
+
+    Each distinct weight object is validated and converted once, since the
+    schemes pass one constant weight for every edge.  Keying by ``id`` is
+    sound because ``weights`` keeps every object alive meanwhile.
+    """
+    exact: dict[int, Fraction] = {}
+    for e, w in enumerate(weights):
+        if id(w) not in exact:
+            exact[id(w)] = _as_weight(w, e)
+    scale = lcm(*(w.denominator for w in exact.values()))
+    numerators = {key: w.numerator * (scale // w.denominator) for key, w in exact.items()}
+    return scale, [numerators[id(w)] for w in weights]
 
 
 def _int_sums(graph: Graph, values: Sequence[int]) -> list[int]:
@@ -607,10 +624,10 @@ def enforce_condition_ii(
     """Flip edges between strictly deficient endpoints to 1 until none remain.
 
     Each flip raises both endpoint sums by one, so (i) keeps holding strictly
-    there and no new deficiency appears; the violating-edge count strictly
-    decreases, bounding the loop by the edge count.
+    there and no new deficiency appears; one pass over the edges therefore
+    suffices, and at most one flip per edge happens.
     """
-    scale, zl = _scaled_weights([_as_weight(w, e) for e, w in enumerate(z)])
+    scale, zl = _scaled_weights(z)
     for e, value in enumerate(x):
         if value not in (0, 1):
             raise InputError(f"x({e}) = {value} is not 0/1; repair runs after rounding")
@@ -620,22 +637,21 @@ def enforce_condition_ii(
 
 
 def _enforce_ii_int(graph: Graph, scale: int, zl: Sequence[int], xi: list[int]) -> list[int]:
-    """In-place condition (ii) repair over integral values (x scaled by 1)."""
+    """In-place condition (ii) repair over integral values (x scaled by 1).
+
+    A flip only clears deficiency, so an edge passed once never violates (ii)
+    later: one ascending pass flips the same edges as rescanning from edge 0.
+    """
     sums_z = _int_sums(graph, zl)
     sums_x = _int_sums(graph, xi)
     deficient = [sums_x[v] * scale < sums_z[v] for v in range(graph.vertex_count)]
-    while True:
-        flipped = False
-        for e, (u, v) in enumerate(graph.edges):
-            if xi[e] == 0 and deficient[u] and deficient[v]:
-                xi[e] = 1
-                for w in (u, v):
-                    sums_x[w] += 1
-                    deficient[w] = sums_x[w] * scale < sums_z[w]
-                flipped = True
-                break
-        if not flipped:
-            return sums_x
+    for e, (u, v) in enumerate(graph.edges):
+        if xi[e] == 0 and deficient[u] and deficient[v]:
+            xi[e] = 1
+            for w in (u, v):
+                sums_x[w] += 1
+                deficient[w] = sums_x[w] * scale < sums_z[w]
+    return sums_x
 
 
 # ---------------------------------------------------------------------------
@@ -646,89 +662,38 @@ def _enforce_ii_int(graph: Graph, scale: int, zl: Sequence[int], xi: list[int]) 
 def round_weights(graph: Graph, weights: Sequence) -> RoundingResult:
     """Round rational edge weights to a certified 0/1 assignment.
 
-    Pipeline: fix already-integral weights; exhaust zero-sum (kernel)
-    directions, then pendant directions, so every support component shrinks
-    to an isolated edge or an odd cycle; set isolated edges to 1; merge
-    adjacent bad cycles; round the remaining cycles (designating one
-    exceptional vertex per bad cycle); finally repair condition (ii).
+    Pipeline: run the walk kernel on the scaled integer values until every
+    support component is gone or reduced to an isolated edge or an odd
+    cycle; set isolated edges to 1; merge adjacent bad cycles; round the
+    remaining cycles (designating one exceptional vertex per bad cycle);
+    finally repair condition (ii) and certify (i)-(iii).
     """
     if len(weights) != graph.edge_count:
         raise InputError(
             f"{len(weights)} weights for {graph.edge_count} edges"
         )
-    z = [_as_weight(w, e) for e, w in enumerate(weights)]
-    x = list(z)
-    support = [value.denominator != 1 for value in x]
-
-    active = sorted({v for e in range(graph.edge_count) if support[e] for v in graph.edges[e]})
-    isolated: list[int] = []
-    cycles: list[list[int]] = []
-    stack = [
-        comp for comp in _split_components(_support_adjacency(graph, support, active))
-    ]
-    while stack:
-        comp = stack.pop()
-        adj = _support_adjacency(graph, support, comp)
-        pieces = _split_components(adj)
-        if not pieces:
-            continue
-        if len(pieces) > 1:
-            stack.extend(pieces)
-            continue
-        comp = pieces[0]
-        if comp != sorted(adj):
-            adj = {v: adj[v] for v in comp}
-        progress = False
-        for direction in _iter_live_kernel_directions(adj, comp, support):
-            _saturate(x, support, direction)
-            progress = True
-        if progress:
-            stack.append(comp)
-            continue
-        degrees = [len(adj[v]) for v in comp]
-        if 1 in degrees and any(d >= 2 for d in degrees):
-            _saturate(x, support, _pendant_direction(adj, comp))
-            stack.append(comp)
-            continue
-        edges = sorted({e for v in comp for _, e in adj[v]})
-        if len(edges) == 1:
-            isolated.append(edges[0])
-        else:
-            if any(len(adj[v]) != 2 for v in comp):
-                raise InternalInvariantError("terminal support component is not a cycle")
-            vseq, eseq = _trace_cycle(adj, comp[0], set(comp))
-            cycles.append(eseq)
-
-    for e in sorted(isolated):
-        x[e] = Fraction(1)
+    scale, zl = _scaled_weights(weights)
+    kernel = _Kernel(graph, scale, list(zl))
+    isolated, cycles = kernel.run()
+    # Every edge not on a terminal cycle is integral: its numerator is 0 or its scale.
+    x: list = [1 if value else 0 for value in kernel.x]
+    for e in isolated:
+        x[e] = 1
+    for cycle in cycles:
+        for e in cycle:
+            x[e] = kernel.value(e)
 
     x, ledger = resolve_cycles(graph, x, cycles)
     for e, value in enumerate(x):
         if value.denominator != 1:
             raise InternalInvariantError(f"edge {e} left fractional at {value}")
     xi = [int(value) for value in x]
-    scale, zl = _scaled_weights(z)
     sums_x = _enforce_ii_int(graph, scale, zl, xi)
     _certify_int(graph, scale, zl, xi, ledger, sums_x)
     return RoundingResult(
         tuple(xi),
         tuple((v, tuple(cycle)) for v, cycle in ledger),
     )
-
-
-def certify_rounding(
-    graph: Graph,
-    z: Sequence[Fraction],
-    x: Sequence,
-    ledger: Sequence[tuple[int, Sequence[int]]],
-) -> None:
-    """Exact post-hoc check of conditions (i)-(iii); raises on any breach."""
-    scale, zl = _scaled_weights([_as_weight(w, e) for e, w in enumerate(z)])
-    for e, value in enumerate(x):
-        if value not in (0, 1):
-            raise InternalInvariantError(f"edge {e} rounded to {value}")
-    xi = [int(value) for value in x]
-    _certify_int(graph, scale, zl, xi, ledger, _int_sums(graph, xi))
 
 
 def _certify_int(
@@ -765,7 +730,7 @@ def _certify_int(
     for v, eseq in ledger:
         if len(eseq) % 2 == 0 or len(eseq) < 3:
             raise InternalInvariantError(f"(iii) ledger cycle for {v} is not odd")
-        vseq = cycle_vertices(graph, eseq)
+        vseq = circuit_vertices(graph, eseq)[:-1]
         if v not in vseq:
             raise InternalInvariantError(f"(iii) cycle for {v} does not pass through it")
         for u in vseq:

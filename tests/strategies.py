@@ -39,3 +39,44 @@ def colourings(draw, graph: Graph, max_colours=4):
         draw(st.integers(1, c)) for _ in range(graph.edge_count)
     )
     return values, c
+
+
+def _fractional_weights():
+    return st.integers(2, 6).flatmap(
+        lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+    )
+
+
+@st.composite
+def odd_cycle_shapes(draw, max_cycles=3):
+    """Odd cycles joined by paths or sharing one vertex, with pendant stems.
+
+    These are the supports whose moves carry +-2 steps (dumbbells,
+    figure-eights, lollipops).  Weights are strictly fractional, so no edge
+    leaves the support before the first move, and mix denominators per edge.
+    """
+    pairs: list[tuple[int, int]] = []
+    count = 1
+    anchor = 0
+
+    def path_from(start, length):
+        nonlocal count
+        for _ in range(length):
+            pairs.append((start, count))
+            start = count
+            count += 1
+        return start
+
+    for _ in range(draw(st.integers(1, max_cycles))):
+        length = draw(st.sampled_from([3, 5, 7]))
+        ring = [anchor] + list(range(count, count + length - 1))
+        count += length - 1
+        pairs.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
+        if draw(st.booleans()):
+            path_from(draw(st.sampled_from(ring)), draw(st.integers(1, 3)))
+        anchor = draw(st.sampled_from(ring))
+        if draw(st.booleans()):  # joined by a path, else the next cycle shares anchor
+            anchor = path_from(anchor, draw(st.integers(1, 3)))
+    graph = build_graph(count, pairs)
+    weights = [draw(_fractional_weights()) for _ in range(graph.edge_count)]
+    return graph, weights

@@ -16,7 +16,7 @@ from kmajority import (
     resolve_cycles,
     round_weights,
 )
-from kmajority.rounding import vertex_sums
+from kmajority.rounding import _Kernel, vertex_sums
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -96,6 +96,20 @@ def test_round_weights_through_lollipop_component():
     z = [Fraction(2, 5)] * 4
     result = round_weights(g, z)
     assert oracles.check_conditions(g, z, [Fraction(b) for b in result.x])
+
+
+def test_dumbbell_step_doubles_the_scale():
+    # Two triangles at weight 1/3 joined by a bridge at 1/2, so L = 6.  The
+    # only move is the dumbbell with the bridge at +-2; the bridge sits 3/6
+    # from both bounds, so the step is half a unit of 1/6 and D must double.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 3)])
+    z = [THIRD] * 3 + [HALF] + [THIRD] * 3
+    kernel = _Kernel(g, 6, [2, 2, 2, 3, 2, 2, 2])
+    kernel.run()
+    assert kernel.top == 1
+    result = round_weights(g, z)
+    bulk = oracles.AssignmentOracle(g).bulk(6, [z])
+    assert bulk.is_valid(0, result.x)
 
 
 def test_weight_validation():
@@ -244,6 +258,23 @@ def test_condition_ii_path_one_flip():
     assert vertex_sums(g, out)[1] >= Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_graph(1201, [(i, i + 1) for i in range(1200)]),
+        build_graph(1201, [(0, i) for i in range(1, 1201)]),
+    ],
+    ids=["path", "star"],
+)
+def test_condition_ii_one_pass_on_path_and_star(graph):
+    z = [THIRD] * graph.edge_count
+    out = enforce_condition_ii(graph, z, [Fraction(0)] * graph.edge_count)
+    assert sum(out) <= graph.edge_count
+    sums_x, sums_z = vertex_sums(graph, out), vertex_sums(graph, z)
+    for e, (u, v) in enumerate(graph.edges):
+        assert out[e] == 1 or sums_x[u] >= sums_z[u] or sums_x[v] >= sums_z[v]
+
+
 # --------------------------------------------------------------------------
 # certified properties on random inputs
 # --------------------------------------------------------------------------
@@ -282,3 +313,13 @@ def test_bipartite_rounding_is_exact(gw):
 def test_rounding_is_deterministic(gw):
     graph, weights = gw
     assert round_weights(graph, weights) == round_weights(graph, weights)
+
+
+@given(strategies.odd_cycle_shapes())
+@settings(max_examples=80)
+def test_odd_cycle_shapes_certified_and_deterministic(gw):
+    graph, weights = gw
+    result = round_weights(graph, weights)
+    x = [Fraction(b) for b in result.x]
+    assert oracles.check_certificate(graph, weights, x, result.exceptional)
+    assert round_weights(graph, list(weights)) == result
