@@ -45,30 +45,34 @@ def balanced_bicolouring(graph: Graph, bad_selector: Optional[BadSelector] = Non
     theorem's hypotheses.  Without a selector the least vertex is designated.
     The bad vertex always receives its surplus edge in red.
     """
-    side: list[int] = [-1] * graph.edge_count
+    m = graph.edge_count
+    side: list[int] = [-1] * m
     bad: list[int] = []
     aux = graph.vertex_count
+    # One augmented adjacency, pointer and used array serve every component:
+    # components share no vertex or edge, so only the auxiliary vertex's slot
+    # is reset, and auxiliary edges take fresh ids m, m+1, ... across them.
+    adjacency: list = [*graph.adjacency, ()]
+    pointer = [0] * (aux + 1)
+    used = [False] * (m + aux)
+    aux_edges = m
     for comp in components(graph):
-        comp_edges = sorted({e for v in comp for _, e in graph.adjacency[v]})
-        if not comp_edges:
+        degree_sum = sum(len(graph.adjacency[v]) for v in comp)
+        if not degree_sum:
             continue
-        odd = [v for v in comp if graph.degree(v) % 2 == 1]
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(aux + 1)]
-        for v in comp:
-            adjacency[v] = list(graph.adjacency[v])
-        edge_total = graph.edge_count
+        odd = [v for v in comp if len(graph.adjacency[v]) % 2 == 1]
         if odd:
-            for j, v in enumerate(odd):
-                e = edge_total + j
-                adjacency[aux].append((v, e))
-                adjacency[v].append((aux, e))
-            edge_total += len(odd)
+            adjacency[aux] = [(v, aux_edges + j) for j, v in enumerate(odd)]
+            for v, e in adjacency[aux]:
+                adjacency[v] = graph.adjacency[v] + ((aux, e),)
+            aux_edges += len(odd)
+            pointer[aux] = 0
             start = aux
-        elif len(comp_edges) % 2 == 1:
+        elif degree_sum // 2 % 2 == 1:
             if bad_selector is None:
                 u = comp[0]
             else:
-                u = bad_selector(tuple(comp))
+                u = bad_selector(comp)
                 if u is None:
                     raise SelectorExhaustedError(
                         f"no admissible bad vertex in component starting at {comp[0]}"
@@ -77,40 +81,8 @@ def balanced_bicolouring(graph: Graph, bad_selector: Optional[BadSelector] = Non
             start = u
         else:
             start = comp[0]
-        circuit = hierholzer_circuit(adjacency, start, edge_total)
+        circuit = hierholzer_circuit(adjacency, start, pointer, used)
         for pos, e in enumerate(circuit):
-            if e < graph.edge_count:
+            if e < m:
                 side[e] = RED if pos % 2 == 0 else BLUE
     return Bicolouring(tuple(side), tuple(sorted(bad)))
-
-
-def side_counts(graph: Graph, bicolouring: Bicolouring) -> list[list[int]]:
-    """Per-vertex [blue, red] incidence counts."""
-    counts = [[0, 0] for _ in range(graph.vertex_count)]
-    for e, s in enumerate(bicolouring.side):
-        u, v = graph.edges[e]
-        counts[u][s] += 1
-        counts[v][s] += 1
-    return counts
-
-
-def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
-    """Check the split invariants; used by callers after recolouring passes."""
-    from .errors import InternalInvariantError
-
-    counts = side_counts(graph, bicolouring)
-    bad = set(bicolouring.bad_vertices)
-    for v in range(graph.vertex_count):
-        d = graph.degree(v)
-        blue, red = counts[v]
-        if blue + red != d:
-            raise InternalInvariantError(f"vertex {v}: {blue}+{red} != degree {d}")
-        if v in bad:
-            if d % 2 or red != d // 2 + 1:
-                raise InternalInvariantError(
-                    f"bad vertex {v}: degree {d}, red {red} (expected {d // 2 + 1})"
-                )
-        elif max(blue, red) > (d + 1) // 2:
-            raise InternalInvariantError(
-                f"vertex {v}: colour count {max(blue, red)} exceeds ceil({d}/2)"
-            )

@@ -57,7 +57,6 @@ def build_graph(vertex_count: int, edge_pairs: Iterable[Edge]) -> Graph:
         raise BuildError(f"vertex count must be nonnegative, got {vertex_count}")
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for u, v in edge_pairs:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise BuildError(f"edge ({u}, {v}) has a vertex index outside 0..{vertex_count - 1}")
@@ -67,11 +66,21 @@ def build_graph(vertex_count: int, edge_pairs: Iterable[Edge]) -> Graph:
         if key in seen:
             raise BuildError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        e = len(edges)
         edges.append((u, v))
+    return _assemble(vertex_count, edges)
+
+
+def _assemble(vertex_count: int, edges: Sequence[Edge]) -> Graph:
+    """The one place adjacency is built; callers guarantee a simple graph.
+
+    Derived graphs whose edges are simple by construction (subsets, disjoint
+    copies, renamings into disjoint parts) come here without re-validation.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for e, (u, v) in enumerate(edges):
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
-    return Graph(vertex_count, tuple(edges), tuple(tuple(a) for a in adjacency))
+    return Graph(vertex_count, tuple(edges), tuple(map(tuple, adjacency)))
 
 
 def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
@@ -155,16 +164,20 @@ def _odd_cycle(v: int, u: int, conflict_edge: int, parent, parent_edge, depth) -
 
 
 def hierholzer_circuit(
-    adjacency: Sequence[Sequence[tuple[int, int]]], start: int, edge_count: int
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    start: int,
+    pointer: list[int],
+    used: list[bool],
 ) -> list[int]:
     """Eulerian circuit over a prebuilt adjacency structure.
 
     Returns the edge ids in traversal order starting (and ending) at ``start``,
-    always taking the unused incident edge with the least id.  The caller
-    guarantees the even-degree and connectivity preconditions.
+    always taking the unused incident edge with the least id.  ``pointer[v]``
+    (the next adjacency slot to try) and ``used[e]`` are caller-owned, so one
+    pair can serve many disjoint components: the walk only reads and advances
+    the entries of the vertices and edges it reaches.  The caller guarantees
+    the even-degree and connectivity preconditions.
     """
-    pointer = [0] * len(adjacency)
-    used = [False] * edge_count
     vertex_stack = [start]
     edge_stack: list[int] = []
     out: list[int] = []
@@ -200,14 +213,17 @@ def eulerian_circuit(graph: Graph, start: Optional[int] = None) -> tuple[int, ..
     if odd:
         raise PreconditionError(f"odd-degree vertices present: {odd[:4]}")
     active = [v for v in range(graph.vertex_count) if graph.degree(v) > 0]
-    comp_of_first = next(c for c in components(graph) if active[0] in c)
-    if any(v not in comp_of_first for v in active):
+    # Every vertex of an edge's component has an edge, so the edges are
+    # connected exactly when the first active vertex reaches all the others.
+    if len(next(c for c in components(graph) if c[0] == active[0])) != len(active):
         raise PreconditionError("graph edges are not connected")
     if start is None:
         start = active[0]
     elif graph.degree(start) == 0:
         raise InputError(f"start vertex {start} has no incident edges")
-    circuit = hierholzer_circuit(graph.adjacency, start, graph.edge_count)
+    circuit = hierholzer_circuit(
+        graph.adjacency, start, [0] * graph.vertex_count, [False] * graph.edge_count
+    )
     assert len(circuit) == graph.edge_count
     return tuple(circuit)
 
@@ -216,10 +232,13 @@ def edge_subgraph(graph: Graph, edge_indices: Iterable[int]) -> tuple[Graph, tup
     """Subgraph on the same vertex set keeping ``edge_indices``.
 
     Returns the subgraph and the map new edge index -> original edge index
-    (edges kept in increasing original order).
+    (edges kept in increasing original order).  A subset of a simple graph's
+    edges is simple, so only the indices are checked (:class:`InputError`).
     """
     kept = sorted(set(edge_indices))
-    sub = build_graph(graph.vertex_count, [graph.edges[e] for e in kept])
+    if kept and not (0 <= kept[0] and kept[-1] < graph.edge_count):
+        raise InputError(f"edge indices must lie in 0..{graph.edge_count - 1}")
+    sub = _assemble(graph.vertex_count, [graph.edges[e] for e in kept])
     return sub, tuple(kept)
 
 

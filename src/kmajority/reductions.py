@@ -24,7 +24,7 @@ from typing import Union
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .graph import Graph, build_graph
+from .graph import Graph, _assemble
 
 
 def sk_degrees(k: int) -> tuple[int, ...]:
@@ -79,7 +79,9 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
         nu = first_part[u] + part_of_edge.get((u, e), 0)
         nv = first_part[v] + part_of_edge.get((v, e), 0)
         new_edges.append((nu, nv))
-    out = build_graph(len(origin), new_edges)
+    # Parts of one vertex are distinct new vertices, so no loop or parallel
+    # edge can appear: the renamed edges skip re-validation.
+    out = _assemble(len(origin), new_edges)
     if out.max_degree() >= 2 * ksq or out.min_degree() < ksq:
         raise InternalInvariantError("split left a degree outside [k^2, 2k^2)")
     return out, SplitTrace(tuple(origin), tuple(range(graph.edge_count)))
@@ -115,7 +117,7 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
         edges.extend(
             (v, v + n) for v in range(n) if current.degree(v) not in allowed
         )
-        current = build_graph(2 * n, edges)
+        current = _assemble(2 * n, edges)  # two disjoint copies plus twin edges: simple
         copies += 1
     return current, LiftTrace(copies, tuple(range(graph.edge_count)))
 

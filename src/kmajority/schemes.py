@@ -397,29 +397,29 @@ def _mono_components(
     graph: Graph, side: Sequence[int], colour: int
 ) -> list[tuple[tuple[int, ...], dict[int, int], int]]:
     """Components of one colour class: (vertices, degrees within, edge count)."""
-    seen: set[int] = set()
+    seen = [False] * graph.vertex_count
+    degree = [0] * graph.vertex_count
     out = []
     for root in range(graph.vertex_count):
-        if root in seen:
+        if seen[root]:
             continue
         if not any(side[e] == colour for _, e in graph.adjacency[root]):
             continue
-        seen.add(root)
+        seen[root] = True
         block = [root]
         queue = [root]
         while queue:
             v = queue.pop()
             for u, e in graph.adjacency[v]:
-                if side[e] == colour and u not in seen:
-                    seen.add(u)
-                    block.append(u)
-                    queue.append(u)
+                if side[e] == colour:
+                    degree[v] += 1
+                    if not seen[u]:
+                        seen[u] = True
+                        block.append(u)
+                        queue.append(u)
         block.sort()
-        degs = {
-            v: sum(1 for _, e in graph.adjacency[v] if side[e] == colour) for v in block
-        }
-        edge_count = sum(degs.values()) // 2
-        out.append((tuple(block), degs, edge_count))
+        degs = {v: degree[v] for v in block}
+        out.append((tuple(block), degs, sum(degs.values()) // 2))
     return out
 
 
@@ -539,16 +539,16 @@ def _six_regular_odd(verts: tuple[int, ...], degs: dict[int, int], edge_count: i
 def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     """1/3-majority 4-edge-colouring for degrees in S_3 = {11, 14, 17}."""
     degrees = graph.degrees()
+    # Set aside the 14-regular components with oddly many (7 per vertex) edges.
+    aside_of = [False] * graph.vertex_count
+    for comp in components(graph):
+        if len(comp) % 2 == 1 and all(degrees[v] == 14 for v in comp):
+            for v in comp:
+                aside_of[v] = True
     main_edges: list[int] = []
     aside_edges: list[int] = []
-    for comp in components(graph):
-        comp_edges = sorted({e for v in comp for _, e in graph.adjacency[v]})
-        if not comp_edges:
-            continue
-        if all(degrees[v] == 14 for v in comp) and len(comp_edges) % 2 == 1:
-            aside_edges.extend(comp_edges)
-        else:
-            main_edges.extend(comp_edges)
+    for e, (u, _) in enumerate(graph.edges):
+        (aside_edges if aside_of[u] else main_edges).append(e)
     colours = [0] * graph.edge_count
     elimination = (0, 0)
     if main_edges:

@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from kmajority import Graph, build_graph
+from kmajority import Bicolouring, Graph, InternalInvariantError, build_graph
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -321,3 +321,34 @@ class BulkValidity:
             if self._satisfies_iii(row, int(index)):
                 return True
         return False
+
+
+def side_counts(graph: Graph, bicolouring: Bicolouring) -> list[list[int]]:
+    """Per-vertex [blue, red] incidence counts."""
+    counts = [[0, 0] for _ in range(graph.vertex_count)]
+    for e, s in enumerate(bicolouring.side):
+        u, v = graph.edges[e]
+        counts[u][s] += 1
+        counts[v][s] += 1
+    return counts
+
+
+def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
+    """Check the Euler-split invariants: every vertex within ceil(d/2) per
+    side, and each bad vertex at exactly d/2 + 1 red."""
+    counts = side_counts(graph, bicolouring)
+    bad = set(bicolouring.bad_vertices)
+    for v in range(graph.vertex_count):
+        d = graph.degree(v)
+        blue, red = counts[v]
+        if blue + red != d:
+            raise InternalInvariantError(f"vertex {v}: {blue}+{red} != degree {d}")
+        if v in bad:
+            if d % 2 or red != d // 2 + 1:
+                raise InternalInvariantError(
+                    f"bad vertex {v}: degree {d}, red {red} (expected {d // 2 + 1})"
+                )
+        elif max(blue, red) > (d + 1) // 2:
+            raise InternalInvariantError(
+                f"vertex {v}: colour count {max(blue, red)} exceeds ceil({d}/2)"
+            )

@@ -80,3 +80,31 @@ def odd_cycle_shapes(draw, max_cycles=3):
     graph = build_graph(count, pairs)
     weights = [draw(_fractional_weights()) for _ in range(graph.edge_count)]
     return graph, weights
+
+
+@st.composite
+def disjoint_unions(draw, max_parts=12) -> Graph:
+    """Many small components under shuffled vertex labels and edge order.
+
+    Parts are random small graphs, odd cycles (all degrees even, oddly many
+    edges, so the Euler split must place a bad vertex) and isolated vertices.
+    """
+    parts: list[tuple[int, list[tuple[int, int]]]] = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        kind = draw(st.sampled_from(["graph", "odd_cycle", "isolated"]))
+        if kind == "graph":
+            g = draw(graphs(min_vertices=2, max_vertices=6, max_edges=10))
+            parts.append((g.vertex_count, list(g.edges)))
+        elif kind == "odd_cycle":
+            length = draw(st.sampled_from([3, 5, 7]))
+            parts.append((length, [(i, (i + 1) % length) for i in range(length)]))
+        else:
+            parts.append((1, []))
+    n = sum(count for count, _ in parts)
+    labels = draw(st.permutations(range(n)))
+    pairs = []
+    base = 0
+    for count, edges in parts:
+        pairs.extend((labels[base + u], labels[base + v]) for u, v in edges)
+        base += count
+    return build_graph(n, draw(st.permutations(pairs)))

@@ -10,7 +10,7 @@ from kmajority import (
     build_graph,
     components,
 )
-from kmajority.eulersplit import assert_balanced, side_counts
+from oracles import assert_balanced, side_counts
 
 
 def test_even_cycle_splits_exactly():
@@ -82,3 +82,18 @@ def test_split_invariants(g):
 @given(strategies.graphs(min_vertices=2, max_vertices=8))
 def test_split_is_deterministic(g):
     assert balanced_bicolouring(g) == balanced_bicolouring(g)
+
+
+@given(strategies.disjoint_unions())
+@settings(max_examples=150)
+def test_union_split_is_the_split_of_each_component(g):
+    bic = balanced_bicolouring(g)
+    bad = []
+    for comp in components(g):
+        rank = {v: i for i, v in enumerate(comp)}
+        comp_edges = sorted({e for v in comp for _, e in g.adjacency[v]})
+        relabelled = [(rank[g.edges[e][0]], rank[g.edges[e][1]]) for e in comp_edges]
+        alone = balanced_bicolouring(build_graph(len(comp), relabelled))
+        assert [bic.side[e] for e in comp_edges] == list(alone.side)
+        bad.extend(comp[i] for i in alone.bad_vertices)
+    assert bic.bad_vertices == tuple(sorted(bad))

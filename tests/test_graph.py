@@ -181,3 +181,10 @@ def test_edge_subgraph_keeps_vertices_and_maps_edges():
     assert sub.vertex_count == 5
     assert emap == (1, 3, 5)
     assert [sub.edges[j] for j in range(3)] == [g.edges[e] for e in emap]
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, 6]])
+def test_edge_subgraph_rejects_out_of_range_indices(indices):
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    with pytest.raises(InputError, match="edge indices"):
+        edge_subgraph(g, indices)

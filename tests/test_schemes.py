@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,29 @@ def test_small_k_at_threshold(k, n, seed):
     assert colouring.colour_count == k + 1
     initial, flips = report.elimination or (0, 0)
     assert flips <= initial
+
+
+def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
+    # Two copies each of K10 (lifted), K12, K15 (the 14-regular aside path)
+    # and K20 (hubs split), under shuffled labels and edge order.
+    rng = random.Random(1)
+    sizes = [10, 12, 15, 20] * 2
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    pairs = []
+    base = 0
+    for size in sizes:
+        pairs.extend(
+            (labels[base + i], labels[base + j]) for i in range(size) for j in range(i + 1, size)
+        )
+        base += size
+    rng.shuffle(pairs)
+    colouring, report = colour_small_k(build_graph(len(labels), pairs), 3)
+    assert report.verdict.passed
+    assert (
+        hashlib.sha256(bytes(colouring.colours)).hexdigest()
+        == "728bffaa59bdf7a1150243355189ff452524503e47ea1d5f840ef08fad8f13ca"
+    )
 
 
 def test_small_k_rejects_low_degree():
