@@ -71,11 +71,10 @@ def format_graph(graph: Graph) -> str:
 
 
 def parse_colouring(text: str) -> EdgeColouring:
-    lines = _content_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty colouring file") from None
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FormatError("empty colouring file")
+    header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "colouring":
         raise FormatError(f"line {header_no}: expected header 'colouring <m> <c>', got {header!r}")
@@ -85,8 +84,16 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise FormatError(f"line {header_no}: non-integer counts in {header!r}") from None
     if c < 1:
         raise FormatError(f"line {header_no}: colour count must be positive")
+    # Bound the header by the file before allocating one slot per edge.
+    if m < 0:
+        raise FormatError(f"line {header_no}: edge count must be nonnegative, got {m}")
+    if m > len(lines) - 1:
+        raise FormatError(
+            f"edges without a colour: line {header_no} declares {m} edges "
+            f"but only {len(lines) - 1} lines follow"
+        )
     colours: list[int | None] = [None] * m
-    for number, line in lines:
+    for number, line in lines[1:]:
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"line {number}: expected '<edge-index> <colour>', got {line!r}")

@@ -9,9 +9,10 @@ without losing generality:
 * :func:`split_high_degree` replaces each vertex of degree >= 2k^2 by several
   vertices of degree in [k^2, 2k^2), partitioning its incident edges; the edge
   set is carried over by a bijection.
-* :func:`raise_to_sk` repeatedly doubles the graph, joining each vertex whose
-  degree is not yet in S_k to its twin; every degree gains at most k-1 and
-  keeps its majority cap: floor(d_new/k) = floor(d_old/k).
+* :func:`raise_to_sk` lifts each component that needs it: it adds the fewest
+  fresh copies (at most 3 for k <= 4) and joins the copies of every vertex by
+  a small regular circulant, so every degree gains at most k-1, lands in S_k
+  and keeps its majority cap: floor(d_new/k) = floor(d_old/k).
 
 :func:`pull_back_colouring` maps a valid colouring of the transformed graph
 back to the original, which stays valid thanks to the cap arithmetic.
@@ -24,7 +25,7 @@ from typing import Union
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .graph import Graph, _assemble
+from .graph import Edge, Graph, _assemble, components
 
 
 def sk_degrees(k: int) -> tuple[int, ...]:
@@ -42,7 +43,8 @@ class SplitTrace:
 
 @dataclass(frozen=True)
 class LiftTrace:
-    """Doubling record: number of rounds and the original-edge embedding."""
+    """Lift record: the most fresh copies of any component (0: unchanged)
+    and the original-edge embedding."""
 
     copies: int
     embedding: tuple[int, ...]
@@ -88,13 +90,17 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
 
 
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
-    """Double the graph until every degree lies in S_k.
+    """Lift every degree into S_k by joining fresh copies of each component.
 
-    Each round joins every vertex with d not in S_k to its twin in a fresh
-    copy, raising d by one; at most k-1 rounds are needed.  The first copy
-    keeps all original vertex and edge indices, so the embedding is the
-    identity on the input's edges.  Restricted to k <= 4: the blow-up is
-    2^(k-1)-fold.
+    A vertex of degree d needs t = (k-1-d) mod k more edges, which keeps its
+    cap: floor((d+t)/k) = floor(d/k).  A component whose t are all 0 is left
+    as it is.  Any other component gets the fewest copies c for which every
+    t-regular simple graph on c vertices exists (c > max t, and c even when
+    some t is odd), and the c copies of each vertex v are joined by the
+    t_v-regular circulant on Z_c with steps 1..floor(t_v/2), plus c/2 when
+    t_v is odd.  The input keeps all its vertex and edge indices, so the
+    embedding is the identity; fresh copies and their joining edges follow in
+    order of each component's least vertex.  Restricted to k <= 4, so c <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -105,21 +111,52 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
         raise PreconditionError(f"minimum degree {graph.min_degree()} below k^2 = {ksq}")
     if graph.max_degree() >= 2 * ksq:
         raise PreconditionError(f"maximum degree {graph.max_degree()} not below 2k^2 = {2 * ksq}")
-    allowed = set(sk_degrees(k))
-    current = graph
+    need = [(k - 1 - d) % k for d in graph.degrees()]
+    embedding = tuple(range(graph.edge_count))
+    if not any(need):
+        return graph, LiftTrace(0, embedding)
+    comps = components(graph)
+    owner = [0] * graph.vertex_count
+    rank = [0] * graph.vertex_count  # position of a vertex within its component
+    for i, comp in enumerate(comps):
+        for r, v in enumerate(comp):
+            owner[v] = i
+            rank[v] = r
+    comp_edges: list[list[Edge]] = [[] for _ in comps]
+    for u, v in graph.edges:
+        comp_edges[owner[u]].append((rank[u], rank[v]))
+    edges = list(graph.edges)
+    vertex_count = graph.vertex_count
     copies = 0
-    while any(d not in allowed for d in current.degrees()):
-        if copies >= k - 1:
-            raise InternalInvariantError("more than k-1 doubling rounds required")
-        n = current.vertex_count
-        edges = list(current.edges)
-        edges.extend((u + n, v + n) for u, v in current.edges)
-        edges.extend(
-            (v, v + n) for v in range(n) if current.degree(v) not in allowed
-        )
-        current = _assemble(2 * n, edges)  # two disjoint copies plus twin edges: simple
-        copies += 1
-    return current, LiftTrace(copies, tuple(range(graph.edge_count)))
+    for comp, local_edges in zip(comps, comp_edges):
+        top = max(need[v] for v in comp)
+        if top == 0:
+            continue
+        c = top + 1
+        if c % 2 and any(need[v] % 2 for v in comp):
+            c += 1
+        copies = max(copies, c - 1)
+        # The t-regular circulant on Z_c, for each t: steps 1..t/2 and c/2.
+        circulant = [
+            [(i, (i + step) % c) for step in range(1, t // 2 + 1) for i in range(c)]
+            + [(i, i + c // 2) for i in range(c // 2 if t % 2 else 0)]
+            for t in range(c)
+        ]
+        # Fresh copy i of the component's r-th vertex is bases[i - 1] + r.
+        bases = range(vertex_count, vertex_count + (c - 1) * len(comp), len(comp))
+        vertex_count = bases[-1] + len(comp)
+        for base in bases:
+            edges.extend([(base + a, base + b) for a, b in local_edges])
+        for r, v in enumerate(comp):
+            if need[v]:
+                ring = [v, *range(bases[0] + r, vertex_count, len(comp))]  # the c copies of v
+                edges.extend([(ring[i], ring[j]) for i, j in circulant[need[v]]])
+    # Copies are disjoint and each circulant joins copies of one vertex by
+    # distinct steps, so the lifted graph is simple by construction.
+    lifted = _assemble(vertex_count, edges)
+    if not set(sk_degrees(k)).issuperset(lifted.degrees()):
+        raise InternalInvariantError(f"lift left a degree outside S_{k}")
+    return lifted, LiftTrace(copies, embedding)
 
 
 def pull_back_colouring(

@@ -18,6 +18,7 @@ returning, plus a dispatcher choosing the strongest applicable one:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -393,52 +394,46 @@ BadComponentPredicate = Callable[[tuple[int, ...], dict[int, int], int], bool]
 FlipVertexPicker = Callable[[tuple[int, ...], dict[int, int]], Optional[int]]
 
 
-def _mono_components(
-    graph: Graph, side: Sequence[int], colour: int
-) -> list[tuple[tuple[int, ...], dict[int, int], int]]:
-    """Components of one colour class: (vertices, degrees within, edge count)."""
-    seen = [False] * graph.vertex_count
-    degree = [0] * graph.vertex_count
-    out = []
-    for root in range(graph.vertex_count):
-        if seen[root]:
-            continue
-        if not any(side[e] == colour for _, e in graph.adjacency[root]):
-            continue
-        seen[root] = True
-        block = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u, e in graph.adjacency[v]:
-                if side[e] == colour:
-                    degree[v] += 1
-                    if not seen[u]:
-                        seen[u] = True
-                        block.append(u)
-                        queue.append(u)
-        block.sort()
-        degs = {v: degree[v] for v in block}
-        out.append((tuple(block), degs, sum(degs.values()) // 2))
-    return out
+MonoComponent = tuple[tuple[int, ...], dict[int, int], int]
 
 
-def _component_labels(graph: Graph, side: Sequence[int], colour: int) -> list[int]:
-    label = list(range(graph.vertex_count))
-    seen = [False] * graph.vertex_count
-    for root in range(graph.vertex_count):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u, e in graph.adjacency[v]:
-                if side[e] == colour and not seen[u]:
+def _mono_component(
+    graph: Graph, side: Sequence[int], colour: int, root: int, seen: list[bool]
+) -> MonoComponent:
+    """The component of ``root`` in one colour class: (sorted vertices,
+    degrees within, edge count).  Marks its vertices in ``seen``."""
+    seen[root] = True
+    block = [root]
+    degree: dict[int, int] = {}
+    queue = [root]
+    while queue:
+        v = queue.pop()
+        d = 0
+        for u, e in graph.adjacency[v]:
+            if side[e] == colour:
+                d += 1
+                if not seen[u]:
                     seen[u] = True
-                    label[u] = root
+                    block.append(u)
                     queue.append(u)
-    return label
+        degree[v] = d
+    block.sort()
+    degs = {v: degree[v] for v in block}
+    return tuple(block), degs, sum(degs.values()) // 2
+
+
+def _has_colour(graph: Graph, side: Sequence[int], colour: int, v: int) -> bool:
+    return any(side[e] == colour for _, e in graph.adjacency[v])
+
+
+def _mono_components(graph: Graph, side: Sequence[int], colour: int) -> list[MonoComponent]:
+    """Components of one colour class, ordered by least vertex."""
+    seen = [False] * graph.vertex_count
+    return [
+        _mono_component(graph, side, colour, root, seen)
+        for root in range(graph.vertex_count)
+        if not seen[root] and _has_colour(graph, side, colour, root)
+    ]
 
 
 def eliminate_bad_components(
@@ -453,25 +448,42 @@ def eliminate_bad_components(
     are located; the edge to whichever u_i lies outside v's other-colour
     component is flipped (v-u1 when both lie inside).  Each flip must strictly
     decrease the number of bad components over both colours, else an
-    :class:`InternalInvariantError` signals a hypothesis breach.
+    :class:`InternalInvariantError` signals a hypothesis breach.  Bad
+    components are taken blue before red, then by least vertex.
+
+    A flip only touches the components of its two endpoints, so only those
+    are traversed again: the time is linear in the size of the components
+    flipped in, not in the number of bad components times the graph.
 
     Returns the repaired bicolouring and (initial bad count, flips done).
     """
     side = list(bicolouring.side)
+    seen = [False] * graph.vertex_count
 
-    def bad_list():
-        out = []
-        for colour in (BLUE, RED):
-            for info in _mono_components(graph, side, colour):
-                if is_bad(*info):
-                    out.append((colour, info))
-        return out
+    def component(colour: int, root: int) -> Optional[MonoComponent]:
+        """Root's component in ``colour`` (None without such an edge); resets ``seen``."""
+        if not _has_colour(graph, side, colour, root):
+            return None
+        info = _mono_component(graph, side, colour, root, seen)
+        for v in info[0]:
+            seen[v] = False
+        return info
 
-    bads = bad_list()
+    # (colour, least vertex) -> component, for every bad component.
+    bads: dict[tuple[int, int], MonoComponent] = {}
+    for colour in (BLUE, RED):
+        for info in _mono_components(graph, side, colour):
+            if is_bad(*info):
+                bads[(colour, info[0][0])] = info
+    queue = list(bads)
+    heapq.heapify(queue)
     initial = len(bads)
     flips = 0
     while bads:
-        colour, (verts, degs, _) = bads[0]
+        while queue[0] not in bads:
+            heapq.heappop(queue)
+        colour, least = queue[0]
+        verts, degs, _ = bads[(colour, least)]
         v = verts[0] if pick_vertex is None else pick_vertex(verts, degs)
         if v is None:
             raise InternalInvariantError("no admissible flip vertex in a bad component")
@@ -480,20 +492,35 @@ def eliminate_bad_components(
             raise InternalInvariantError(f"flip vertex {v} has fewer than two neighbours")
         u1, u2 = neighbours[0], neighbours[1]
         other = 1 - colour
-        labels = _component_labels(graph, side, other)
-        if labels[u1] != labels[v]:
+        around_v = component(other, v)
+        inside = set(around_v[0]) if around_v else {v}
+        if u1 not in inside:
             target = u1
-        elif labels[u2] != labels[v]:
+        elif u2 not in inside:
             target = u2
         else:
             target = u1
+        # The flip splits at most the bad component in its colour and merges
+        # at most the components of v and target in the other colour.
+        count = len(bads)
+        del bads[(colour, least)]
+        if around_v:
+            bads.pop((other, around_v[0][0]), None)
+        if target not in inside:
+            around_target = component(other, target)
+            if around_target:
+                bads.pop((other, around_target[0][0]), None)
         edge = next(e for u, e in graph.adjacency[v] if u == target and side[e] == colour)
         side[edge] = other
         flips += 1
-        remaining = bad_list()
-        if len(remaining) >= len(bads):
+        split_v = component(colour, v)
+        split_target = None if target in split_v[0] else component(colour, target)
+        for c, info in ((other, component(other, v)), (colour, split_v), (colour, split_target)):
+            if info is not None and is_bad(*info):
+                bads[(c, info[0][0])] = info
+                heapq.heappush(queue, (c, info[0][0]))
+        if len(bads) >= count:
             raise InternalInvariantError("bad-component count failed to decrease")
-        bads = remaining
     return Bicolouring(tuple(side), bicolouring.bad_vertices), (initial, flips)
 
 
@@ -506,15 +533,27 @@ def _refuse(_comp: tuple[int, ...]) -> Optional[int]:
     return None
 
 
+def _no_vertex(_v: int, _half_degree: int) -> bool:
+    return False
+
+
 def _split_half_into(
     graph: Graph,
     edge_ids: list[int],
     colour_pair: tuple[int, int],
     colours: list[int],
-    selector,
+    admissible: Callable[[int, int], bool],
 ) -> None:
-    """Euler-split ``edge_ids`` of ``graph`` and write the two final colours."""
+    """Euler-split ``edge_ids`` of ``graph`` and write the two final colours.
+
+    A component that forces a bad vertex takes its least vertex v with
+    ``admissible(v, d)``, d being v's degree among ``edge_ids``.
+    """
     half, hmap = edge_subgraph(graph, edge_ids)
+
+    def selector(comp: tuple[int, ...]) -> Optional[int]:
+        return next((v for v in comp if admissible(v, half.degree(v))), None)
+
     bic = balanced_bicolouring(half, selector)
     for j, side in enumerate(bic.side):
         colours[hmap[j]] = colour_pair[0] if side == BLUE else colour_pair[1]
@@ -528,7 +567,7 @@ def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
         colours[e] = 3
     # Every leftover component has an odd-degree vertex or is 4-regular with
     # an even edge count, so no bad vertex may ever be requested.
-    _split_half_into(graph, rest, (1, 2), colours, _refuse)
+    _split_half_into(graph, rest, (1, 2), colours, _no_vertex)
     return colours, {"alphas": (Fraction(1, 3),), "elimination": None}
 
 
@@ -556,29 +595,16 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
         bic = balanced_bicolouring(main, _refuse)
         bic, elimination = eliminate_bad_components(main, bic, _six_regular_odd)
         for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [j for j in range(main.edge_count) if bic.side[j] == colour_side]
-            half, hmap = edge_subgraph(main, half_ids)
-
-            def degree8(comp: tuple[int, ...]) -> Optional[int]:
-                for v in comp:
-                    if half.degree(v) == 8:
-                        return v
-                return None
-
-            bic2 = balanced_bicolouring(half, degree8)
-            for j2, side in enumerate(bic2.side):
-                colours[mmap[hmap[j2]]] = pair[0] if side == BLUE else pair[1]
+            half_ids = [mmap[j] for j, side in enumerate(bic.side) if side == colour_side]
+            _split_half_into(graph, half_ids, pair, colours, lambda v, d: d == 8)
     if aside_edges:
         aside, amap = edge_subgraph(graph, aside_edges)
         # 14-regular components with oddly many edges: any bad vertex will do,
         # and afterwards every monochromatic component has an odd-degree vertex.
         bic = balanced_bicolouring(aside, None)
-        sub_colours = [0] * aside.edge_count
         for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [j for j in range(aside.edge_count) if bic.side[j] == colour_side]
-            _split_half_into(aside, half_ids, pair, sub_colours, _refuse)
-        for j, c in enumerate(sub_colours):
-            colours[amap[j]] = c
+            half_ids = [amap[j] for j, side in enumerate(bic.side) if side == colour_side]
+            _split_half_into(graph, half_ids, pair, colours, _no_vertex)
     return colours, {"alphas": (), "elimination": elimination}
 
 
@@ -619,20 +645,13 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
         return None
 
     bic, elimination = eliminate_bad_components(sub, bic, is_bad, pick)
+
+    def second_split_bad(v: int, d: int) -> bool:
+        return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)
+
     for colour_side, pair in ((BLUE, (2, 3)), (RED, (4, 5))):
-        half_ids = [j for j in range(sub.edge_count) if bic.side[j] == colour_side]
-        half, hmap = edge_subgraph(sub, half_ids)
-
-        def second_split_bad(comp: tuple[int, ...]) -> Optional[int]:
-            for v in comp:
-                d = half.degree(v)
-                if (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31):
-                    return v
-            return None
-
-        bic2 = balanced_bicolouring(half, second_split_bad)
-        for j2, side in enumerate(bic2.side):
-            colours[smap[hmap[j2]]] = pair[0] if side == BLUE else pair[1]
+        half_ids = [smap[j] for j, side in enumerate(bic.side) if side == colour_side]
+        _split_half_into(graph, half_ids, pair, colours, second_split_bad)
     return colours, {"alphas": (Fraction(1, 5),), "elimination": elimination}
 
 
@@ -663,8 +682,9 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
-    Reduces to degrees in S_k (vertex splitting, then doubling), colours the
-    reduced graph, and pulls the colouring back through both traces.
+    Reduces to degrees in S_k (vertex splitting, then a per-component lift),
+    colours the reduced graph, and pulls the colouring back through both
+    traces.
     """
     if k not in (2, 3, 4):
         raise InputError(f"small-k scheme supports k in {{2, 3, 4}}, got {k}")

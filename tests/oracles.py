@@ -352,3 +352,83 @@ def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
             raise InternalInvariantError(
                 f"vertex {v}: colour count {max(blue, red)} exceeds ceil({d}/2)"
             )
+
+
+def doubling_lift(graph: Graph, k: int) -> Graph:
+    """Reference lift into S_k: double the whole graph until every degree fits.
+
+    Each round joins every vertex whose degree is not yet in S_k to its twin
+    in a fresh copy of the whole graph, so every component ends with
+    2^rounds copies.
+    """
+    allowed = {i for i in range(k * k, 2 * k * k) if i % k == k - 1}
+    current = graph
+    while any(d not in allowed for d in current.degrees()):
+        n = current.vertex_count
+        edges = list(current.edges)
+        edges.extend((u + n, v + n) for u, v in current.edges)
+        edges.extend((v, v + n) for v in range(n) if current.degree(v) not in allowed)
+        current = build_graph(2 * n, edges)
+    return current
+
+
+def _colour_components(graph: Graph, side, colour: int):
+    """Components of one colour class by least vertex: (vertices, degrees, edges)."""
+    label = [-1] * graph.vertex_count
+    out = []
+    for root in range(graph.vertex_count):
+        if label[root] >= 0 or all(side[e] != colour for _, e in graph.adjacency[root]):
+            continue
+        label[root] = root
+        block, stack = [root], [root]
+        while stack:
+            v = stack.pop()
+            for u, e in graph.adjacency[v]:
+                if side[e] == colour and label[u] < 0:
+                    label[u] = root
+                    block.append(u)
+                    stack.append(u)
+        block.sort()
+        degs = {v: sum(side[e] == colour for _, e in graph.adjacency[v]) for v in block}
+        out.append((tuple(block), degs, sum(degs.values()) // 2))
+    return out
+
+
+def eliminate_by_full_recompute(graph: Graph, bicolouring: Bicolouring, is_bad, pick_vertex=None):
+    """Reference bad-component elimination that recomputes every
+    monochromatic component of both colours after each flip."""
+    side = list(bicolouring.side)
+
+    def bad_list():
+        return [
+            (colour, info)
+            for colour in (0, 1)
+            for info in _colour_components(graph, side, colour)
+            if is_bad(*info)
+        ]
+
+    bads = bad_list()
+    initial, flips = len(bads), 0
+    while bads:
+        colour, (verts, degs, _) = bads[0]
+        v = verts[0] if pick_vertex is None else pick_vertex(verts, degs)
+        if v is None:
+            raise InternalInvariantError("no admissible flip vertex in a bad component")
+        neighbours = sorted(u for u, e in graph.adjacency[v] if side[e] == colour)
+        if len(neighbours) < 2:
+            raise InternalInvariantError(f"flip vertex {v} has fewer than two neighbours")
+        u1, u2 = neighbours[:2]
+        other = 1 - colour
+        inside = {v}
+        for info in _colour_components(graph, side, other):
+            if v in info[0]:
+                inside = set(info[0])
+        target = u1 if u1 not in inside else u2 if u2 not in inside else u1
+        edge = next(e for u, e in graph.adjacency[v] if u == target and side[e] == colour)
+        side[edge] = other
+        flips += 1
+        remaining = bad_list()
+        if len(remaining) >= len(bads):
+            raise InternalInvariantError("bad-component count failed to decrease")
+        bads = remaining
+    return Bicolouring(tuple(side), bicolouring.bad_vertices), (initial, flips)

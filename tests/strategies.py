@@ -100,6 +100,36 @@ def disjoint_unions(draw, max_parts=12) -> Graph:
             parts.append((length, [(i, (i + 1) % length) for i in range(length)]))
         else:
             parts.append((1, []))
+    return _shuffled_union(draw, parts)
+
+
+@st.composite
+def degree_window_unions(draw, k: int, max_parts=3) -> Graph:
+    """Disjoint unions of near-cliques with every degree in [k^2, 2k^2).
+
+    Each part is K_n (k^2 < n <= 2k^2) minus drawn edges, each removed only
+    while both ends keep degree at least k^2, so the degrees, and the number
+    of edges each needs to reach S_k, mix within a part.
+    """
+    ksq = k * k
+    parts: list[tuple[int, list[tuple[int, int]]]] = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        n = draw(st.integers(ksq + 1, min(2 * ksq, ksq + 8)))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        degree = [n - 1] * n
+        kept = set(pairs)
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)):
+            if (u, v) in kept and degree[u] > ksq and degree[v] > ksq:
+                kept.remove((u, v))
+                degree[u] -= 1
+                degree[v] -= 1
+        parts.append((n, sorted(kept)))
+    return _shuffled_union(draw, parts)
+
+
+def _shuffled_union(draw, parts: list[tuple[int, list[tuple[int, int]]]]) -> Graph:
+    """The disjoint union of (vertex count, edges) parts, with drawn vertex
+    labels and edge order."""
     n = sum(count for count, _ in parts)
     labels = draw(st.permutations(range(n)))
     pairs = []

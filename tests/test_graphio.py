@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -64,11 +66,25 @@ def test_colouring_accepts_any_line_order():
         ("colouring 2 2\n0 1\n5 1\n", "outside"),
         ("colouring 2 2\n0 1\n1 7\n", "outside"),
         ("colouring 2 2\n0 1\n1\n", "line 3"),
+        ("colouring -3 2\n", "nonnegative"),
+        ("colouring 3 2\n0 1\n# 1 1\n2 1\n", "declares 3 edges but only 2 lines"),
     ],
 )
 def test_colouring_parse_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_colouring(text)
+
+
+def test_colouring_header_is_bounded_before_allocation():
+    # One slot per declared edge would take about 160 MB here.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="declares 20000000 edges"):
+            parse_colouring("colouring 20000000 2\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @given(strategies.graphs())

@@ -1,7 +1,10 @@
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import strategies
 from kmajority import (
     EdgeColouring,
     InputError,
@@ -9,12 +12,14 @@ from kmajority import (
     build_graph,
     check_majority,
     colour_sk_graph,
+    components,
     pull_back_colouring,
     raise_to_sk,
     random_min_degree_graph,
     sk_degrees,
     split_high_degree,
 )
+from oracles import doubling_lift
 
 
 def complete_graph(n):
@@ -100,6 +105,59 @@ def test_raise_mixed_degrees():
     assert set(out.degrees()) <= {5, 7}
     for v in range(g.vertex_count):
         assert out.degree(v) // 2 == g.degree(v) // 2
+
+
+def _minimal_copies(needs):
+    # Fewest vertices c carrying a t-regular simple graph for every t in needs.
+    return next(
+        c for c in range(1, 2 * max(needs) + 3) if all(t < c and c * t % 2 == 0 for t in needs)
+    )
+
+
+def _copies_per_component(graph, lifted):
+    """For each component of ``lifted``, ordered by least vertex: its size
+    over the number of input vertices it holds."""
+    out = []
+    for comp in components(lifted):
+        original = [v for v in comp if v < graph.vertex_count]
+        assert len(comp) % len(original) == 0
+        out.append(len(comp) // len(original))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_lift_takes_fewest_copies_per_component(k, data):
+    g = data.draw(strategies.degree_window_unions(k))
+    out, trace = raise_to_sk(g, k)
+    assert build_graph(out.vertex_count, out.edges) == out
+    allowed = set(sk_degrees(k))
+    assert all(d in allowed for d in out.degrees())
+    assert all(out.degree(v) // k == g.degree(v) // k for v in range(g.vertex_count))
+    assert trace.embedding == tuple(range(g.edge_count))
+    assert out.edges[: g.edge_count] == g.edges
+    copies = _copies_per_component(g, out)
+    needs = [(k - 1 - d) % k for d in g.degrees()]
+    assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(g)]
+    assert trace.copies == max(copies) - 1
+    assert out.edge_count <= doubling_lift(g, k).edge_count
+
+
+def test_lift_copies_per_clique_of_a_union():
+    # At k=3: K10 is 9-regular (t=2: 3 copies), K12 and K15 are 11- and
+    # 14-regular (in S_3: left alone).  Split K20 falls into a 10-regular
+    # part (t=1: 2 copies), a part with degrees 10 and 9 (t=1 and 2: a
+    # 1-regular circulant needs an even count, so 4 copies) and a 9-regular
+    # part (3 copies).
+    pairs, base = [], 0
+    for size in (10, 12, 15, 20):
+        pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
+        base += size
+    split, _ = split_high_degree(build_graph(base, pairs), 3)
+    out, trace = raise_to_sk(split, 3)
+    assert _copies_per_component(split, out) == [3, 1, 1, 2, 4, 3]
+    assert trace.copies == 3
 
 
 def test_raise_preconditions_and_size_guard():

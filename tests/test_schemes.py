@@ -2,9 +2,13 @@ import hashlib
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import strategies
 from kmajority import (
+    InternalInvariantError,
     PreconditionError,
     balanced_bicolouring,
     build_graph,
@@ -19,7 +23,8 @@ from kmajority import (
     random_min_degree_graph,
     refined_parameters,
 )
-from kmajority.eulersplit import BLUE, RED
+from kmajority.eulersplit import BLUE, RED, Bicolouring
+from oracles import eliminate_by_full_recompute
 
 
 def complete_bipartite(a, b):
@@ -174,7 +179,7 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
     assert report.verdict.passed
     assert (
         hashlib.sha256(bytes(colouring.colours)).hexdigest()
-        == "728bffaa59bdf7a1150243355189ff452524503e47ea1d5f840ef08fad8f13ca"
+        == "252b9ba281ac2f5df448c39a343af4b47d47d7f1037c24bd5b44b3ad6774b9bc"
     )
 
 
@@ -219,6 +224,77 @@ def test_eliminate_removes_forced_bad_components():
     assert initial > 0
     assert 1 <= flips <= initial
     assert count_bad(g, out.side) == 0
+
+
+def k13_union(copies, seed):
+    rng = random.Random(seed)
+    labels = list(range(13 * copies))
+    rng.shuffle(labels)
+    pairs = [
+        (labels[13 * c + i], labels[13 * c + j])
+        for c in range(copies)
+        for i in range(13)
+        for j in range(i + 1, 13)
+    ]
+    rng.shuffle(pairs)
+    return build_graph(13 * copies, pairs)
+
+
+@pytest.mark.parametrize("copies, seed", [(1, 1), (5, 2), (12, 3)])
+def test_eliminate_matches_full_recompute_on_k13_unions(copies, seed):
+    g = k13_union(copies, seed)
+    bic = balanced_bicolouring(g)
+    out = eliminate_bad_components(g, bic, six_regular_odd)
+    assert out == eliminate_by_full_recompute(g, bic, six_regular_odd)
+    assert out[1][1] >= copies
+
+
+def odd_eulerian(verts, degs, edge_count):
+    return edge_count % 2 == 1 and all(d % 2 == 0 for d in degs.values())
+
+
+def odd_size(verts, degs, edge_count):
+    return edge_count % 2 == 1
+
+
+def highest_degree(verts, degs):
+    return max(verts, key=lambda v: (degs[v], -v))
+
+
+def _outcome(eliminate, graph, bic, is_bad, pick):
+    try:
+        return eliminate(graph, bic, is_bad, pick)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120)
+@given(
+    strategies.disjoint_unions(),
+    st.sampled_from([odd_eulerian, odd_size]),
+    st.sampled_from([None, highest_degree]),
+    st.data(),
+)
+def test_eliminate_matches_full_recompute_on_unions(g, is_bad, pick, data):
+    # Drawn sides, not an Euler split, so that monochromatic odd cycles and
+    # the failure paths (too few neighbours, no decrease) occur as well.
+    m = g.edge_count
+    sides = data.draw(st.lists(st.integers(BLUE, RED), min_size=m, max_size=m))
+    bic = Bicolouring(tuple(sides), ())
+    assert _outcome(eliminate_bad_components, g, bic, is_bad, pick) == _outcome(
+        eliminate_by_full_recompute, g, bic, is_bad, pick
+    )
+
+
+def test_eliminate_forgets_the_other_colour_component_a_flip_merges():
+    # Blue triangle 0-1-2 and red edge 1-3 are both bad (oddly many edges).
+    # Flipping 0-1 to red leaves a blue path and a red path, both good: the
+    # red component {1, 3} must be dropped although vertex 0 had no red edge.
+    g = build_graph(4, [(0, 1), (1, 2), (0, 2), (1, 3)])
+    bic = Bicolouring((BLUE, BLUE, BLUE, RED), ())
+    out = eliminate_bad_components(g, bic, odd_size)
+    assert out == eliminate_by_full_recompute(g, bic, odd_size)
+    assert out == (Bicolouring((RED, BLUE, BLUE, RED), ()), (2, 1))
 
 
 # --------------------------------------------------------------------------
