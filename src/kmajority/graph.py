@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BuildError, InputError, PreconditionError
 
@@ -83,24 +83,46 @@ def _assemble(vertex_count: int, edges: Sequence[Edge]) -> Graph:
     return Graph(vertex_count, tuple(edges), tuple(map(tuple, adjacency)))
 
 
-def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    seen = [False] * graph.vertex_count
+def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
+    """``edges`` as a list, after an :class:`InputError` for an id outside the graph."""
+    edges = list(edges)
+    if edges and not (0 <= min(edges) and max(edges) < graph.edge_count):
+        raise InputError(f"edge indices must lie in 0..{graph.edge_count - 1}")
+    return edges
+
+
+def components(
+    graph: Graph, edges: Optional[Iterable[int]] = None
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by least vertex.
+
+    With ``edges``, the components of the spanning subgraph that keeps only
+    those edge ids: the same blocks as ``components(edge_subgraph(graph,
+    edges)[0])``, a vertex none of them touches being a block of its own,
+    without building the subgraph.
+    """
+    n = graph.vertex_count
+    adjacency = graph.adjacency
+    if edges is None:
+        keep = [True] * graph.edge_count
+    else:
+        keep = [False] * graph.edge_count
+        for e in _checked_edge_ids(graph, edges):
+            keep[e] = True
+    seen = [False] * n
     out: list[tuple[int, ...]] = []
-    for root in range(graph.vertex_count):
+    for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
         block = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u, _ in graph.adjacency[v]:
-                if not seen[u]:
+        for v in block:  # grows while it is read: a breadth-first search
+            for u, e in adjacency[v]:
+                if not seen[u] and keep[e]:
                     seen[u] = True
                     block.append(u)
-                    queue.append(u)
-        out.append(tuple(sorted(block)))
+        block.sort()
+        out.append(tuple(block))
     return tuple(out)
 
 
@@ -164,39 +186,41 @@ def _odd_cycle(v: int, u: int, conflict_edge: int, parent, parent_edge, depth) -
 
 
 def hierholzer_circuit(
-    adjacency: Sequence[Sequence[tuple[int, int]]],
-    start: int,
-    pointer: list[int],
-    used: list[bool],
+    start: int, cursors: list[Iterator[tuple[int, int]]], used: list[bool]
 ) -> list[int]:
-    """Eulerian circuit over a prebuilt adjacency structure.
+    """Eulerian circuit over per-vertex adjacency cursors.
 
-    Returns the edge ids in traversal order starting (and ending) at ``start``,
-    always taking the unused incident edge with the least id.  ``pointer[v]``
-    (the next adjacency slot to try) and ``used[e]`` are caller-owned, so one
-    pair can serve many disjoint components: the walk only reads and advances
-    the entries of the vertices and edges it reaches.  The caller guarantees
-    the even-degree and connectivity preconditions.
+    ``cursors[v]`` iterates over v's ``(neighbour, edge id)`` pairs in
+    increasing edge-id order, and yields only the pairs not tried yet.
+    Returns the edge ids in traversal order starting (and ending) at
+    ``start``, always taking the unused incident edge with the least id.
+    ``cursors`` and ``used[e]`` are caller-owned, so one pair can serve many
+    disjoint components: the walk only advances the cursors and marks the
+    edges it reaches.  An edge already marked used is never walked, so a
+    caller can restrict the walk to a subset of the edges.  The caller
+    guarantees the even-degree and connectivity preconditions for the edges
+    left unused.
     """
     vertex_stack = [start]
     edge_stack: list[int] = []
     out: list[int] = []
     while vertex_stack:
+        # Extend the trail along the least unused edge until it is stuck;
+        # the stuck vertex closes a sub-circuit, so its edge is emitted.
         v = vertex_stack[-1]
-        adj = adjacency[v]
-        i = pointer[v]
-        while i < len(adj) and used[adj[i][1]]:
-            i += 1
-        pointer[v] = i
-        if i == len(adj):
-            vertex_stack.pop()
-            if edge_stack:
-                out.append(edge_stack.pop())
-        else:
-            u, e = adj[i]
+        while True:
+            for u, e in cursors[v]:
+                if not used[e]:
+                    break
+            else:
+                break
             used[e] = True
             vertex_stack.append(u)
             edge_stack.append(e)
+            v = u
+        vertex_stack.pop()
+        if edge_stack:
+            out.append(edge_stack.pop())
     out.reverse()
     return out
 
@@ -222,7 +246,7 @@ def eulerian_circuit(graph: Graph, start: Optional[int] = None) -> tuple[int, ..
     elif graph.degree(start) == 0:
         raise InputError(f"start vertex {start} has no incident edges")
     circuit = hierholzer_circuit(
-        graph.adjacency, start, [0] * graph.vertex_count, [False] * graph.edge_count
+        start, [iter(a) for a in graph.adjacency], [False] * graph.edge_count
     )
     assert len(circuit) == graph.edge_count
     return tuple(circuit)
@@ -235,9 +259,7 @@ def edge_subgraph(graph: Graph, edge_indices: Iterable[int]) -> tuple[Graph, tup
     (edges kept in increasing original order).  A subset of a simple graph's
     edges is simple, so only the indices are checked (:class:`InputError`).
     """
-    kept = sorted(set(edge_indices))
-    if kept and not (0 <= kept[0] and kept[-1] < graph.edge_count):
-        raise InputError(f"edge indices must lie in 0..{graph.edge_count - 1}")
+    kept = _checked_edge_ids(graph, sorted(set(edge_indices)))
     sub = _assemble(graph.vertex_count, [graph.edges[e] for e in kept])
     return sub, tuple(kept)
 

@@ -32,6 +32,21 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         yield number, line
 
 
+def _check_vertex_bound(n: int, m: int, size: int, what: str) -> None:
+    """:class:`FormatError` unless a graph file of ``size`` characters may declare n vertices.
+
+    Beyond the 2m vertices the edges name, every vertex is isolated, so a
+    file may declare at most one more vertex per character.  The reader and
+    the writer share this bound, so every file written can be read back.
+    """
+    bound = 2 * max(m, 0) + size
+    if n > bound:
+        raise FormatError(
+            f"{what} {n} vertices, but {m} edges in a file of {size} characters "
+            f"allow at most {bound}"
+        )
+
+
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     try:
@@ -45,6 +60,10 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[1]), int(parts[2])
     except ValueError:
         raise FormatError(f"line {header_no}: non-integer counts in {header!r}") from None
+    # Bound n by the file before one adjacency list per vertex is allocated.
+    if n < 0:
+        raise FormatError(f"line {header_no}: vertex count must be nonnegative, got {n}")
+    _check_vertex_bound(n, m, len(text), f"line {header_no}: declares")
     pairs = []
     for number, line in lines:
         fields = line.split()
@@ -67,7 +86,9 @@ def parse_graph(text: str) -> Graph:
 def format_graph(graph: Graph) -> str:
     lines = [f"graph {graph.vertex_count} {graph.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    _check_vertex_bound(graph.vertex_count, graph.edge_count, len(text), "graph has")
+    return text
 
 
 def parse_colouring(text: str) -> EdgeColouring:
@@ -126,8 +147,9 @@ def read_graph(path: str) -> Graph:
 
 
 def write_graph(path: str, graph: Graph) -> None:
+    text = format_graph(graph)  # a refused graph leaves no file behind
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_graph(graph))
+        handle.write(text)
 
 
 def read_colouring(path: str) -> EdgeColouring:

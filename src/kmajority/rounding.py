@@ -63,7 +63,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .graph import Graph, circuit_vertices, components, edge_subgraph
+from .graph import Graph, circuit_vertices, components
 
 HALF = Fraction(1, 2)
 
@@ -396,7 +396,7 @@ def _component_adjacency(
     live = [e for e in sorted(set(support)) if inside.issuperset(graph.edges[e])]
     nbr = _live_adjacency(graph, live)
     connected = bool(comp) and bool(nbr[comp[0]]) and (
-        tuple(comp) in components(edge_subgraph(graph, live)[0])
+        tuple(comp) in components(graph, live)
     )
     return comp, nbr if connected else None
 

@@ -309,6 +309,8 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
             prefix = "".join(str(b) for b in bits[e][: level - 1])
             buckets.setdefault(prefix, []).append(e)
         for prefix in sorted(buckets):
+            # The bucket's own subgraph keeps each bucket's cost in its size,
+            # not the whole graph's; rule (b) splits a subset of it in place.
             sub, emap = edge_subgraph(graph, buckets[prefix])
             rule_b: list[int] = []
             for comp in components(sub):
@@ -327,7 +329,6 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
                     rule_b.extend(comp_edges)
             if not rule_b:
                 continue
-            split_sub, emap2 = edge_subgraph(sub, rule_b)
 
             def selector(comp: tuple[int, ...], _prefix: str = prefix) -> Optional[int]:
                 for v in comp:
@@ -335,9 +336,9 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
                         return v
                 return None
 
-            bic = balanced_bicolouring(split_sub, selector)
-            for j2, side in enumerate(bic.side):
-                bits[emap[emap2[j2]]][level - 1] = side  # blue -> 0, red -> 1
+            bic = balanced_bicolouring(sub, selector, rule_b)
+            for j in rule_b:
+                bits[emap[j]][level - 1] = bic.side[j]  # blue -> 0, red -> 1
             for u in bic.bad_vertices:
                 special.setdefault(u, set()).add(prefix + "1")
 
@@ -549,14 +550,17 @@ def _split_half_into(
     A component that forces a bad vertex takes its least vertex v with
     ``admissible(v, d)``, d being v's degree among ``edge_ids``.
     """
-    half, hmap = edge_subgraph(graph, edge_ids)
+    degree: list[int] = []
 
     def selector(comp: tuple[int, ...]) -> Optional[int]:
-        return next((v for v in comp if admissible(v, half.degree(v))), None)
+        if not degree:  # counted once, and only if some component forces a bad vertex
+            degree.extend(_degree_in(graph, edge_ids))
+        return next((v for v in comp if admissible(v, degree[v])), None)
 
-    bic = balanced_bicolouring(half, selector)
-    for j, side in enumerate(bic.side):
-        colours[hmap[j]] = colour_pair[0] if side == BLUE else colour_pair[1]
+    side = balanced_bicolouring(graph, selector, edge_ids).side
+    blue, red = colour_pair
+    for e in edge_ids:
+        colours[e] = blue if side[e] == BLUE else red
 
 
 def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
@@ -591,19 +595,17 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     colours = [0] * graph.edge_count
     elimination = (0, 0)
     if main_edges:
-        main, mmap = edge_subgraph(graph, main_edges)
-        bic = balanced_bicolouring(main, _refuse)
-        bic, elimination = eliminate_bad_components(main, bic, _six_regular_odd)
+        bic = balanced_bicolouring(graph, _refuse, main_edges)
+        bic, elimination = eliminate_bad_components(graph, bic, _six_regular_odd)
         for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [mmap[j] for j, side in enumerate(bic.side) if side == colour_side]
+            half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
             _split_half_into(graph, half_ids, pair, colours, lambda v, d: d == 8)
     if aside_edges:
-        aside, amap = edge_subgraph(graph, aside_edges)
         # 14-regular components with oddly many edges: any bad vertex will do,
         # and afterwards every monochromatic component has an odd-degree vertex.
-        bic = balanced_bicolouring(aside, None)
+        bic = balanced_bicolouring(graph, None, aside_edges)
         for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [amap[j] for j, side in enumerate(bic.side) if side == colour_side]
+            half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
             _split_half_into(graph, half_ids, pair, colours, _no_vertex)
     return colours, {"alphas": (), "elimination": elimination}
 
@@ -615,8 +617,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     colours = [0] * graph.edge_count
     for e in chosen:
         colours[e] = 1
-    sub, smap = edge_subgraph(graph, rest)
-    d_h = sub.degrees()
+    d_h = _degree_in(graph, rest)
 
     def first_split_bad(comp: tuple[int, ...]) -> Optional[int]:
         for v in comp:
@@ -624,7 +625,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
                 return v
         return None
 
-    bic = balanced_bicolouring(sub, first_split_bad)
+    bic = balanced_bicolouring(graph, first_split_bad, rest)
 
     def is_bad(verts: tuple[int, ...], degs: dict[int, int], edge_count: int) -> bool:
         if edge_count % 2 == 0:
@@ -644,13 +645,13 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
                 return v
         return None
 
-    bic, elimination = eliminate_bad_components(sub, bic, is_bad, pick)
+    bic, elimination = eliminate_bad_components(graph, bic, is_bad, pick)
 
     def second_split_bad(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)
 
     for colour_side, pair in ((BLUE, (2, 3)), (RED, (4, 5))):
-        half_ids = [smap[j] for j, side in enumerate(bic.side) if side == colour_side]
+        half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
         _split_half_into(graph, half_ids, pair, colours, second_split_bad)
     return colours, {"alphas": (Fraction(1, 5),), "elimination": elimination}
 

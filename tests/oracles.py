@@ -354,6 +354,36 @@ def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
             )
 
 
+def hierholzer_reference(adjacency, start: int, pointer: list[int], used: list[bool]) -> list[int]:
+    """Reference Hierholzer walk: one stack step per loop turn.
+
+    Each turn either takes the least unused edge at the top vertex or, when
+    there is none, pops that vertex and emits its edge.  Same contract as
+    ``graph.hierholzer_circuit``, which must return the same circuit.
+    """
+    vertex_stack = [start]
+    edge_stack: list[int] = []
+    out: list[int] = []
+    while vertex_stack:
+        v = vertex_stack[-1]
+        adj = adjacency[v]
+        i = pointer[v]
+        while i < len(adj) and used[adj[i][1]]:
+            i += 1
+        pointer[v] = i
+        if i == len(adj):
+            vertex_stack.pop()
+            if edge_stack:
+                out.append(edge_stack.pop())
+        else:
+            u, e = adj[i]
+            used[e] = True
+            vertex_stack.append(u)
+            edge_stack.append(e)
+    out.reverse()
+    return out
+
+
 def doubling_lift(graph: Graph, k: int) -> Graph:
     """Reference lift into S_k: double the whole graph until every degree fits.
 

@@ -16,6 +16,12 @@ def graphs(draw, min_vertices=1, max_vertices=8, max_edges=16) -> Graph:
     return build_graph(n, sorted(chosen))
 
 
+def edge_subsets(graph: Graph):
+    """Sets of the graph's edge ids."""
+    m = graph.edge_count
+    return st.sets(st.sampled_from(range(m))) if m else st.just(set())
+
+
 @st.composite
 def graphs_with_weights(draw, max_vertices=7, max_denominator=6):
     graph = draw(graphs(min_vertices=2, max_vertices=max_vertices))

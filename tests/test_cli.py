@@ -68,6 +68,28 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_absurd_graph_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.g"
+    path.write_text("graph 20000000 0\n")
+    code = main(
+        ["colour", "--k", "2", "--input", str(path), "--output",
+         str(tmp_path / "x.col")]
+    )
+    assert code == 2
+    assert "declares 20000000 vertices" in capsys.readouterr().err
+
+
+def test_construct_refuses_a_graph_it_could_not_read_back(tmp_path, capsys):
+    out = tmp_path / "empty.g"
+    code = main(
+        ["construct", "--family", "random", "--n", "100", "--delta", "0",
+         "--output", str(out)]
+    )
+    assert code == 2
+    assert "graph has 100 vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_reports_witness(tmp_path):
     graph_path = tmp_path / "star.g"
     graph_path.write_text("graph 4 3\n0 1\n0 2\n0 3\n")

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -5,11 +6,14 @@ import strategies
 from kmajority import (
     BLUE,
     RED,
+    Bicolouring,
+    InputError,
     SelectorExhaustedError,
     balanced_bicolouring,
     build_graph,
     components,
 )
+from kmajority.graph import edge_subgraph
 from oracles import assert_balanced, side_counts
 
 
@@ -97,3 +101,62 @@ def test_union_split_is_the_split_of_each_component(g):
         assert [bic.side[e] for e in comp_edges] == list(alone.side)
         bad.extend(comp[i] for i in alone.bad_vertices)
     assert bic.bad_vertices == tuple(sorted(bad))
+
+
+def test_subset_split_marks_other_edges():
+    # Triangle 0-1-2 plus the pendant edge 2-3; split the triangle only.
+    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    bic = balanced_bicolouring(g, None, [2, 0, 1])
+    assert bic.side[3] == -1
+    assert bic.bad_vertices == (0,)
+    assert sorted(bic.side[:3]) == [BLUE, RED, RED]
+
+
+@pytest.mark.parametrize("edges", [[-1], [0, 4]])
+def test_subset_split_rejects_out_of_range_edges(edges):
+    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(InputError, match="edge indices"):
+        balanced_bicolouring(g, None, edges)
+
+
+def test_subset_split_rejects_repeated_edges():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(InputError, match="edge id 0 is listed twice"):
+        balanced_bicolouring(g, None, [0, 1, 0])
+
+
+def _last_vertex(comp):
+    return comp[-1]
+
+
+def _odd_blocks_only(comp):
+    return comp[0] if len(comp) % 2 else None
+
+
+def _split_outcome(graph, selector, edges=None):
+    try:
+        return balanced_bicolouring(graph, selector, edges)
+    except SelectorExhaustedError as exc:
+        return str(exc)
+
+
+@given(
+    st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()),
+    st.sampled_from([None, _last_vertex, _odd_blocks_only]),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_subset_split_is_the_split_of_the_edge_subgraph(g, selector, data):
+    m = g.edge_count
+    subset = data.draw(strategies.edge_subsets(g))
+    edges = data.draw(st.permutations(sorted(subset)))  # the order must not matter
+    sub, emap = edge_subgraph(g, subset)
+    alone = _split_outcome(sub, selector)
+    whole = _split_outcome(g, selector, edges)
+    if isinstance(alone, str):
+        assert whole == alone
+        return
+    side = [-1] * m
+    for j, s in enumerate(alone.side):
+        side[emap[j]] = s
+    assert whole == Bicolouring(tuple(side), alone.bad_vertices)

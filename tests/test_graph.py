@@ -1,5 +1,6 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import strategies
 from kmajority import (
@@ -14,7 +15,8 @@ from kmajority import (
     general_lower_bound,
     is_bipartite,
 )
-from kmajority.graph import circuit_vertices, edge_subgraph
+from kmajority.graph import circuit_vertices, edge_subgraph, hierholzer_circuit
+from oracles import hierholzer_reference
 
 
 def test_cycle_construction():
@@ -147,6 +149,68 @@ def test_components_partition(g):
     seen = [v for block in blocks for v in block]
     assert sorted(seen) == list(range(g.vertex_count))
     assert all(block == tuple(sorted(block)) for block in blocks)
+
+
+@given(st.one_of(strategies.graphs(), strategies.disjoint_unions()), st.data())
+def test_components_of_edge_subset_are_those_of_the_edge_subgraph(g, data):
+    subset = data.draw(strategies.edge_subsets(g))
+    edges = data.draw(st.permutations(sorted(subset)))
+    assert components(g, edges) == components(edge_subgraph(g, subset)[0])
+    assert components(g, range(g.edge_count)) == components(g)
+
+
+@pytest.mark.parametrize("edges", [[-1], [0, 6]])
+def test_components_reject_out_of_range_edges(edges):
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    with pytest.raises(InputError, match="edge indices"):
+        components(g, edges)
+
+
+def _eulerian_components(g, subset):
+    """Adjacency of the ``subset`` edges' components made Eulerian.
+
+    Each component with an edge gets its own auxiliary vertex joined to its
+    odd vertices.  Returns the adjacency, the used array (the edges outside
+    ``subset`` start out used) and, per component, its vertices with edges.
+    """
+    degree = [0] * g.vertex_count
+    for e in subset:
+        for v in g.edges[e]:
+            degree[v] += 1
+    adjacency = [list(a) for a in g.adjacency]
+    used = [e not in subset for e in range(g.edge_count)]
+    blocks = []
+    for comp in components(g, subset):
+        if not any(degree[v] for v in comp):
+            continue
+        blocks.append([v for v in comp if degree[v]])
+        odd = [v for v in comp if degree[v] % 2]
+        if odd:
+            aux = len(adjacency)
+            adjacency.append([])
+            for v in odd:
+                adjacency[aux].append((v, len(used)))
+                adjacency[v].append((aux, len(used)))
+                used.append(False)
+    return adjacency, used, blocks
+
+
+@given(st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()),
+       st.data())
+@settings(max_examples=150)
+def test_greedy_trail_walk_matches_reference(g, data):
+    # Every component is walked from a drawn start, in order of least vertex,
+    # with one cursor (or pointer) list and one used array shared by all.
+    subset = data.draw(strategies.edge_subsets(g))
+    adjacency, used, blocks = _eulerian_components(g, subset)
+    starts = [data.draw(st.sampled_from(block)) for block in blocks]
+    cursors, used_now = [iter(a) for a in adjacency], list(used)
+    pointer, used_before = [0] * len(adjacency), list(used)
+    for start in starts:
+        assert hierholzer_circuit(start, cursors, used_now) == hierholzer_reference(
+            adjacency, start, pointer, used_before
+        )
+    assert all(used_now) and used_now == used_before
 
 
 @given(strategies.graphs(min_vertices=2))

@@ -7,6 +7,7 @@ import strategies
 from kmajority import (
     EdgeColouring,
     FormatError,
+    build_graph,
     format_colouring,
     format_graph,
     parse_colouring,
@@ -37,11 +38,41 @@ def test_graph_comments_and_blank_lines():
         ("graph 3 2\n0 1\n", "declared 2"),
         ("graph 3 1\n0 1\n1 2\n", "line 3"),
         ("graph 2 1\n0 0\n", "self-loop"),
+        ("graph -1 0\n", "nonnegative"),
+        ("graph 24 2\n0 1\n1 2\n", "declares 24 vertices"),  # 2m + 19 characters = 23
     ],
 )
 def test_graph_parse_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_graph(text)
+
+
+def test_graph_header_may_declare_isolated_vertices():
+    g = parse_graph("graph 3 0\n")
+    assert g.vertex_count == 3 and g.edge_count == 0
+    assert parse_graph("graph 23 2\n0 1\n1 2\n").vertex_count == 23  # 2m + 19 characters
+
+
+def test_graph_header_is_bounded_before_allocation():
+    # One adjacency list per declared vertex would take about 1.5 GB here.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="declares 20000000 vertices"):
+            parse_graph("graph 20000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_writer_refuses_what_the_reader_rejects():
+    with pytest.raises(FormatError, match="graph has 100 vertices"):
+        format_graph(build_graph(100, []))
+    for g in (
+        build_graph(10, []),  # 'graph 10 0' and a newline: 11 characters
+        build_graph(100, [(v, v + 1) for v in range(29)]),  # 70 isolated vertices
+    ):
+        assert parse_graph(format_graph(g)) == g
 
 
 def test_colouring_round_trip():

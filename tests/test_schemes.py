@@ -24,6 +24,7 @@ from kmajority import (
     refined_parameters,
 )
 from kmajority.eulersplit import BLUE, RED, Bicolouring
+from kmajority.graph import edge_subgraph
 from oracles import eliminate_by_full_recompute
 
 
@@ -284,6 +285,33 @@ def test_eliminate_matches_full_recompute_on_unions(g, is_bad, pick, data):
     assert _outcome(eliminate_bad_components, g, bic, is_bad, pick) == _outcome(
         eliminate_by_full_recompute, g, bic, is_bad, pick
     )
+
+
+@settings(max_examples=120)
+@given(
+    strategies.disjoint_unions(),
+    st.sampled_from([odd_eulerian, odd_size]),
+    st.sampled_from([None, highest_degree]),
+    st.data(),
+)
+def test_eliminate_on_edge_subset_matches_the_edge_subgraph(g, is_bad, pick, data):
+    # Sides of -1 mark edges outside the subset: elimination on the whole
+    # graph must act as on the subgraph of the subset.
+    m = g.edge_count
+    sides = data.draw(st.lists(st.integers(-1, RED), min_size=m, max_size=m))
+    sub, emap = edge_subgraph(g, [e for e in range(m) if sides[e] >= 0])
+    alone = _outcome(
+        eliminate_bad_components, sub, Bicolouring(tuple(sides[e] for e in emap), ()),
+        is_bad, pick,
+    )
+    whole = _outcome(eliminate_bad_components, g, Bicolouring(tuple(sides), ()), is_bad, pick)
+    if isinstance(alone, str):
+        assert whole == alone
+        return
+    side = [-1] * m
+    for j, s in enumerate(alone[0].side):
+        side[emap[j]] = s
+    assert whole == (Bicolouring(tuple(side), ()), alone[1])
 
 
 def test_eliminate_forgets_the_other_colour_component_a_flip_merges():
