@@ -6,14 +6,17 @@ are coloured as the benchmark's operation colours them: the text is parsed
 and the instance's scheme (forced, or ``colour_auto``) is called.  The
 digest covers, per instance in order, its label, k, scheme and the canonical
 colouring file (``format_colouring``), or ``none`` when the dispatcher finds
-no applicable scheme; the oracle fallback is not run.  Two checkouts whose
-colourings are byte-identical print the same lines, so running the script in
-both is the byte-identity check of a change that must not move any output.
+no applicable scheme; the oracle fallback is not run.  With ``--reports``
+it also covers each scheme's per-round statistics (``RoundStat``): weight,
+class size, maximum class and residual degrees, both slacks and the rounding
+ledger.  Two checkouts whose outputs are byte-identical print the same lines,
+so running the script in both is the byte-identity check of a change that
+must not move any output.
 
 Run from anywhere; the library and the harness are imported from the
 checkout that holds this script:
 
-    python3 scripts/output_digest.py --seeds 1 2 3
+    python3 scripts/output_digest.py --reports --seeds 1 2 3
 """
 
 import argparse
@@ -25,7 +28,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("large_graphs", "many_components", "threshold_sweep")
 
 
-def workload_digest(workload: str, seeds: list[int]) -> str:
+def rounds_text(report) -> str:
+    """One line per stripping round of a scheme report."""
+    return "".join(
+        f"round {r.index} {r.weight} {r.class_size} {r.max_class_degree} "
+        f"{r.max_residual_degree} {r.class_slack} {r.residual_slack} {r.exceptional}\n"
+        for r in report.rounds
+    )
+
+
+def workload_digest(workload: str, seeds: list[int], reports: bool) -> str:
     from kmajority import graphio, schemes
     from perfbench import workloads
 
@@ -33,8 +45,10 @@ def workload_digest(workload: str, seeds: list[int]) -> str:
     for seed in seeds:
         for inst in workloads.build(workload, seed):
             graph = graphio.parse_graph(inst.text)
-            found, _ = getattr(schemes, inst.scheme)(graph, inst.k)
+            found, report = getattr(schemes, inst.scheme)(graph, inst.k)
             output = "none\n" if found is None else graphio.format_colouring(found)
+            if reports:
+                output += rounds_text(report)
             digest.update(f"{inst.label} {inst.k} {inst.scheme}\n{output}".encode())
     return digest.hexdigest()
 
@@ -43,11 +57,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--reports", action="store_true", help="also hash the per-round statistics")
     args = parser.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     seeds = " ".join(map(str, args.seeds))
+    label = " reports" if args.reports else ""
     for workload in args.workload:
-        print(f"{workload} seeds {seeds} {workload_digest(workload, args.seeds)}")
+        digest = workload_digest(workload, args.seeds, args.reports)
+        print(f"{workload} seeds {seeds}{label} {digest}")
     return 0
 
 

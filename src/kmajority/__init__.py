@@ -24,7 +24,6 @@ from .graph import (
     build_graph,
     components,
     edge_subgraph,
-    eulerian_circuit,
     is_bipartite,
 )
 from .graphio import (
@@ -54,9 +53,6 @@ from .reductions import (
 )
 from .rounding import (
     RoundingResult,
-    enforce_condition_ii,
-    find_kernel_direction,
-    pendant_direction,
     resolve_cycles,
     round_weights,
 )

@@ -151,20 +151,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     verdict = check_majority(graph, colouring, args.k)
     duration = (time.monotonic() - started) * 1000
+    # The majority rule caps each colour, not the number of colours, so the
+    # file's colour count is reported beside the verdict; the schemes use k+1.
+    colours = colouring.colour_count
     if args.json:
-        _dump(
-            _report_json(
-                "verify",
-                args.k,
-                algorithm=None,
-                verdict=verdict,
-                duration_ms=duration,
-                inputs={args.graph: _digest(args.graph), args.colouring: _digest(args.colouring)},
-            ),
-            None,
+        report = _report_json(
+            "verify",
+            args.k,
+            algorithm=None,
+            verdict=verdict,
+            duration_ms=duration,
+            inputs={args.graph: _digest(args.graph), args.colouring: _digest(args.colouring)},
         )
+        report["colour_count"] = colours
+        _dump(report, None)
     elif verdict.passed:
-        print("valid 1/%d-majority colouring" % args.k)
+        note = "" if colours == args.k + 1 else f", not k+1 = {args.k + 1}"
+        print(f"valid 1/{args.k}-majority colouring with {colours} colours{note}")
     else:
         v, colour, count, cap = verdict.witness
         print(

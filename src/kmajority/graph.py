@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BuildError, InputError, PreconditionError
+from .errors import BuildError, InputError
 
 Edge = tuple[int, int]
 
@@ -223,33 +223,6 @@ def hierholzer_circuit(
             out.append(edge_stack.pop())
     out.reverse()
     return out
-
-
-def eulerian_circuit(graph: Graph, start: Optional[int] = None) -> tuple[int, ...]:
-    """Closed trail through every edge exactly once, as an edge-index sequence.
-
-    Requires at least one edge, all degrees even, and all edges in one
-    component; otherwise raises :class:`PreconditionError`.
-    """
-    if graph.edge_count == 0:
-        raise PreconditionError("eulerian circuit needs at least one edge")
-    odd = [v for v in range(graph.vertex_count) if graph.degree(v) % 2]
-    if odd:
-        raise PreconditionError(f"odd-degree vertices present: {odd[:4]}")
-    active = [v for v in range(graph.vertex_count) if graph.degree(v) > 0]
-    # Every vertex of an edge's component has an edge, so the edges are
-    # connected exactly when the first active vertex reaches all the others.
-    if len(next(c for c in components(graph) if c[0] == active[0])) != len(active):
-        raise PreconditionError("graph edges are not connected")
-    if start is None:
-        start = active[0]
-    elif graph.degree(start) == 0:
-        raise InputError(f"start vertex {start} has no incident edges")
-    circuit = hierholzer_circuit(
-        start, [iter(a) for a in graph.adjacency], [False] * graph.edge_count
-    )
-    assert len(circuit) == graph.edge_count
-    return tuple(circuit)
 
 
 def edge_subgraph(graph: Graph, edge_indices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

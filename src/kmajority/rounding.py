@@ -11,16 +11,27 @@ with, writing ``S_z(v)`` and ``S_x(v)`` for the incident weight sums:
       vertex has an integer weight sum, and the ledger's cycles are pairwise
       independent (vertex-disjoint, with no graph edge joining them).
 
-Values are scaled integers: ``x(e)`` is stored as a numerator in ``[0, D]``
-over a common denominator ``D``, which starts at the least common denominator
-of the weights.  An edge is *live* (in the support) while ``0 < x(e) < D``;
-each vertex keeps a dict of its live edges, and an edge leaves both dicts the
-moment it becomes integral.
+The rounding may cover only a subset of a graph's edges.  Sums, conditions
+(i)-(iii), the cycles and the edges that could join them are then those of
+the subset; vertex ids and edge ids stay the graph's own, every per-edge
+list has one entry per edge of the graph, and ``-1`` marks an edge outside
+the subset.  The result is that of ``edge_subgraph(graph, edges)`` mapped
+back, without building that subgraph: the subgraph keeps the vertex ids and
+the relative order of the edges, and every tie below is broken by them.
+
+Values are scaled integers from end to end: ``x(e)`` is stored as a
+numerator in ``[0, D]`` over a common denominator ``D``, which starts at the
+least common denominator of the weights.  ``Fraction`` appears only where
+the weights are validated and in error messages.  An edge is *live* (in the
+support) while ``0 < x(e) < D``; each vertex keeps a dict of its live edges,
+and an edge leaves both dicts the moment it becomes integral.
 
 The kernel walks the support along live edges, never straight back, and keeps
-its walk from one move to the next.  At each vertex every live edge back onto
-the walk closes a cycle; failing that, the walk steps on along the lowest
-fresh edge.  Every move is an alternating +1/-1 walk, added up per edge:
+its walk from one move to the next; a vertex-indexed list holds each vertex's
+position on the walk, ``-1`` off it.  At each vertex every live edge back
+onto the walk closes a cycle; failing that, the walk steps on along the
+lowest fresh edge.  Every move is an alternating +1/-1 walk, added up per
+edge:
 
 * a path between two leaves (support degree 1), or an even cycle (the
   shortest one closed);
@@ -38,7 +49,7 @@ makes more edges integral (ties go to the walk's own orientation).  A +-2
 step can need half a unit; then ``D`` doubles, exactly, and each numerator is
 doubled when a move next reads it.  What is left is finished off directly: an
 edge whose two ends are leaves is set to 1, and a component that is exactly
-one odd cycle goes to :func:`resolve_cycles`.
+one odd cycle goes to :func:`resolve_cycles`, over the final ``D``.
 
 Sums change only at leaves: kernel moves leave every vertex sum alone, and
 leaf moves leave the sums of their inner vertices alone.  A leaf has one live
@@ -51,7 +62,7 @@ leaf, because at that moment ``S_x(v) = S_z(v)`` would be an integer plus
 integral sums, the ones (iii) relies on, are kept exactly.
 
 Every result is re-certified against (i)-(iii) over integers before being
-returned; a certification failure raises
+returned, in time linear in the graph; a certification failure raises
 :class:`~kmajority.errors.InternalInvariantError`.
 """
 
@@ -63,18 +74,12 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .graph import Graph, circuit_vertices, components
-
-HALF = Fraction(1, 2)
-
-# Edge coefficients of a zero-sum move; integers from the walk kernel, halves
-# on the public lollipop and in bad-cycle merges.
-Direction = dict[int, "Fraction | int"]
+from .graph import Graph, _checked_edge_ids, circuit_vertices
 
 
 @dataclass(frozen=True)
 class RoundingResult:
-    """0/1 value per edge plus the exceptional-vertex ledger.
+    """0/1 value per edge (``-1`` outside the rounded subset) plus the ledger.
 
     ``exceptional`` holds ``(vertex, cycle)`` pairs where ``cycle`` is the odd
     cycle's edge sequence in traversal order, certifying condition (iii).
@@ -95,15 +100,6 @@ def _as_weight(value, e: int) -> Fraction:
     if not 0 <= value.numerator <= value.denominator:
         raise InputError(f"weight {value} for edge {e} is outside [0, 1]")
     return value
-
-
-def vertex_sums(graph: Graph, values: Sequence[Fraction]) -> list[Fraction]:
-    sums: list = [0] * graph.vertex_count
-    for e, (u, v) in enumerate(graph.edges):
-        value = values[e]
-        sums[u] += value
-        sums[v] += value
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +138,15 @@ def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int
 
 
 def _next_move(
-    nbr: Sequence[dict[int, int]], vs: list[int], es: list[int], pos: dict[int, int]
+    nbr: Sequence[dict[int, int]], vs: list[int], es: list[int], pos: list[int]
 ) -> Optional[tuple[int, list[int]]]:
     """Extend the walk ``vs``/``es`` (a path of live edges) until it yields a move.
 
-    At each vertex every live edge back onto the walk is a closing; the
-    shortest even cycle wins.  An odd cycle is held while the walk goes on,
-    until a second odd closing or a dead end completes a move with it.
+    ``pos[v]`` is v's index in ``vs``, ``-1`` for a vertex off the walk; it
+    is kept up to date as the walk grows or is laid anew.  At each vertex
+    every live edge back onto the walk is a closing; the shortest even cycle
+    wins.  An odd cycle is held while the walk goes on, until a second odd
+    closing or a dead end completes a move with it.
     Returns ``(_MOVE, walk)`` with an edge walk to alternate,
     ``(_ISOLATED, [e])`` for an edge between two leaves,
     ``(_TERMINAL, cycle)`` for a component that is exactly one odd cycle, or
@@ -165,8 +163,8 @@ def _next_move(
         for e, u in nbr[x].items():
             if e == back or e == chord:
                 continue
-            p = pos.get(u)
-            if p is None:
+            p = pos[u]
+            if p < 0:
                 if fresh < 0:
                     fresh, fresh_u = e, u
             elif (end - p) % 2:
@@ -202,8 +200,8 @@ def _next_move(
                     held = (end, 0, chord)
                     vs[:] = vs[j + 1:] + vs[:j + 1]
                     es[:] = es[j + 1:] + [c] + es[:j]
-                pos.clear()
-                pos.update((v, i) for i, v in enumerate(vs))
+                for i, v in enumerate(vs):  # the same vertices, in a new order
+                    pos[v] = i
                 x, back = vs[-1], es[-1]
                 continue
         if fresh < 0:
@@ -216,8 +214,8 @@ def _next_move(
             if len(nbr[vs[0]]) != 1:  # not from a leaf: walk on from the leaf reached
                 vs.reverse()
                 es.reverse()
-                pos.clear()
-                pos.update((v, i) for i, v in enumerate(vs))
+                for i, v in enumerate(vs):
+                    pos[v] = i
                 x, back = vs[-1], es[-1]
                 continue
             return (_ISOLATED if len(es) == 1 else _MOVE), es[:]
@@ -251,20 +249,20 @@ def _truncate(
     edges: Sequence[tuple[int, int]],
     vs: list[int],
     es: list[int],
-    pos: dict[int, int],
+    pos: list[int],
     dropped: Iterable[int],
 ) -> None:
     """Cut the walk back to its longest prefix of still-live path edges."""
     cut = len(vs) - 1
     for e in dropped:
         a, b = edges[e]
-        ka, kb = pos.get(a), pos.get(b)
-        if ka is not None and kb is not None:
+        ka, kb = pos[a], pos[b]
+        if ka >= 0 and kb >= 0:
             k = min(ka, kb)
             if k < cut and es[k] == e:
                 cut = k
     for v in vs[cut + 1:]:
-        del pos[v]
+        pos[v] = -1
     del vs[cut + 1:]
     del es[cut:]
 
@@ -275,7 +273,8 @@ class _Kernel:
     Edge ``e`` holds the value ``x[e] / (base << level[e])``; the common
     scale is ``base << top``, and a numerator is brought up to ``top`` when
     a move next reads it, so doubling the scale costs O(1).  Live edges are
-    those in ``nbr``.
+    those in ``nbr``; an edge outside the rounded subset holds ``-1`` and is
+    never live.
     """
 
     def __init__(self, graph: Graph, scale: int, x: list[int]):
@@ -286,8 +285,9 @@ class _Kernel:
         self.level = [0] * len(x)
         self.nbr = _live_adjacency(graph, (e for e, v in enumerate(x) if 0 < v < scale))
 
-    def value(self, e: int) -> Fraction:
-        return Fraction(self.x[e], self.base << self.level[e])
+    def numerator(self, e: int) -> int:
+        """``x[e]`` over the common scale ``base << top``."""
+        return self.x[e] << (self.top - self.level[e])
 
     def run(self) -> tuple[list[int], list[list[int]]]:
         """Move until no edge is live; returns (isolated edges, terminal odd cycles)."""
@@ -296,7 +296,7 @@ class _Kernel:
         cycles: list[list[int]] = []
         vs: list[int] = []
         es: list[int] = []
-        pos: dict[int, int] = {}
+        pos = [-1] * len(nbr)
         lo = 0
         while True:
             if not vs:
@@ -308,9 +308,8 @@ class _Kernel:
                 pos[lo] = 0
             found = _next_move(nbr, vs, es, pos)
             if found is None:
+                pos[vs[0]] = -1
                 vs.clear()
-                es.clear()
-                pos.clear()
                 continue
             kind, walk = found
             if kind == _MOVE:
@@ -382,90 +381,12 @@ class _Kernel:
         return dropped
 
 
-# ---------------------------------------------------------------------------
-# Public direction API
-# ---------------------------------------------------------------------------
-
-
-def _component_adjacency(
-    graph: Graph, support: Iterable[int], component: Iterable[int]
-) -> tuple[list[int], Optional[list[dict[int, int]]]]:
-    """Sorted component and its support adjacency, or ``None`` if not connected."""
-    comp = sorted(component)
-    inside = set(comp)
-    live = [e for e in sorted(set(support)) if inside.issuperset(graph.edges[e])]
-    nbr = _live_adjacency(graph, live)
-    connected = bool(comp) and bool(nbr[comp[0]]) and (
-        tuple(comp) in components(graph, live)
-    )
-    return comp, nbr if connected else None
-
-
-def find_kernel_direction(
-    graph: Graph, support: Iterable[int], component: Iterable[int]
-) -> Optional[Direction]:
-    """Zero-sum direction on a support component, or ``None``.
-
-    A direction exists exactly when the component contains an even cycle or
-    two distinct cycles.  Leaves are pruned first, so the walk kernel meets
-    only kernel moves: an even cycle alternates +1/-1, and two odd cycles
-    combine through an even closed walk.  Vertex sums of the result vanish
-    everywhere, so adding any multiple to the edge values leaves all weight
-    sums unchanged.
-    """
-    comp, nbr = _component_adjacency(graph, support, component)
-    if nbr is None:
-        raise InputError("component is not connected in the given support")
-    leaves = [v for v in comp if len(nbr[v]) == 1]
-    while leaves:
-        v = leaves.pop()
-        if len(nbr[v]) == 1:
-            e, u = next(iter(nbr[v].items()))
-            _drop(graph.edges, nbr, e)
-            if len(nbr[u]) == 1:
-                leaves.append(u)
-    start = next((v for v in comp if nbr[v]), None)
-    if start is None:
-        return None
-    kind, walk = _next_move(nbr, [start], [], {start: 0})
-    if kind == _TERMINAL:
-        return None
-    direction: Direction = _alternating_direction(walk)
-    _assert_zero_sums(graph, direction, constrained=None)
-    return direction
-
-
-def pendant_direction(
-    graph: Graph, support: Iterable[int], component: Iterable[int]
-) -> Direction:
-    """Direction whose sums vanish at every degree->=2 vertex of the component.
-
-    Requires the component (a tree, or a tree plus one odd cycle) to contain
-    both a leaf and an internal vertex; realised by the walk kernel from the
-    least leaf as a leaf-to-leaf alternating path or as a leaf-to-cycle
-    "lollipop", halved so that its stem is +-1 and its cycle +-1/2.
-    """
-    comp, nbr = _component_adjacency(graph, support, component)
-    if nbr is None:
-        raise InternalInvariantError("component is not connected in the given support")
-    leaves = [v for v in comp if len(nbr[v]) == 1]
-    internal = {v for v in comp if len(nbr[v]) >= 2}
-    if not leaves or not internal:
-        raise InternalInvariantError("pendant direction needs a leaf and an internal vertex")
-    _, walk = _next_move(nbr, [leaves[0]], [], {leaves[0]: 0})
-    direction: Direction = _alternating_direction(walk)
-    if any(abs(c) == 2 for c in direction.values()):
-        direction = {e: Fraction(c, 2) for e, c in direction.items()}
-    _assert_zero_sums(graph, direction, constrained=internal)
-    return direction
-
-
-def _assert_zero_sums(graph: Graph, direction: Direction, constrained: Optional[set[int]]) -> None:
-    sums: dict[int, Fraction] = {}
+def _assert_zero_sums(graph: Graph, direction: dict, constrained: Optional[set[int]]) -> None:
+    sums: dict = {}
     for e, coeff in direction.items():
         u, v = graph.edges[e]
-        sums[u] = sums.get(u, Fraction(0)) + coeff
-        sums[v] = sums.get(v, Fraction(0)) + coeff
+        sums[u] = sums.get(u, 0) + coeff
+        sums[v] = sums.get(v, 0) + coeff
     broken = {
         v: s for v, s in sums.items() if s and (constrained is None or v in constrained)
     }
@@ -495,21 +416,23 @@ def _rotate_cycle(
 
 
 def resolve_cycles(
-    graph: Graph, x: Sequence[Fraction], cycles: Iterable[Sequence[int]]
-) -> tuple[list[Fraction], list[tuple[int, tuple[int, ...]]]]:
-    """Finish the rounding on disjoint odd support cycles.
+    graph: Graph, scale: int, x: list[int], cycles: Iterable[Sequence[int]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Finish the rounding on disjoint odd support cycles, in place.
 
-    First merges pairs of bad cycles (every edge exactly 1/2) that are joined
-    by an edge of the graph - flipping that edge and shifting both cycles by
-    alternating halves keeps all vertex sums intact.  Joining edges are taken
-    in ascending order, skipping cycles already merged.  The surviving cycles
-    are then rounded to nearest with the per-vertex tie rule; each remaining
-    bad cycle contributes one designated vertex, rounded up on both sides, to
-    the returned ledger.
+    ``x[e]`` is edge e's numerator over ``scale``, or ``-1`` for an edge
+    outside the rounded subset; every rounded edge off the cycles is
+    integral (0 or ``scale``).  First merges pairs of bad cycles (every edge
+    exactly 1/2) that are joined by a rounded edge - flipping that edge and
+    shifting both cycles by alternating halves keeps all vertex sums intact.
+    Joining edges are taken in ascending order, skipping cycles already
+    merged.  The surviving cycles are then rounded to nearest with the
+    per-vertex tie rule; each remaining bad cycle contributes one designated
+    vertex, rounded up on both sides, to the returned ledger.  Every cycle
+    edge ends at 0 or ``scale``.
     """
-    x = list(x)
     if not cycles:
-        return x, []
+        return []
     cycs: list[tuple[list[int], list[int]]] = []
     for eseq in cycles:
         eseq = list(eseq)
@@ -519,34 +442,35 @@ def resolve_cycles(
     cycs.sort(key=lambda c: min(c[0]))
 
     bad = {
-        i for i, (_, eseq) in enumerate(cycs) if all(x[e] == HALF for e in eseq)
+        i for i, (_, eseq) in enumerate(cycs) if all(2 * x[e] == scale for e in eseq)
     }
     owner = {v: i for i in bad for v in cycs[i][0]}
     joining = sorted(
         e0
         for v, i in owner.items()
         for u, e0 in graph.adjacency[v]
-        if u < v and owner.get(u, i) != i
+        if u < v and x[e0] >= 0 and owner.get(u, i) != i
     )
+    half = scale // 2
     retired: set[int] = set()
     for e0 in joining:
         u, v = graph.edges[e0]
         iu, iv = owner[u], owner[v]
         if iu in retired or iv in retired:
             continue
-        if x[e0].denominator != 1:
+        if x[e0] != 0 and x[e0] != scale:
             raise InternalInvariantError(f"joining edge {e0} is not integral")
-        direction: Direction = {e0: 2}
+        direction = {e0: 2}
         for cyc_index, anchor in ((iu, u), (iv, v)):
             vseq, eseq = cycs[cyc_index]
             (_, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
             for i, e in enumerate(walk_e):
                 direction[e] = -1 if i % 2 == 0 else 1
         _assert_zero_sums(graph, direction, constrained=None)
-        c = HALF if x[e0] == 0 else -HALF
+        c = half if x[e0] == 0 else -half
         for e, a in direction.items():
             x[e] += c * a
-            if x[e].denominator != 1:
+            if x[e] != 0 and x[e] != scale:
                 raise InternalInvariantError("bad-cycle merge left a fractional edge")
         retired.update((iu, iv))
 
@@ -556,22 +480,22 @@ def resolve_cycles(
             continue
         if i in bad:
             anchor = min(vseq)
-            (walk_v, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
+            (_, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
             for j, e in enumerate(walk_e):
-                x[e] = Fraction(1 if j % 2 == 0 else 0)
+                x[e] = scale if j % 2 == 0 else 0
             ledger.append((anchor, tuple(walk_e)))
         else:
-            _round_mixed_cycle(x, eseq)
-    return x, ledger
+            _round_mixed_cycle(scale, x, eseq)
+    return ledger
 
 
-def _round_mixed_cycle(x: list[Fraction], eseq: Sequence[int]) -> None:
+def _round_mixed_cycle(scale: int, x: list[int], eseq: Sequence[int]) -> None:
     """Nearest-integer rounding; runs of 1/2 alternate, anchored at the least edge id."""
     length = len(eseq)
-    halves = [x[e] == HALF for e in eseq]
-    for pos, e in enumerate(eseq):
-        if not halves[pos]:
-            x[e] = Fraction(0 if x[e] < HALF else 1)
+    halves = [2 * x[e] == scale for e in eseq]
+    for p, e in enumerate(eseq):
+        if not halves[p]:
+            x[e] = 0 if 2 * x[e] < scale else scale
     if not any(halves):
         return
     if all(halves):
@@ -585,7 +509,7 @@ def _round_mixed_cycle(x: list[Fraction], eseq: Sequence[int]) -> None:
             p = (p + 1) % length
         anchor = min(range(len(run)), key=lambda idx: eseq[run[idx]])
         for idx, p in enumerate(run):
-            x[eseq[p]] = Fraction(1 if (idx - anchor) % 2 == 0 else 0)
+            x[eseq[p]] = scale if (idx - anchor) % 2 == 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -593,64 +517,61 @@ def _round_mixed_cycle(x: list[Fraction], eseq: Sequence[int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_weights(weights: Sequence) -> tuple[int, list[int]]:
-    """Validate the weights; common denominator and numerators, w[e] = zl[e] / scale.
+def _scaled_weights(weights: Sequence, ids: Sequence[int]) -> tuple[int, list[int]]:
+    """Validate the listed weights; common denominator and numerators.
 
-    Each distinct weight object is validated and converted once, since the
-    schemes pass one constant weight for every edge.  Keying by ``id`` is
-    sound because ``weights`` keeps every object alive meanwhile.
+    ``zl[e] / scale`` is edge e's weight, ``zl[e] = -1`` for an edge not
+    listed; an id listed twice is an :class:`InputError`.  Each distinct
+    weight object is validated and converted once, since the schemes pass
+    one constant weight for every edge.  Keying by ``id`` is sound because
+    ``weights`` keeps every object alive meanwhile.
     """
     exact: dict[int, Fraction] = {}
-    for e, w in enumerate(weights):
+    for e in ids:
+        w = weights[e]
         if id(w) not in exact:
             exact[id(w)] = _as_weight(w, e)
     scale = lcm(*(w.denominator for w in exact.values()))
     numerators = {key: w.numerator * (scale // w.denominator) for key, w in exact.items()}
-    return scale, [numerators[id(w)] for w in weights]
+    zl = [-1] * len(weights)
+    for e in ids:
+        if zl[e] >= 0:
+            raise InputError(f"edge id {e} is listed twice")
+        zl[e] = numerators[id(weights[e])]
+    return scale, zl
 
 
-def _int_sums(graph: Graph, values: Sequence[int]) -> list[int]:
+def _int_sums(graph: Graph, values: Sequence[int], ids: Sequence[int]) -> list[int]:
     sums = [0] * graph.vertex_count
-    for e, (u, v) in enumerate(graph.edges):
+    edges = graph.edges
+    for e in ids:
+        u, v = edges[e]
         value = values[e]
         sums[u] += value
         sums[v] += value
     return sums
 
 
-def enforce_condition_ii(
-    graph: Graph, z: Sequence[Fraction], x: Sequence[Fraction]
-) -> list[Fraction]:
-    """Flip edges between strictly deficient endpoints to 1 until none remain.
+def _enforce_ii_int(
+    graph: Graph, ids: Sequence[int], scale: int, sums_z: Sequence[int], xi: list[int]
+) -> list[int]:
+    """In-place condition (ii) repair of the 0/1 values of the listed edges.
 
-    Each flip raises both endpoint sums by one, so (i) keeps holding strictly
-    there and no new deficiency appears; one pass over the edges therefore
-    suffices, and at most one flip per edge happens.
+    Weight sums are ``sums_z / scale``.  A flip only clears deficiency, so an
+    edge passed once never violates (ii) later: one ascending pass flips the
+    same edges as rescanning from the first.  Returns the x-sums.
     """
-    scale, zl = _scaled_weights(z)
-    for e, value in enumerate(x):
-        if value not in (0, 1):
-            raise InputError(f"x({e}) = {value} is not 0/1; repair runs after rounding")
-    xi = [int(value) for value in x]
-    _enforce_ii_int(graph, scale, zl, xi)
-    return [Fraction(value) for value in xi]
-
-
-def _enforce_ii_int(graph: Graph, scale: int, zl: Sequence[int], xi: list[int]) -> list[int]:
-    """In-place condition (ii) repair over integral values (x scaled by 1).
-
-    A flip only clears deficiency, so an edge passed once never violates (ii)
-    later: one ascending pass flips the same edges as rescanning from edge 0.
-    """
-    sums_z = _int_sums(graph, zl)
-    sums_x = _int_sums(graph, xi)
-    deficient = [sums_x[v] * scale < sums_z[v] for v in range(graph.vertex_count)]
-    for e, (u, v) in enumerate(graph.edges):
-        if xi[e] == 0 and deficient[u] and deficient[v]:
-            xi[e] = 1
-            for w in (u, v):
-                sums_x[w] += 1
-                deficient[w] = sums_x[w] * scale < sums_z[w]
+    sums_x = _int_sums(graph, xi, ids)
+    deficient = [sx * scale < sz for sx, sz in zip(sums_x, sums_z)]
+    edges = graph.edges
+    for e in ids:
+        if xi[e] == 0:
+            u, v = edges[e]
+            if deficient[u] and deficient[v]:
+                xi[e] = 1
+                for w in (u, v):
+                    sums_x[w] += 1
+                    deficient[w] = sums_x[w] * scale < sums_z[w]
     return sums_x
 
 
@@ -659,8 +580,16 @@ def _enforce_ii_int(graph: Graph, scale: int, zl: Sequence[int], xi: list[int]) 
 # ---------------------------------------------------------------------------
 
 
-def round_weights(graph: Graph, weights: Sequence) -> RoundingResult:
+def round_weights(
+    graph: Graph, weights: Sequence, edges: Optional[Iterable[int]] = None
+) -> RoundingResult:
     """Round rational edge weights to a certified 0/1 assignment.
+
+    ``weights`` has one entry per edge of ``graph``; only those of the
+    rounded edges are read.  ``edges`` restricts the rounding to those edge
+    ids (all edges when ``None``); an id listed twice or outside the graph
+    is an :class:`InputError`.  ``x`` is ``-1`` on every other edge, and
+    (i)-(iii) hold for the subset's sums and cycles.
 
     Pipeline: run the walk kernel on the scaled integer values until every
     support component is gone or reduced to an isolated edge or an odd
@@ -672,52 +601,62 @@ def round_weights(graph: Graph, weights: Sequence) -> RoundingResult:
         raise InputError(
             f"{len(weights)} weights for {graph.edge_count} edges"
         )
-    scale, zl = _scaled_weights(weights)
+    if edges is None:
+        ids: Sequence[int] = range(graph.edge_count)
+    else:
+        ids = sorted(_checked_edge_ids(graph, edges))
+    scale, zl = _scaled_weights(weights, ids)
     kernel = _Kernel(graph, scale, list(zl))
     isolated, cycles = kernel.run()
-    # Every edge not on a terminal cycle is integral: its numerator is 0 or its scale.
-    x: list = [1 if value else 0 for value in kernel.x]
-    for e in isolated:
-        x[e] = 1
+    full = scale << kernel.top
+    # Off the terminal cycles every rounded edge is integral, 0 or its own
+    # scale, except the isolated edges, still fractional and set to 1 here.
+    x = [full if value > 0 else value for value in kernel.x]
     for cycle in cycles:
         for e in cycle:
-            x[e] = kernel.value(e)
-
-    x, ledger = resolve_cycles(graph, x, cycles)
-    for e, value in enumerate(x):
-        if value.denominator != 1:
-            raise InternalInvariantError(f"edge {e} left fractional at {value}")
-    xi = [int(value) for value in x]
-    sums_x = _enforce_ii_int(graph, scale, zl, xi)
-    _certify_int(graph, scale, zl, xi, ledger, sums_x)
-    return RoundingResult(
-        tuple(xi),
-        tuple((v, tuple(cycle)) for v, cycle in ledger),
-    )
+            x[e] = kernel.numerator(e)
+    ledger = resolve_cycles(graph, full, x, cycles)
+    for cycle in cycles:
+        for e in cycle:
+            if x[e] != 0 and x[e] != full:
+                raise InternalInvariantError(f"edge {e} left fractional at {Fraction(x[e], full)}")
+    xi = [1 if value == full else value for value in x]
+    sums_z = _int_sums(graph, zl, ids)
+    sums_x = _enforce_ii_int(graph, ids, scale, sums_z, xi)
+    _certify_int(graph, ids, scale, sums_z, xi, ledger, sums_x)
+    return RoundingResult(tuple(xi), tuple(ledger))
 
 
 def _certify_int(
     graph: Graph,
+    ids: Sequence[int],
     scale: int,
-    zl: Sequence[int],
+    sums_z: Sequence[int],
     xi: Sequence[int],
     ledger: Sequence[tuple[int, Sequence[int]]],
     sums_x: Sequence[int],
 ) -> None:
-    """Conditions (i)-(iii) over integers: weights are zl/scale, x is 0/1."""
-    for e, value in enumerate(xi):
-        if value not in (0, 1):
-            raise InternalInvariantError(f"edge {e} rounded to {value}")
-    sums_z = _int_sums(graph, zl)
+    """Conditions (i)-(iii) over integers, in O(n + m).
+
+    Weight sums are ``sums_z / scale`` and x is 0/1 on the listed edges.
+    One owner array over the ledger's cycle vertices checks both that the
+    cycles are disjoint and that no listed edge joins two of them.
+    """
+    for e in ids:
+        if xi[e] != 0 and xi[e] != 1:
+            raise InternalInvariantError(f"edge {e} rounded to {xi[e]}")
     for v in range(graph.vertex_count):
         sx = sums_x[v] * scale
         if not (sums_z[v] - scale < sx <= sums_z[v] + scale):
             raise InternalInvariantError(
                 f"(i) fails at vertex {v}: x-sum {sums_x[v]}, z-sum {Fraction(sums_z[v], scale)}"
             )
-    for e, (u, v) in enumerate(graph.edges):
-        if xi[e] == 0 and sums_x[u] * scale < sums_z[u] and sums_x[v] * scale < sums_z[v]:
-            raise InternalInvariantError(f"(ii) fails at edge {e} = ({u}, {v})")
+    edges = graph.edges
+    for e in ids:
+        if xi[e] == 0:
+            u, v = edges[e]
+            if sums_x[u] * scale < sums_z[u] and sums_x[v] * scale < sums_z[v]:
+                raise InternalInvariantError(f"(ii) fails at edge {e} = ({u}, {v})")
     excess = {
         v for v in range(graph.vertex_count) if sums_x[v] * scale == sums_z[v] + scale
     }
@@ -726,10 +665,12 @@ def _certify_int(
         raise InternalInvariantError(
             f"(iii) ledger vertices {sorted(listed)} != excess vertices {sorted(excess)}"
         )
-    cycle_vertex_sets: list[set[int]] = []
-    for v, eseq in ledger:
+    owner = [-1] * graph.vertex_count
+    for i, (v, eseq) in enumerate(ledger):
         if len(eseq) % 2 == 0 or len(eseq) < 3:
             raise InternalInvariantError(f"(iii) ledger cycle for {v} is not odd")
+        if any(xi[e] < 0 for e in eseq):
+            raise InternalInvariantError(f"(iii) ledger cycle for {v} leaves the rounded edges")
         vseq = circuit_vertices(graph, eseq)[:-1]
         if v not in vseq:
             raise InternalInvariantError(f"(iii) cycle for {v} does not pass through it")
@@ -738,17 +679,12 @@ def _certify_int(
                 raise InternalInvariantError(
                     f"(iii) cycle vertex {u} has non-integral z-sum"
                 )
-        cycle_vertex_sets.append(set(vseq))
-    for i in range(len(cycle_vertex_sets)):
-        for j in range(i + 1, len(cycle_vertex_sets)):
-            if cycle_vertex_sets[i] & cycle_vertex_sets[j]:
+            if owner[u] >= 0 and owner[u] != i:
                 raise InternalInvariantError("(iii) ledger cycles share a vertex")
-    if len(cycle_vertex_sets) > 1:
-        membership: dict[int, int] = {}
-        for i, vs in enumerate(cycle_vertex_sets):
-            for u in vs:
-                membership[u] = i
-        for u, v in graph.edges:
-            iu, iv = membership.get(u), membership.get(v)
-            if iu is not None and iv is not None and iu != iv:
+            owner[u] = i
+    if len(ledger) > 1:
+        for e in ids:
+            u, v = edges[e]
+            iu, iv = owner[u], owner[v]
+            if iu >= 0 and iv >= 0 and iu != iv:
                 raise InternalInvariantError("(iii) an edge joins two ledger cycles")

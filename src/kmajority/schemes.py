@@ -112,16 +112,15 @@ def _strip_round(
 ) -> tuple[list[int], list[int], tuple]:
     """One application of the rounding lemma with a constant weight.
 
-    Returns (chosen original edges, residual original edges, ledger).
+    Rounds the edge subset ``remaining`` of ``graph`` in place of a derived
+    subgraph; returns (chosen edges, residual edges, ledger), all in the
+    graph's own ids.
     """
-    sub, emap = edge_subgraph(graph, remaining)
-    result = round_weights(sub, [weight] * sub.edge_count)
-    chosen = [emap[j] for j in range(sub.edge_count) if result.x[j] == 1]
-    residual = [emap[j] for j in range(sub.edge_count) if result.x[j] == 0]
-    ledger = tuple(
-        (v, tuple(emap[j] for j in cycle)) for v, cycle in result.exceptional
-    )
-    return chosen, residual, ledger
+    result = round_weights(graph, [weight] * graph.edge_count, remaining)
+    x = result.x
+    chosen = [e for e in remaining if x[e] == 1]
+    residual = [e for e in remaining if x[e] == 0]
+    return chosen, residual, result.exceptional
 
 
 def _degree_in(graph: Graph, edges: Sequence[int]) -> list[int]:
@@ -138,13 +137,13 @@ def _general_rounds(
 ) -> tuple[list[list[int]], list[int], list[RoundStat], tuple[Fraction, ...]]:
     """First ``round_count`` weighted rounds of the general scheme.
 
-    Asserts, exactly in rationals and for every vertex v with d(v) = beta*delta:
+    Asserts, exactly over integers and for every vertex v with d(v) = beta*delta:
     the class degree stays <= beta*delta/k and the residual degree stays
     <= beta*(delta - i*(delta/k - 2)).
     """
     alphas = general_alphas(delta, k)[:round_count]
     degrees = graph.degrees()
-    dk = Fraction(delta, k)
+    kd = k * delta
     remaining = list(range(graph.edge_count))
     classes: list[list[int]] = []
     stats: list[RoundStat] = []
@@ -152,15 +151,17 @@ def _general_rounds(
         chosen, remaining, ledger = _strip_round(graph, remaining, alpha)
         class_deg = _degree_in(graph, chosen)
         residual_deg = _degree_in(graph, remaining)
-        class_slack = Fraction(0)
-        residual_slack = Fraction(0)
-        for v in range(graph.vertex_count):
-            beta = Fraction(degrees[v], delta)
-            class_slack = max(class_slack, class_deg[v] - beta * dk)
-            residual_slack = max(
-                residual_slack, residual_deg[v] - beta * (delta - i * (dk - 2))
-            )
-        if class_slack > 0 or residual_slack > 0:
+        # Both bounds over integers, cross-multiplied by k and by k*delta:
+        # beta*delta/k = d/k, and beta*(delta - i*(delta/k - 2)) =
+        # d*(k*delta - i*delta + 2ik)/(k*delta).
+        budget = kd - i * delta + 2 * i * k
+        class_num = max((k * c - d for c, d in zip(class_deg, degrees)), default=0)
+        residual_num = max(
+            (kd * r - d * budget for r, d in zip(residual_deg, degrees)), default=0
+        )
+        class_slack = Fraction(max(0, class_num), k)
+        residual_slack = Fraction(max(0, residual_num), kd)
+        if class_num > 0 or residual_num > 0:
             raise InternalInvariantError(
                 f"round {i} degree bound violated "
                 f"(class slack {class_slack}, residual slack {residual_slack})"

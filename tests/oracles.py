@@ -2,7 +2,10 @@
 
 Everything here re-derives expected behaviour from first principles
 (enumeration, brute force) without touching the library's own certification
-paths, so tests cross-check two independent routes.
+paths, so tests cross-check two independent routes.  The last section holds
+the entry points into the library's rounding and Euler kernels that only the
+tests call: kernel and pendant directions, the condition-(ii) repair on its
+own, vertex sums and whole-graph Euler circuits.
 """
 
 from __future__ import annotations
@@ -12,7 +15,27 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from kmajority import Bicolouring, Graph, InternalInvariantError, build_graph
+from kmajority import (
+    Bicolouring,
+    Graph,
+    InputError,
+    InternalInvariantError,
+    PreconditionError,
+    build_graph,
+    components,
+)
+from kmajority.graph import hierholzer_circuit
+from kmajority.rounding import (
+    _TERMINAL,
+    _alternating_direction,
+    _assert_zero_sums,
+    _drop,
+    _enforce_ii_int,
+    _int_sums,
+    _live_adjacency,
+    _next_move,
+    _scaled_weights,
+)
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -462,3 +485,134 @@ def eliminate_by_full_recompute(graph: Graph, bicolouring: Bicolouring, is_bad, 
             raise InternalInvariantError("bad-component count failed to decrease")
         bads = remaining
     return Bicolouring(tuple(side), bicolouring.bad_vertices), (initial, flips)
+
+
+# ---------------------------------------------------------------------------
+# Test-side entry points into the library's rounding and Euler kernels
+# ---------------------------------------------------------------------------
+
+
+def vertex_sums(graph: Graph, values) -> list:
+    sums: list = [0] * graph.vertex_count
+    for e, (u, v) in enumerate(graph.edges):
+        value = values[e]
+        sums[u] += value
+        sums[v] += value
+    return sums
+
+
+def eulerian_circuit(graph: Graph, start=None) -> tuple[int, ...]:
+    """Closed trail through every edge exactly once, as an edge-index sequence.
+
+    Requires at least one edge, all degrees even, and all edges in one
+    component; otherwise raises :class:`PreconditionError`.
+    """
+    if graph.edge_count == 0:
+        raise PreconditionError("eulerian circuit needs at least one edge")
+    odd = [v for v in range(graph.vertex_count) if graph.degree(v) % 2]
+    if odd:
+        raise PreconditionError(f"odd-degree vertices present: {odd[:4]}")
+    active = [v for v in range(graph.vertex_count) if graph.degree(v) > 0]
+    # Every vertex of an edge's component has an edge, so the edges are
+    # connected exactly when the first active vertex reaches all the others.
+    if len(next(c for c in components(graph) if c[0] == active[0])) != len(active):
+        raise PreconditionError("graph edges are not connected")
+    if start is None:
+        start = active[0]
+    elif graph.degree(start) == 0:
+        raise InputError(f"start vertex {start} has no incident edges")
+    circuit = hierholzer_circuit(
+        start, [iter(a) for a in graph.adjacency], [False] * graph.edge_count
+    )
+    assert len(circuit) == graph.edge_count
+    return tuple(circuit)
+
+
+def _component_adjacency(graph: Graph, support, component):
+    """Sorted component and its support adjacency, or ``None`` if not connected."""
+    comp = sorted(component)
+    inside = set(comp)
+    live = [e for e in sorted(set(support)) if inside.issuperset(graph.edges[e])]
+    nbr = _live_adjacency(graph, live)
+    connected = bool(comp) and bool(nbr[comp[0]]) and (
+        tuple(comp) in components(graph, live)
+    )
+    return comp, nbr if connected else None
+
+
+def _walk_from(graph: Graph, nbr, start: int):
+    pos = [-1] * graph.vertex_count
+    pos[start] = 0
+    return _next_move(nbr, [start], [], pos)
+
+
+def find_kernel_direction(graph: Graph, support, component):
+    """Zero-sum direction on a support component, or ``None``.
+
+    A direction exists exactly when the component contains an even cycle or
+    two distinct cycles.  Leaves are pruned first, so the walk kernel meets
+    only kernel moves: an even cycle alternates +1/-1, and two odd cycles
+    combine through an even closed walk.  Vertex sums of the result vanish
+    everywhere, so adding any multiple to the edge values leaves all weight
+    sums unchanged.
+    """
+    comp, nbr = _component_adjacency(graph, support, component)
+    if nbr is None:
+        raise InputError("component is not connected in the given support")
+    leaves = [v for v in comp if len(nbr[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(nbr[v]) == 1:
+            e, u = next(iter(nbr[v].items()))
+            _drop(graph.edges, nbr, e)
+            if len(nbr[u]) == 1:
+                leaves.append(u)
+    start = next((v for v in comp if nbr[v]), None)
+    if start is None:
+        return None
+    kind, walk = _walk_from(graph, nbr, start)
+    if kind == _TERMINAL:
+        return None
+    direction = _alternating_direction(walk)
+    _assert_zero_sums(graph, direction, constrained=None)
+    return direction
+
+
+def pendant_direction(graph: Graph, support, component):
+    """Direction whose sums vanish at every degree->=2 vertex of the component.
+
+    Requires the component (a tree, or a tree plus one odd cycle) to contain
+    both a leaf and an internal vertex; realised by the walk kernel from the
+    least leaf as a leaf-to-leaf alternating path or as a leaf-to-cycle
+    "lollipop", halved so that its stem is +-1 and its cycle +-1/2.
+    """
+    comp, nbr = _component_adjacency(graph, support, component)
+    if nbr is None:
+        raise InternalInvariantError("component is not connected in the given support")
+    leaves = [v for v in comp if len(nbr[v]) == 1]
+    internal = {v for v in comp if len(nbr[v]) >= 2}
+    if not leaves or not internal:
+        raise InternalInvariantError("pendant direction needs a leaf and an internal vertex")
+    _, walk = _walk_from(graph, nbr, leaves[0])
+    direction: dict = _alternating_direction(walk)
+    if any(abs(c) == 2 for c in direction.values()):
+        direction = {e: Fraction(c, 2) for e, c in direction.items()}
+    _assert_zero_sums(graph, direction, constrained=internal)
+    return direction
+
+
+def enforce_condition_ii(graph: Graph, z, x) -> list[Fraction]:
+    """Flip edges between strictly deficient endpoints to 1 until none remain.
+
+    Each flip raises both endpoint sums by one, so (i) keeps holding strictly
+    there and no new deficiency appears; one pass over the edges therefore
+    suffices, and at most one flip per edge happens.
+    """
+    ids = range(graph.edge_count)
+    scale, zl = _scaled_weights(z, ids)
+    for e, value in enumerate(x):
+        if value not in (0, 1):
+            raise InputError(f"x({e}) = {value} is not 0/1; repair runs after rounding")
+    xi = [int(value) for value in x]
+    _enforce_ii_int(graph, ids, scale, _int_sums(graph, zl, ids), xi)
+    return [Fraction(value) for value in xi]

@@ -89,6 +89,39 @@ def odd_cycle_shapes(draw, max_cycles=3):
 
 
 @st.composite
+def many_odd_cycles(draw, max_cycles=12):
+    """Many vertex-disjoint odd cycles at weight 1/2, some joined by edges.
+
+    Every cycle is a bad support cycle, so each one that no integral joining
+    edge merges away puts a vertex in the rounding ledger.  Joining edges
+    weigh 0, 1/2 or 1 (a half-weight one makes a dumbbell of its two
+    cycles); vertex labels and edge order are drawn.
+    """
+    half = Fraction(1, 2)
+    lengths = draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=max_cycles))
+    labels = draw(st.permutations(range(sum(lengths))))
+    weighted: dict[tuple[int, int], Fraction] = {}
+    rings: list[list[int]] = []
+    base = 0
+    for length in lengths:
+        ring = labels[base:base + length]
+        base += length
+        rings.append(ring)
+        for i in range(length):
+            u, v = ring[i], ring[(i + 1) % length]
+            weighted[(min(u, v), max(u, v))] = half
+    if len(rings) > 1:
+        for _ in range(draw(st.integers(0, len(rings)))):
+            pick = st.sampled_from(range(len(rings)))
+            a, b = draw(st.lists(pick, min_size=2, max_size=2, unique=True))
+            u, v = draw(st.sampled_from(rings[a])), draw(st.sampled_from(rings[b]))
+            weight = draw(st.sampled_from([Fraction(0), Fraction(1), half]))
+            weighted.setdefault((min(u, v), max(u, v)), weight)
+    pairs = draw(st.permutations(sorted(weighted)))
+    return build_graph(len(labels), pairs), [weighted[p] for p in pairs]
+
+
+@st.composite
 def disjoint_unions(draw, max_parts=12) -> Graph:
     """Many small components under shuffled vertex labels and edge order.
 

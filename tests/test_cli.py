@@ -123,6 +123,23 @@ def test_verify_json_payload(tmp_path, c4_file, capsys):
     assert payload["verdict"] == {"pass": True, "witness": None}
 
 
+def test_verify_reports_the_colour_count(tmp_path, c4_file, capsys):
+    k4 = tmp_path / "k4.g"
+    k4.write_text("graph 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    rainbow = tmp_path / "k4.col"
+    rainbow.write_text("colouring 6 6\n" + "".join(f"{e} {e + 1}\n" for e in range(6)))
+    args = ["verify", "--k", "2", "--graph", str(k4), "--colouring", str(rainbow)]
+    assert main(args) == 0
+    assert "with 6 colours, not k+1 = 3" in capsys.readouterr().out
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["colour_count"] == 6
+    col = tmp_path / "c4.col"
+    main(["colour", "--k", "2", "--input", str(c4_file), "--output", str(col)])
+    capsys.readouterr()
+    assert main(["verify", "--k", "2", "--graph", str(c4_file), "--colouring", str(col)]) == 0
+    assert capsys.readouterr().out == "valid 1/2-majority colouring with 3 colours\n"
+
+
 def test_construct_families(tmp_path):
     for family, expect_edges in (("bipartite-lower", 3), ("general-lower", 10)):
         out = tmp_path / f"{family}.g"

@@ -11,12 +11,11 @@ from kmajority import (
     build_graph,
     check_majority,
     components,
-    eulerian_circuit,
     general_lower_bound,
     is_bipartite,
 )
 from kmajority.graph import circuit_vertices, edge_subgraph, hierholzer_circuit
-from oracles import hierholzer_reference
+from oracles import eulerian_circuit, hierholzer_reference
 
 
 def test_cycle_construction():

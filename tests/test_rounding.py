@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -8,15 +10,15 @@ import oracles
 import strategies
 from kmajority import (
     InputError,
+    InternalInvariantError,
     build_graph,
-    enforce_condition_ii,
-    find_kernel_direction,
+    edge_subgraph,
     is_bipartite,
-    pendant_direction,
     resolve_cycles,
     round_weights,
 )
-from kmajority.rounding import _Kernel, vertex_sums
+from kmajority.rounding import _certify_int, _int_sums, _Kernel
+from oracles import enforce_condition_ii, find_kernel_direction, pendant_direction, vertex_sums
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -196,13 +198,21 @@ def test_pendant_direction_star():
 # --------------------------------------------------------------------------
 
 
+def resolve(graph, values, cycles):
+    """``resolve_cycles`` on rational values, through numerators over their lcm."""
+    scale = lcm(*(value.denominator for value in values))
+    x = [int(value * scale) for value in values]
+    ledger = resolve_cycles(graph, scale, x, cycles)
+    return [Fraction(value, scale) for value in x], ledger
+
+
 def test_merge_of_adjacent_bad_cycles():
     g = build_graph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
     )
     x = [HALF] * 6 + [Fraction(0)]
     before = vertex_sums(g, x)
-    out, ledger = resolve_cycles(g, x, [(0, 1, 2), (3, 4, 5)])
+    out, ledger = resolve(g, x, [(0, 1, 2), (3, 4, 5)])
     assert ledger == []
     assert all(value.denominator == 1 for value in out)
     assert out[6] == 1  # the joining edge flipped to absorb both cycles
@@ -213,7 +223,7 @@ def test_isolated_bad_triangle_designates_one_vertex():
     g = triangle()
     x = [HALF] * 3
     before = vertex_sums(g, x)
-    out, ledger = resolve_cycles(g, x, [(0, 1, 2)])
+    out, ledger = resolve(g, x, [(0, 1, 2)])
     (v, cycle), = ledger
     after = vertex_sums(g, out)
     assert after[v] == before[v] + 1
@@ -225,7 +235,7 @@ def test_mixed_cycle_rounds_within_open_interval():
     g = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
     values = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4), HALF, HALF, HALF]
     before = vertex_sums(g, values)
-    out, ledger = resolve_cycles(g, values, [tuple(range(7))])
+    out, ledger = resolve(g, values, [tuple(range(7))])
     assert ledger == []
     after = vertex_sums(g, out)
     for v in range(7):
@@ -323,3 +333,115 @@ def test_odd_cycle_shapes_certified_and_deterministic(gw):
     x = [Fraction(b) for b in result.x]
     assert oracles.check_certificate(graph, weights, x, result.exceptional)
     assert round_weights(graph, list(weights)) == result
+
+
+@given(strategies.many_odd_cycles())
+@settings(max_examples=80)
+def test_many_odd_cycles_certified(gw):
+    graph, weights = gw
+    result = round_weights(graph, weights)
+    x = [Fraction(b) for b in result.x]
+    assert oracles.check_certificate(graph, weights, x, result.exceptional)
+
+
+# --------------------------------------------------------------------------
+# rounding an edge subset of a graph
+# --------------------------------------------------------------------------
+
+
+@given(
+    st.one_of(
+        strategies.graphs_with_weights(),
+        strategies.odd_cycle_shapes(),
+        strategies.many_odd_cycles(),
+    ),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_subset_rounding_is_the_rounding_of_the_edge_subgraph(gw, data):
+    graph, weights = gw
+    # Drawn subsets, and all edges but a few, which often keeps whole
+    # cycles while dropping an edge that joins them.
+    everything = set(range(graph.edge_count))
+    few = strategies.edge_subsets(graph).filter(lambda s: len(s) <= 2)
+    subset = data.draw(
+        st.one_of(strategies.edge_subsets(graph), few.map(lambda s: everything - s))
+    )
+    listed = data.draw(st.permutations(sorted(subset)))
+    # Weights outside the subset are never read.
+    masked = [w if e in subset else None for e, w in enumerate(weights)]
+    result = round_weights(graph, masked, listed)
+    sub, emap = edge_subgraph(graph, subset)
+    expected = round_weights(sub, [weights[e] for e in emap])
+    x = [-1] * graph.edge_count
+    for j, e in enumerate(emap):
+        x[e] = expected.x[j]
+    assert result.x == tuple(x)
+    assert result.exceptional == tuple(
+        (v, tuple(emap[j] for j in cycle)) for v, cycle in expected.exceptional
+    )
+    # In particular the (ii) repair flips no edge outside the subset.
+    assert all(result.x[e] == -1 for e in range(graph.edge_count) if e not in subset)
+
+
+def test_subset_rounding_leaves_an_outside_edge_between_deficient_ends():
+    # Paths 0-1-2 and 3-4-5 at weight 1/3 round to one 1 each, leaving the
+    # path ends 2 and 5 deficient; the repair of the whole graph flips the
+    # edge 2-5 joining them, the repair of the paths alone must not.
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 5)])
+    weights = [THIRD] * 5
+    assert round_weights(g, [THIRD] * 4 + [Fraction(0)]).x[4] == 1
+    result = round_weights(g, weights, [0, 1, 2, 3])
+    assert result.x[4] == -1
+    sub, _ = edge_subgraph(g, [0, 1, 2, 3])
+    assert result.x[:4] == round_weights(sub, [THIRD] * 4).x
+
+
+def test_subset_rounding_ignores_an_outside_edge_joining_bad_cycles():
+    # Two triangles at weight 1/2 and the edge 0-3 at weight 0 joining them:
+    # the whole graph merges both bad cycles through that edge, the subset
+    # without it designates one vertex per triangle.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    weights = [HALF] * 6 + [Fraction(0)]
+    assert round_weights(g, weights).exceptional == ()
+    result = round_weights(g, weights, range(6))
+    assert [v for v, _ in result.exceptional] == [0, 3]
+    assert result.x[6] == -1
+
+
+@pytest.mark.parametrize("ids", [[4], [-1], [0, 2, 0]], ids=["past-end", "negative", "repeated"])
+def test_subset_rounding_rejects_bad_edge_ids(ids):
+    with pytest.raises(InputError):
+        round_weights(c4(), [HALF] * 4, ids)
+
+
+# --------------------------------------------------------------------------
+# certification of the ledger
+# --------------------------------------------------------------------------
+
+
+def _certify(graph, ids, weights, x, ledger):
+    scale = lcm(*(w.denominator for w in weights))
+    zl = [int(w * scale) for w in weights]
+    _certify_int(
+        graph, ids, scale, _int_sums(graph, zl, ids), x, ledger, _int_sums(graph, x, ids)
+    )
+
+
+def test_certificate_rejects_ledger_cycles_sharing_a_vertex():
+    # A bowtie at weight 1/2, both triangles rounded as bad around anchors 0 and 3.
+    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    ledger = [(0, (0, 1, 2)), (3, (3, 4, 5))]
+    with pytest.raises(InternalInvariantError, match="share a vertex"):
+        _certify(g, range(6), [HALF] * 6, [1, 0, 1, 1, 1, 0], ledger)
+
+
+def test_certificate_rejects_an_edge_joining_ledger_cycles():
+    # Two triangles at weight 1/2 rounded as bad around anchors 0 and 3, the
+    # edge 0-3 at weight 0 left at 0; it only counts while it is rounded.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    weights = [HALF] * 6 + [Fraction(0)]
+    ledger = [(0, (0, 1, 2)), (3, (3, 4, 5))]
+    with pytest.raises(InternalInvariantError, match="joins two ledger cycles"):
+        _certify(g, range(7), weights, [1, 0, 1, 1, 0, 1, 0], ledger)
+    _certify(g, range(6), weights, [1, 0, 1, 1, 0, 1, -1], ledger)
