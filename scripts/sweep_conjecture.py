@@ -9,11 +9,12 @@ in the output directory, in the same schema as `kmajority sweep`.
 """
 
 import argparse
+import math
 import pathlib
 import sys
 
 from kmajority.cli import main as cli_main
-from kmajority.schemes import refined_parameters
+from kmajority.schemes import SCHEMES
 
 
 def main() -> int:
@@ -30,8 +31,9 @@ def main() -> int:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.k_min, args.k_max + 1):
-        _, _, refined_bound = refined_parameters(k)
-        guaranteed = k * k if k <= 4 else int(refined_bound)
+        guaranteed = min(
+            math.ceil(s.threshold(k)) for s in SCHEMES if s.covers(k) and not s.bipartite
+        )
         for delta in range(max(2, k * k - 1), guaranteed + 1):
             if delta >= args.n:
                 print(f"k={k} delta={delta}: skipped (needs n > delta)")

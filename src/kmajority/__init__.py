@@ -57,7 +57,9 @@ from .rounding import (
     round_weights,
 )
 from .schemes import (
+    SCHEMES,
     RoundStat,
+    Scheme,
     SchemeReport,
     colour_auto,
     colour_bipartite,

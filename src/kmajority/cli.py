@@ -32,14 +32,7 @@ from .instances import (
     general_lower_bound,
     random_min_degree_graph,
 )
-from .schemes import (
-    SchemeReport,
-    colour_auto,
-    colour_bipartite,
-    colour_general_2k2,
-    colour_refined,
-    colour_small_k,
-)
+from .schemes import SCHEMES, SchemeReport, colour_auto, scheme_named
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,14 +42,6 @@ EXIT_INVARIANT = 4
 
 SWEEP_SCHEMA = "# kmajority-sweep-v1"
 SWEEP_COLUMNS = "trial,n,m,delta_actual,algorithm,pass,oracle_nodes,oracle_result"
-
-_FORCED = {
-    "bipartite": colour_bipartite,
-    "general": colour_general_2k2,
-    "refined": colour_refined,
-    "small-k": colour_small_k,
-}
-
 
 def _digest(path: str) -> str:
     with open(path, "rb") as handle:
@@ -116,26 +101,22 @@ def cmd_colour(args: argparse.Namespace) -> int:
     if args.algorithm == "auto":
         colouring, scheme = colour_auto(graph, args.k)
     else:
-        colouring, scheme = _FORCED[args.algorithm](graph, args.k)
+        colouring, scheme = scheme_named(args.algorithm).colour(graph, args.k)
     duration = (time.monotonic() - started) * 1000
+    if colouring is not None:
+        write_colouring(args.output, colouring)
+    if args.report:
+        _dump(
+            _report_json("colour", args.k, scheme=scheme, duration_ms=duration, inputs=inputs),
+            args.report,
+        )
     if colouring is None:
-        if args.report:
-            _dump(
-                _report_json("colour", args.k, scheme=scheme, duration_ms=duration, inputs=inputs),
-                args.report,
-            )
         print(
             f"no scheme applies: minimum degree {graph.min_degree()} is below every "
             f"guaranteed threshold for k = {args.k}",
             file=sys.stderr,
         )
         return EXIT_PRECONDITION
-    write_colouring(args.output, colouring)
-    if args.report:
-        _dump(
-            _report_json("colour", args.k, scheme=scheme, duration_ms=duration, inputs=inputs),
-            args.report,
-        )
     print(f"coloured {graph.edge_count} edges with {colouring.colour_count} colours "
           f"via {scheme.algorithm}; verified")
     return EXIT_OK
@@ -247,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             oracle_nodes = oracle_result = ""
         else:
             algorithm = "none"
-            colour_count = args.oracle_colours if args.oracle_colours else args.k + 1
+            colour_count = args.oracle_colours if args.oracle_colours is not None else args.k + 1
             outcome = exhaustive_search(graph, args.k, colour_count, node_limit=args.node_limit)
             oracle_nodes = str(outcome.node_count)
             if outcome.found:
@@ -280,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--algorithm", choices=["auto", *sorted(_FORCED)], default="auto")
+    p.add_argument(
+        "--algorithm", choices=["auto", *sorted(s.name for s in SCHEMES)], default="auto"
+    )
     p.add_argument("--report", help="write a JSON run report to this path")
     p.set_defaults(func=cmd_colour)
 

@@ -20,9 +20,6 @@ class EdgeColouring:
     colours: tuple[int, ...]
     colour_count: int
 
-    def class_edges(self, colour: int) -> tuple[int, ...]:
-        return tuple(e for e, c in enumerate(self.colours) if c == colour)
-
 
 @dataclass(frozen=True)
 class MajorityVerdict:

@@ -381,15 +381,13 @@ class _Kernel:
         return dropped
 
 
-def _assert_zero_sums(graph: Graph, direction: dict, constrained: Optional[set[int]]) -> None:
+def _assert_zero_sums(graph: Graph, direction: dict) -> None:
     sums: dict = {}
     for e, coeff in direction.items():
         u, v = graph.edges[e]
         sums[u] = sums.get(u, 0) + coeff
         sums[v] = sums.get(v, 0) + coeff
-    broken = {
-        v: s for v, s in sums.items() if s and (constrained is None or v in constrained)
-    }
+    broken = {v: s for v, s in sums.items() if s}
     if broken:
         raise InternalInvariantError(f"direction does not cancel at vertices {broken}")
     if not direction:
@@ -466,7 +464,7 @@ def resolve_cycles(
             (_, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
             for i, e in enumerate(walk_e):
                 direction[e] = -1 if i % 2 == 0 else 1
-        _assert_zero_sums(graph, direction, constrained=None)
+        _assert_zero_sums(graph, direction)
         c = half if x[e0] == 0 else -half
         for e, a in direction.items():
             x[e] += c * a

@@ -1,7 +1,9 @@
 """Constructive 1/k-majority (k+1)-edge-colouring schemes.
 
 Four algorithms, each re-verified with :func:`check_majority` before
-returning, plus a dispatcher choosing the strongest applicable one:
+returning.  :data:`SCHEMES` holds their hypotheses in the order the
+dispatcher :func:`colour_auto` tries them; it never reaches ``general``
+(the refined bound is at most 2k^2), which runs only when forced:
 
 * :func:`colour_bipartite` - optimal for bipartite graphs, minimum degree
   k(k-1): strips colour classes with constant weights 1/(k+1), ..., 1/2.
@@ -19,7 +21,7 @@ returning, plus a dispatcher choosing the strongest applicable one:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +29,7 @@ from .colouring import EdgeColouring, MajorityVerdict, check_majority
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
 from .graph import Graph, components, edge_subgraph, is_bipartite
-from .reductions import pull_back_colouring, raise_to_sk, split_high_degree
+from .reductions import pull_back_colouring, raise_to_sk, sk_degrees, split_high_degree
 from .rounding import round_weights
 
 
@@ -40,9 +42,9 @@ class RoundStat:
     class_size: int
     max_class_degree: int
     max_residual_degree: int
-    class_slack: Optional[Fraction]
-    residual_slack: Optional[Fraction]
-    exceptional: tuple[tuple[int, tuple[int, ...]], ...]
+    class_slack: Optional[Fraction] = None  # None where the scheme asserts no bound
+    residual_slack: Optional[Fraction] = None
+    exceptional: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -195,13 +197,7 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
     Bipartiteness keeps every rounding ledger empty, which pins each class
     degree into the window that yields the floor(d/k) caps.
     """
-    if k < 2:
-        raise InputError(f"k must be at least 2, got {k}")
-    if not is_bipartite(graph).bipartite:
-        raise PreconditionError("graph is not bipartite")
-    delta = graph.min_degree()
-    if delta < k * (k - 1):
-        raise PreconditionError(f"minimum degree {delta} below k(k-1) = {k * (k - 1)}")
+    _require("bipartite", graph, k)
     colours = [1] * graph.edge_count
     remaining = list(range(graph.edge_count))
     stats: list[RoundStat] = []
@@ -220,9 +216,6 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
                 class_size=len(chosen),
                 max_class_degree=max(class_deg, default=0),
                 max_residual_degree=max(_degree_in(graph, remaining), default=0),
-                class_slack=None,
-                residual_slack=None,
-                exceptional=(),
             )
         )
     colouring, verdict = _verify(graph, colours, k)
@@ -242,13 +235,13 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
 
 
 def colour_general_2k2(graph: Graph, k: int) -> SchemeOutcome:
-    """(k+1)-colouring of any graph with minimum degree at least 2k^2."""
-    if k < 2:
-        raise InputError(f"k must be at least 2, got {k}")
-    delta = graph.min_degree()
-    if delta < 2 * k * k:
-        raise PreconditionError(f"minimum degree {delta} below 2k^2 = {2 * k * k}")
-    classes, leftover, stats, alphas = _general_rounds(graph, k, delta, k)
+    """(k+1)-colouring of any graph with minimum degree at least 2k^2.
+
+    Runs only when forced: :func:`colour_auto` tries the refined scheme first,
+    whose bound (3k^2 + km + k)/2 is at most 2k^2 as m = k + 1 - 2^n <= k - 1.
+    """
+    _require("general", graph, k)
+    classes, leftover, stats, alphas = _general_rounds(graph, k, graph.min_degree(), k)
     colours = [k + 1] * graph.edge_count
     for i, chosen in enumerate(classes, start=1):
         for e in chosen:
@@ -279,13 +272,9 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     (rule a).  A forced bad vertex becomes "special" for its extended prefix
     and is never chosen again along that chain.
     """
-    if k < 2:
-        raise InputError(f"k must be at least 2, got {k}")
-    n_levels, m_rounds, bound = refined_parameters(k)
-    delta = graph.min_degree()
-    if delta < bound:
-        raise PreconditionError(f"minimum degree {delta} below {bound}")
-    classes, leftover, stats, alphas = _general_rounds(graph, k, delta, m_rounds)
+    _require("refined", graph, k)
+    n_levels, m_rounds, _ = refined_parameters(k)
+    classes, leftover, stats, alphas = _general_rounds(graph, k, graph.min_degree(), m_rounds)
     colours = [0] * graph.edge_count
     for i, chosen in enumerate(classes, start=1):
         for e in chosen:
@@ -659,25 +648,14 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
 
 def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
     """Colour a graph whose every degree already lies in S_k (k in {2, 3, 4})."""
-    if k not in (2, 3, 4):
-        raise InputError(f"small-k scheme supports k in {{2, 3, 4}}, got {k}")
-    from .reductions import sk_degrees
-
+    _require("small-k", None, k)
     allowed = set(sk_degrees(k))
     outside = [v for v in range(graph.vertex_count) if graph.degree(v) not in allowed]
     if outside:
-        raise PreconditionError(
-            f"vertices with degree outside S_{k}: {outside[:5]}"
-        )
+        raise PreconditionError(f"vertices with degree outside S_{k}: {outside[:5]}")
     colours, info = {2: _colour_sk2, 3: _colour_sk3, 4: _colour_sk4}[k](graph)
     colouring, verdict = _verify(graph, colours, k)
-    report = SchemeReport(
-        algorithm="small-k",
-        k=k,
-        alphas=info["alphas"],
-        elimination=info["elimination"],
-        verdict=verdict,
-    )
+    report = SchemeReport("small-k", k, verdict=verdict, **info)
     return colouring, report
 
 
@@ -688,12 +666,7 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     colours the reduced graph, and pulls the colouring back through both
     traces.
     """
-    if k not in (2, 3, 4):
-        raise InputError(f"small-k scheme supports k in {{2, 3, 4}}, got {k}")
-    if graph.min_degree() < k * k:
-        raise PreconditionError(
-            f"minimum degree {graph.min_degree()} below k^2 = {k * k}"
-        )
+    _require("small-k", graph, k)
     split_graph, split_trace = split_high_degree(graph, k)
     lifted, lift_trace = raise_to_sk(split_graph, k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
@@ -701,14 +674,7 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
         pull_back_colouring(reduced_colouring, lift_trace), split_trace
     )
     final, verdict = _verify(graph, colouring.colours, k)
-    report = SchemeReport(
-        algorithm="small-k",
-        k=k,
-        alphas=reduced_report.alphas,
-        elimination=reduced_report.elimination,
-        verdict=verdict,
-    )
-    return final, report
+    return final, replace(reduced_report, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -716,23 +682,70 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """One colouring theorem and its hypothesis: 2 <= k <= ``k_max`` (no cap
+    when None), a bipartite graph if ``bipartite``, and minimum degree at least
+    ``threshold(k)``, printed as ``threshold_name``."""
+
+    name: str
+    colour: Callable[[Graph, int], SchemeOutcome]
+    k_max: Optional[int]
+    bipartite: bool
+    threshold: Callable[[int], int | Fraction]
+    threshold_name: str
+
+    def covers(self, k: int) -> bool:
+        return k >= 2 and (self.k_max is None or k <= self.k_max)
+
+    def reason(self, graph: Graph, k: int) -> Optional[str]:
+        """Why the hypothesis fails on ``graph`` at a covered k; None when it holds."""
+        if self.bipartite and not is_bipartite(graph).bipartite:
+            return "graph is not bipartite"
+        delta, bound = graph.min_degree(), self.threshold(k)
+        if delta < bound:
+            return f"minimum degree {delta} below {self.threshold_name} = {bound}"
+        return None
+
+
+#: Every scheme, in the order :func:`colour_auto` tries them.
+SCHEMES: tuple[Scheme, ...] = (
+    Scheme("bipartite", colour_bipartite, None, True, lambda k: k * (k - 1), "k(k-1)"),
+    Scheme("small-k", colour_small_k, 4, False, lambda k: k * k, "k^2"),
+    Scheme("refined", colour_refined, None, False, lambda k: refined_parameters(k)[2],
+           "(3/2)k^2 + (1/2)km + (1/2)k"),
+    Scheme("general", colour_general_2k2, None, False, lambda k: 2 * k * k, "2k^2"),
+)
+
+
+def scheme_named(name: str) -> Scheme:
+    return {scheme.name: scheme for scheme in SCHEMES}[name]
+
+
+def _require(name: str, graph: Optional[Graph], k: int) -> None:
+    """Raise unless the scheme called ``name`` covers k and its hypothesis
+    holds on ``graph`` (not checked when None)."""
+    scheme = scheme_named(name)
+    if not scheme.covers(k):
+        if scheme.k_max is None:
+            raise InputError(f"k must be at least 2, got {k}")
+        allowed = ", ".join(map(str, range(2, scheme.k_max + 1)))
+        raise InputError(f"{name} scheme supports k in {{{allowed}}}, got {k}")
+    reason = None if graph is None else scheme.reason(graph, k)
+    if reason is not None:
+        raise PreconditionError(reason)
+
+
 def colour_auto(graph: Graph, k: int) -> tuple[Optional[EdgeColouring], SchemeReport]:
-    """First applicable scheme: bipartite, small-k, refined, then general.
+    """Run the first scheme of :data:`SCHEMES` whose hypothesis holds.
 
     Returns ``(None, report)`` with algorithm ``below-threshold`` when no
-    theorem's minimum-degree hypothesis holds; callers may fall through to
-    the exhaustive oracle.
+    theorem's hypothesis holds; callers may fall through to the exhaustive
+    oracle.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
-    delta = graph.min_degree()
-    if is_bipartite(graph).bipartite and delta >= k * (k - 1):
-        return colour_bipartite(graph, k)
-    if k <= 4 and delta >= k * k:
-        return colour_small_k(graph, k)
-    _, _, refined_bound = refined_parameters(k)
-    if delta >= refined_bound:
-        return colour_refined(graph, k)
-    if delta >= 2 * k * k:
-        return colour_general_2k2(graph, k)
+    for scheme in SCHEMES:
+        if scheme.covers(k) and scheme.reason(graph, k) is None:
+            return scheme.colour(graph, k)
     return None, SchemeReport(algorithm="below-threshold", k=k)

@@ -574,7 +574,7 @@ def find_kernel_direction(graph: Graph, support, component):
     if kind == _TERMINAL:
         return None
     direction = _alternating_direction(walk)
-    _assert_zero_sums(graph, direction, constrained=None)
+    _assert_zero_sums(graph, direction)
     return direction
 
 
@@ -597,7 +597,14 @@ def pendant_direction(graph: Graph, support, component):
     direction: dict = _alternating_direction(walk)
     if any(abs(c) == 2 for c in direction.values()):
         direction = {e: Fraction(c, 2) for e, c in direction.items()}
-    _assert_zero_sums(graph, direction, constrained=internal)
+    sums = dict.fromkeys(internal, 0)
+    for e, coeff in direction.items():
+        for v in graph.edges[e]:
+            if v in sums:
+                sums[v] += coeff
+    broken = {v: total for v, total in sums.items() if total}
+    if broken:
+        raise InternalInvariantError(f"direction does not cancel at vertices {broken}")
     return direction
 
 

@@ -217,6 +217,17 @@ def test_sweep_falls_through_to_oracle(tmp_path):
         assert row[7] in {"found", "infeasible", "limit"}
 
 
+def test_sweep_rejects_zero_oracle_colours(tmp_path):
+    # No scheme applies at k=3, delta=5, so every trial asks the oracle for
+    # the requested colour count; 0 must not silently become k+1.
+    for colours in ("0", "-1"):
+        code = main(
+            ["sweep", "--k", "3", "--delta", "5", "--n", "10", "--trials", "2",
+             "--seed", "1", "--oracle-colours", colours, "--output", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+
+
 def test_usage_error_exits_2():
     assert main(["colour", "--k", "2"]) == 2
     assert main(["unknown"]) == 2

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 import strategies
 from kmajority import (
+    SCHEMES,
+    InputError,
     InternalInvariantError,
     PreconditionError,
     balanced_bicolouring,
@@ -23,6 +25,7 @@ from kmajority import (
     random_min_degree_graph,
     refined_parameters,
 )
+from kmajority.cli import build_parser
 from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
 from oracles import eliminate_by_full_recompute
@@ -357,6 +360,84 @@ def test_auto_below_threshold():
     assert colouring is None
     assert report.algorithm == "below-threshold"
     assert report.verdict is None
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# Bipartite and non-bipartite graphs whose minimum degrees fall on both
+# sides of every threshold at k = 2..5 (K46 meets the refined bound 45 at
+# k = 5 but not 2k^2 = 50) and below all of them at k = 6.
+TABLE_GRAPHS = {
+    "C5": cycle(5),
+    "K4,4": complete_bipartite(4, 4),
+    "K6,6": complete_bipartite(6, 6),
+    "K12,12": complete_bipartite(12, 12),
+    "K9": complete_graph(9),
+    "K16": complete_graph(16),
+    "K46": complete_graph(46),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.name)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_auto_table_reason_is_what_the_forced_scheme_raises(scheme, k, name):
+    graph = TABLE_GRAPHS[name]
+    if not 2 <= k <= (scheme.k_max or k):
+        with pytest.raises(InputError):
+            scheme.colour(graph, k)
+        return
+    reason = scheme.reason(graph, k)
+    if reason is not None:
+        with pytest.raises(PreconditionError) as caught:
+            scheme.colour(graph, k)
+        assert str(caught.value) == reason
+        return
+    colouring, report = scheme.colour(graph, k)
+    assert report.algorithm == scheme.name
+    assert check_majority(graph, colouring, k).passed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_auto_runs_the_first_scheme_whose_hypothesis_holds(k, name):
+    graph = TABLE_GRAPHS[name]
+    expected = next(
+        (s.name for s in SCHEMES if s.covers(k) and s.reason(graph, k) is None),
+        "below-threshold",
+    )
+    colouring, report = colour_auto(graph, k)
+    assert report.algorithm == expected
+    assert (colouring is None) == (expected == "below-threshold")
+
+
+def test_auto_table_order_and_reasons():
+    assert [s.name for s in SCHEMES] == ["bipartite", "small-k", "refined", "general"]
+    bipartite, small_k, refined, general = SCHEMES
+    assert bipartite.reason(cycle(5), 2) == "graph is not bipartite"
+    assert bipartite.reason(cycle(6), 3) == "minimum degree 2 below k(k-1) = 6"
+    assert small_k.reason(cycle(6), 2) == "minimum degree 2 below k^2 = 4"
+    assert refined.reason(cycle(6), 5) == (
+        "minimum degree 2 below (3/2)k^2 + (1/2)km + (1/2)k = 45"
+    )
+    assert general.reason(cycle(6), 2) == "minimum degree 2 below 2k^2 = 8"
+    assert [s.covers(5) for s in SCHEMES] == [True, False, True, True]
+    assert not any(s.covers(1) for s in SCHEMES)
+
+
+def test_auto_never_reaches_general():
+    # The refined bound never exceeds 2k^2, and refined is tried first.
+    for k in range(2, 513):
+        assert refined_parameters(k)[2] <= 2 * k * k
+
+
+def test_auto_and_the_table_names_are_the_cli_algorithm_choices():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    algorithm = next(a for a in commands.choices["colour"]._actions if a.dest == "algorithm")
+    assert algorithm.choices[0] == "auto"
+    assert sorted(algorithm.choices[1:]) == sorted(s.name for s in SCHEMES)
 
 
 def test_every_scheme_output_verifies_independently():
