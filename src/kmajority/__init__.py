@@ -19,7 +19,6 @@ from .errors import (
 )
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
 from .graph import (
-    BipartiteCheck,
     Graph,
     build_graph,
     components,

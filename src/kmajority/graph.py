@@ -3,12 +3,11 @@
 Graphs are immutable values with dense integer vertex and edge indices.
 Every traversal below iterates vertices in increasing index order and
 incident edges in increasing edge-index order, so all derived structures
-(components, witnesses, circuits) are reproducible byte for byte.
+(components, circuits) are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -126,63 +125,22 @@ def components(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BipartiteCheck:
-    """Either a proper 2-side labelling or an odd-cycle witness.
-
-    ``sides[v]`` is 0/1 when the graph is bipartite, else ``odd_cycle`` holds
-    an odd closed edge sequence (consecutive edges share a vertex).
-    """
-
-    sides: Optional[tuple[int, ...]]
-    odd_cycle: Optional[tuple[int, ...]]
-
-    @property
-    def bipartite(self) -> bool:
-        return self.sides is not None
-
-
-def is_bipartite(graph: Graph) -> BipartiteCheck:
-    """BFS 2-colouring; on failure returns an odd cycle through the conflict edge."""
+def is_bipartite(graph: Graph) -> bool:
+    """Whether a breadth-first 2-colouring of every component succeeds."""
     side = [-1] * graph.vertex_count
-    parent_edge: list[int] = [-1] * graph.vertex_count
-    parent: list[int] = [-1] * graph.vertex_count
-    depth = [0] * graph.vertex_count
     for root in range(graph.vertex_count):
         if side[root] >= 0:
             continue
         side[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u, e in graph.adjacency[v]:
+        block = [root]
+        for v in block:  # grows while it is read: a breadth-first search
+            for u, _ in graph.adjacency[v]:
                 if side[u] < 0:
                     side[u] = 1 - side[v]
-                    parent[u] = v
-                    parent_edge[u] = e
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                elif side[u] == side[v] and e != parent_edge[v]:
-                    return BipartiteCheck(None, _odd_cycle(v, u, e, parent, parent_edge, depth))
-    return BipartiteCheck(tuple(side), None)
-
-
-def _odd_cycle(v: int, u: int, conflict_edge: int, parent, parent_edge, depth) -> tuple[int, ...]:
-    # Walk both endpoints up to their lowest common ancestor in the BFS forest.
-    left, right = [], []
-    a, b = v, u
-    while depth[a] > depth[b]:
-        left.append(parent_edge[a])
-        a = parent[a]
-    while depth[b] > depth[a]:
-        right.append(parent_edge[b])
-        b = parent[b]
-    while a != b:
-        left.append(parent_edge[a])
-        right.append(parent_edge[b])
-        a, b = parent[a], parent[b]
-    # Edge sequence v..lca, lca..u, then the closing conflict edge.
-    return tuple(left + right[::-1] + [conflict_edge])
+                    block.append(u)
+                elif side[u] == side[v]:
+                    return False
+    return True
 
 
 def hierholzer_circuit(

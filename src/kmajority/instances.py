@@ -232,6 +232,8 @@ def exhaustive_search(
         raise InputError(f"colour count must be positive, got {colour_count}")
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
+    if node_limit < 0:
+        raise InputError(f"node limit must be nonnegative, got {node_limit}")
     m = graph.edge_count
     if m == 0:
         return SearchOutcome(EdgeColouring((), colour_count), 0, False)

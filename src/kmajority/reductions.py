@@ -7,21 +7,22 @@ Two reductions let the small-k colouring schemes assume every degree lies in
 without losing generality:
 
 * :func:`split_high_degree` replaces each vertex of degree >= 2k^2 by several
-  vertices of degree in [k^2, 2k^2), partitioning its incident edges; the edge
-  set is carried over by a bijection.
+  vertices of degree in [k^2, 2k^2), partitioning its incident edges; every
+  edge keeps its id.
 * :func:`raise_to_sk` lifts each component that needs it: it adds the fewest
   fresh copies (at most 3 for k <= 4) and joins the copies of every vertex by
   a small regular circulant, so every degree gains at most k-1, lands in S_k
-  and keeps its majority cap: floor(d_new/k) = floor(d_old/k).
+  and keeps its majority cap: floor(d_new/k) = floor(d_old/k).  The input's
+  edges keep their ids and the new edges follow them.
 
-:func:`pull_back_colouring` maps a valid colouring of the transformed graph
-back to the original, which stays valid thanks to the cap arithmetic.
+So edge e of the original graph is edge e of either transformed graph, and
+:func:`pull_back_colouring` keeps the first m colours of a valid colouring of
+the transformed graph; the result stays valid thanks to the cap arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -35,19 +36,16 @@ def sk_degrees(k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SplitTrace:
-    """Vertex-splitting record: new vertex -> origin, new edge -> original edge."""
+    """Vertex-splitting record: new vertex -> origin."""
 
     origin: tuple[int, ...]
-    edge_bijection: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class LiftTrace:
-    """Lift record: the most fresh copies of any component (0: unchanged)
-    and the original-edge embedding."""
+    """Lift record: the most fresh copies of any component (0: unchanged)."""
 
     copies: int
-    embedding: tuple[int, ...]
 
 
 def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
@@ -86,7 +84,7 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
     out = _assemble(len(origin), new_edges)
     if out.max_degree() >= 2 * ksq or out.min_degree() < ksq:
         raise InternalInvariantError("split left a degree outside [k^2, 2k^2)")
-    return out, SplitTrace(tuple(origin), tuple(range(graph.edge_count)))
+    return out, SplitTrace(tuple(origin))
 
 
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
@@ -98,9 +96,9 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     t-regular simple graph on c vertices exists (c > max t, and c even when
     some t is odd), and the c copies of each vertex v are joined by the
     t_v-regular circulant on Z_c with steps 1..floor(t_v/2), plus c/2 when
-    t_v is odd.  The input keeps all its vertex and edge indices, so the
-    embedding is the identity; fresh copies and their joining edges follow in
-    order of each component's least vertex.  Restricted to k <= 4, so c <= 4.
+    t_v is odd.  The input keeps all its vertex and edge indices; fresh
+    copies and their joining edges follow in order of each component's least
+    vertex.  Restricted to k <= 4, so c <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -112,9 +110,8 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     if graph.max_degree() >= 2 * ksq:
         raise PreconditionError(f"maximum degree {graph.max_degree()} not below 2k^2 = {2 * ksq}")
     need = [(k - 1 - d) % k for d in graph.degrees()]
-    embedding = tuple(range(graph.edge_count))
     if not any(need):
-        return graph, LiftTrace(0, embedding)
+        return graph, LiftTrace(0)
     comps = components(graph)
     owner = [0] * graph.vertex_count
     rank = [0] * graph.vertex_count  # position of a vertex within its component
@@ -156,27 +153,13 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     lifted = _assemble(vertex_count, edges)
     if not set(sk_degrees(k)).issuperset(lifted.degrees()):
         raise InternalInvariantError(f"lift left a degree outside S_{k}")
-    return lifted, LiftTrace(copies, embedding)
+    return lifted, LiftTrace(copies)
 
 
-def pull_back_colouring(
-    colouring: EdgeColouring, trace: Union[SplitTrace, LiftTrace]
-) -> EdgeColouring:
-    """Map a colouring of the transformed graph back through one trace."""
-    if isinstance(trace, SplitTrace):
-        if len(colouring.colours) != len(trace.edge_bijection):
-            raise InputError(
-                f"colouring has {len(colouring.colours)} edges, trace expects "
-                f"{len(trace.edge_bijection)}"
-            )
-        out = [0] * len(trace.edge_bijection)
-        for new_e, orig_e in enumerate(trace.edge_bijection):
-            out[orig_e] = colouring.colours[new_e]
-        return EdgeColouring(tuple(out), colouring.colour_count)
-    if isinstance(trace, LiftTrace):
-        if trace.embedding and max(trace.embedding) >= len(colouring.colours):
-            raise InputError("trace embedding points outside the colouring")
-        return EdgeColouring(
-            tuple(colouring.colours[e] for e in trace.embedding), colouring.colour_count
-        )
-    raise InputError(f"unknown trace type {type(trace).__name__}")
+def pull_back_colouring(colouring: EdgeColouring, graph: Graph) -> EdgeColouring:
+    """The colouring of ``graph`` that a colouring of a graph transformed from
+    it induces: both reductions keep every edge id, so its first m colours."""
+    m = graph.edge_count
+    if len(colouring.colours) < m:
+        raise InputError(f"colouring has {len(colouring.colours)} edges, graph has {m}")
+    return EdgeColouring(colouring.colours[:m], colouring.colour_count)

@@ -399,18 +399,13 @@ def _assert_zero_sums(graph: Graph, direction: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rotate_cycle(
-    vseq: Sequence[int], eseq: Sequence[int], start: int
-) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
-    """Both traversals of a cycle starting at ``start``; lower first-edge id first."""
+def _rotate_cycle(vseq: Sequence[int], eseq: Sequence[int], start: int) -> list[int]:
+    """The cycle's edges walked from ``start``, in the direction whose first
+    edge id is lower (edge ``eseq[i]`` joins ``vseq[i]`` to the next vertex)."""
     i = vseq.index(start)
-    fwd_v = list(vseq[i:]) + list(vseq[:i])
-    fwd_e = list(eseq[i:]) + list(eseq[:i])
-    rev_v = [fwd_v[0]] + fwd_v[:0:-1]
-    rev_e = fwd_e[::-1]
-    if fwd_e[0] <= rev_e[0]:
-        return (fwd_v, fwd_e), (rev_v, rev_e)
-    return (rev_v, rev_e), (fwd_v, fwd_e)
+    forward = list(eseq[i:]) + list(eseq[:i])
+    backward = forward[::-1]
+    return forward if forward[0] <= backward[0] else backward
 
 
 def resolve_cycles(
@@ -461,7 +456,7 @@ def resolve_cycles(
         direction = {e0: 2}
         for cyc_index, anchor in ((iu, u), (iv, v)):
             vseq, eseq = cycs[cyc_index]
-            (_, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
+            walk_e = _rotate_cycle(vseq, eseq, anchor)
             for i, e in enumerate(walk_e):
                 direction[e] = -1 if i % 2 == 0 else 1
         _assert_zero_sums(graph, direction)
@@ -478,7 +473,7 @@ def resolve_cycles(
             continue
         if i in bad:
             anchor = min(vseq)
-            (_, walk_e), _ = _rotate_cycle(vseq, eseq, anchor)
+            walk_e = _rotate_cycle(vseq, eseq, anchor)
             for j, e in enumerate(walk_e):
                 x[e] = scale if j % 2 == 0 else 0
             ledger.append((anchor, tuple(walk_e)))

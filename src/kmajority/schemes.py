@@ -135,19 +135,21 @@ def _degree_in(graph: Graph, edges: Sequence[int]) -> list[int]:
 
 
 def _general_rounds(
-    graph: Graph, k: int, delta: int, round_count: int
-) -> tuple[list[list[int]], list[int], list[RoundStat], tuple[Fraction, ...]]:
-    """First ``round_count`` weighted rounds of the general scheme.
+    graph: Graph, k: int, round_count: int, colours: list[int]
+) -> tuple[list[int], list[RoundStat], tuple[Fraction, ...]]:
+    """First ``round_count`` weighted rounds of the general scheme at the
+    graph's minimum degree delta; round i writes colour i into ``colours``.
 
     Asserts, exactly over integers and for every vertex v with d(v) = beta*delta:
     the class degree stays <= beta*delta/k and the residual degree stays
-    <= beta*(delta - i*(delta/k - 2)).
+    <= beta*(delta - i*(delta/k - 2)).  Returns the residual edges, the
+    per-round statistics and the weights.
     """
+    delta = graph.min_degree()
     alphas = general_alphas(delta, k)[:round_count]
     degrees = graph.degrees()
     kd = k * delta
     remaining = list(range(graph.edge_count))
-    classes: list[list[int]] = []
     stats: list[RoundStat] = []
     for i, alpha in enumerate(alphas, start=1):
         chosen, remaining, ledger = _strip_round(graph, remaining, alpha)
@@ -168,7 +170,8 @@ def _general_rounds(
                 f"round {i} degree bound violated "
                 f"(class slack {class_slack}, residual slack {residual_slack})"
             )
-        classes.append(chosen)
+        for e in chosen:
+            colours[e] = i
         stats.append(
             RoundStat(
                 index=i,
@@ -181,7 +184,7 @@ def _general_rounds(
                 exceptional=ledger,
             )
         )
-    return classes, remaining, stats, alphas
+    return remaining, stats, alphas
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +244,8 @@ def colour_general_2k2(graph: Graph, k: int) -> SchemeOutcome:
     whose bound (3k^2 + km + k)/2 is at most 2k^2 as m = k + 1 - 2^n <= k - 1.
     """
     _require("general", graph, k)
-    classes, leftover, stats, alphas = _general_rounds(graph, k, graph.min_degree(), k)
     colours = [k + 1] * graph.edge_count
-    for i, chosen in enumerate(classes, start=1):
-        for e in chosen:
-            colours[e] = i
+    _, stats, alphas = _general_rounds(graph, k, k, colours)
     colouring, verdict = _verify(graph, colours, k)
     report = SchemeReport(
         algorithm="general",
@@ -274,11 +274,8 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     """
     _require("refined", graph, k)
     n_levels, m_rounds, _ = refined_parameters(k)
-    classes, leftover, stats, alphas = _general_rounds(graph, k, graph.min_degree(), m_rounds)
     colours = [0] * graph.edge_count
-    for i, chosen in enumerate(classes, start=1):
-        for e in chosen:
-            colours[e] = i
+    leftover, stats, alphas = _general_rounds(graph, k, m_rounds, colours)
 
     bits: dict[int, list[int]] = {e: [0] * n_levels for e in leftover}
     determined: set[int] = set()
@@ -520,14 +517,6 @@ def eliminate_bad_components(
 # ---------------------------------------------------------------------------
 
 
-def _refuse(_comp: tuple[int, ...]) -> Optional[int]:
-    return None
-
-
-def _no_vertex(_v: int, _half_degree: int) -> bool:
-    return False
-
-
 def _split_half_into(
     graph: Graph,
     edge_ids: list[int],
@@ -553,6 +542,20 @@ def _split_half_into(
         colours[e] = blue if side[e] == BLUE else red
 
 
+def _split_halves(
+    graph: Graph,
+    side: Sequence[int],
+    pairs: tuple[tuple[int, int], tuple[int, int]],
+    colours: list[int],
+    admissible: Callable[[int, int], bool],
+) -> None:
+    """Split the blue and the red edges of ``side`` as :func:`_split_half_into`
+    does, writing ``pairs[0]`` on the blue half and ``pairs[1]`` on the red."""
+    for colour_side, pair in zip((BLUE, RED), pairs):
+        half_ids = [e for e, s in enumerate(side) if s == colour_side]
+        _split_half_into(graph, half_ids, pair, colours, admissible)
+
+
 def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
     """Majority 3-edge-colouring for degrees in S_2 = {5, 7}."""
     chosen, rest, _ = _strip_round(graph, list(range(graph.edge_count)), Fraction(1, 3))
@@ -561,7 +564,7 @@ def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
         colours[e] = 3
     # Every leftover component has an odd-degree vertex or is 4-regular with
     # an even edge count, so no bad vertex may ever be requested.
-    _split_half_into(graph, rest, (1, 2), colours, _no_vertex)
+    _split_half_into(graph, rest, (1, 2), colours, lambda v, d: False)
     return colours, {"alphas": (Fraction(1, 3),), "elimination": None}
 
 
@@ -570,33 +573,26 @@ def _six_regular_odd(verts: tuple[int, ...], degs: dict[int, int], edge_count: i
 
 
 def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
-    """1/3-majority 4-edge-colouring for degrees in S_3 = {11, 14, 17}."""
+    """1/3-majority 4-edge-colouring for degrees in S_3 = {11, 14, 17}.
+
+    One Euler split halves every component.  Only a 14-regular component
+    with an odd number of vertices (7 edges per vertex) forces a bad vertex
+    there, and its least vertex takes it; any other component forcing one
+    breaches the hypothesis.  Elimination then removes every 6-regular
+    monochromatic component with oddly many edges, and each half is split
+    again, a forced bad vertex having half-degree 8.  The halves of an
+    odd-order 14-regular component never force one: each of their
+    components holds a vertex of half-degree 7, so none of them is bad.
+    """
     degrees = graph.degrees()
-    # Set aside the 14-regular components with oddly many (7 per vertex) edges.
-    aside_of = [False] * graph.vertex_count
-    for comp in components(graph):
-        if len(comp) % 2 == 1 and all(degrees[v] == 14 for v in comp):
-            for v in comp:
-                aside_of[v] = True
-    main_edges: list[int] = []
-    aside_edges: list[int] = []
-    for e, (u, _) in enumerate(graph.edges):
-        (aside_edges if aside_of[u] else main_edges).append(e)
+
+    def first_split_bad(comp: tuple[int, ...]) -> Optional[int]:
+        return comp[0] if all(degrees[v] == 14 for v in comp) else None
+
+    bic = balanced_bicolouring(graph, first_split_bad)
+    bic, elimination = eliminate_bad_components(graph, bic, _six_regular_odd)
     colours = [0] * graph.edge_count
-    elimination = (0, 0)
-    if main_edges:
-        bic = balanced_bicolouring(graph, _refuse, main_edges)
-        bic, elimination = eliminate_bad_components(graph, bic, _six_regular_odd)
-        for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
-            _split_half_into(graph, half_ids, pair, colours, lambda v, d: d == 8)
-    if aside_edges:
-        # 14-regular components with oddly many edges: any bad vertex will do,
-        # and afterwards every monochromatic component has an odd-degree vertex.
-        bic = balanced_bicolouring(graph, None, aside_edges)
-        for colour_side, pair in ((BLUE, (1, 2)), (RED, (3, 4))):
-            half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
-            _split_half_into(graph, half_ids, pair, colours, _no_vertex)
+    _split_halves(graph, bic.side, ((1, 2), (3, 4)), colours, lambda v, d: d == 8)
     return colours, {"alphas": (), "elimination": elimination}
 
 
@@ -640,9 +636,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     def second_split_bad(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)
 
-    for colour_side, pair in ((BLUE, (2, 3)), (RED, (4, 5))):
-        half_ids = [e for e, side in enumerate(bic.side) if side == colour_side]
-        _split_half_into(graph, half_ids, pair, colours, second_split_bad)
+    _split_halves(graph, bic.side, ((2, 3), (4, 5)), colours, second_split_bad)
     return colours, {"alphas": (Fraction(1, 5),), "elimination": elimination}
 
 
@@ -663,16 +657,13 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
     Reduces to degrees in S_k (vertex splitting, then a per-component lift),
-    colours the reduced graph, and pulls the colouring back through both
-    traces.
+    colours the reduced graph, and pulls the colouring back by edge id.
     """
     _require("small-k", graph, k)
-    split_graph, split_trace = split_high_degree(graph, k)
-    lifted, lift_trace = raise_to_sk(split_graph, k)
+    split_graph, _ = split_high_degree(graph, k)
+    lifted, _ = raise_to_sk(split_graph, k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
-    colouring = pull_back_colouring(
-        pull_back_colouring(reduced_colouring, lift_trace), split_trace
-    )
+    colouring = pull_back_colouring(reduced_colouring, graph)
     final, verdict = _verify(graph, colouring.colours, k)
     return final, replace(reduced_report, verdict=verdict)
 
@@ -700,7 +691,7 @@ class Scheme:
 
     def reason(self, graph: Graph, k: int) -> Optional[str]:
         """Why the hypothesis fails on ``graph`` at a covered k; None when it holds."""
-        if self.bipartite and not is_bipartite(graph).bipartite:
+        if self.bipartite and not is_bipartite(graph):
             return "graph is not bipartite"
         delta, bound = graph.min_degree(), self.threshold(k)
         if delta < bound:

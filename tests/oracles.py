@@ -10,8 +10,11 @@ own, vertex sums and whole-graph Euler circuits.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Optional
 
 import numpy as np
 
@@ -375,6 +378,66 @@ def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
             raise InternalInvariantError(
                 f"vertex {v}: colour count {max(blue, red)} exceeds ceil({d}/2)"
             )
+
+
+@dataclass(frozen=True)
+class BipartiteCheck:
+    """Either a proper 2-side labelling or an odd-cycle witness.
+
+    ``sides[v]`` is 0/1 when the graph is bipartite, else ``odd_cycle`` holds
+    an odd closed edge sequence (consecutive edges share a vertex).
+    """
+
+    sides: Optional[tuple[int, ...]]
+    odd_cycle: Optional[tuple[int, ...]]
+
+    @property
+    def bipartite(self) -> bool:
+        return self.sides is not None
+
+
+def bipartite_check(graph: Graph) -> BipartiteCheck:
+    """Reference BFS 2-colouring with a witness either way: the sides, or an
+    odd cycle through the conflict edge.  ``graph.is_bipartite`` must agree."""
+    side = [-1] * graph.vertex_count
+    parent_edge: list[int] = [-1] * graph.vertex_count
+    parent: list[int] = [-1] * graph.vertex_count
+    depth = [0] * graph.vertex_count
+    for root in range(graph.vertex_count):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u, e in graph.adjacency[v]:
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    parent[u] = v
+                    parent_edge[u] = e
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+                elif side[u] == side[v] and e != parent_edge[v]:
+                    return BipartiteCheck(None, _odd_cycle(v, u, e, parent, parent_edge, depth))
+    return BipartiteCheck(tuple(side), None)
+
+
+def _odd_cycle(v: int, u: int, conflict_edge: int, parent, parent_edge, depth) -> tuple[int, ...]:
+    # Walk both endpoints up to their lowest common ancestor in the BFS forest.
+    left, right = [], []
+    a, b = v, u
+    while depth[a] > depth[b]:
+        left.append(parent_edge[a])
+        a = parent[a]
+    while depth[b] > depth[a]:
+        right.append(parent_edge[b])
+        b = parent[b]
+    while a != b:
+        left.append(parent_edge[a])
+        right.append(parent_edge[b])
+        a, b = parent[a], parent[b]
+    # Edge sequence v..lca, lca..u, then the closing conflict edge.
+    return tuple(left + right[::-1] + [conflict_edge])
 
 
 def hierholzer_reference(adjacency, start: int, pointer: list[int], used: list[bool]) -> list[int]:

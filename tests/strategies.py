@@ -166,6 +166,43 @@ def degree_window_unions(draw, k: int, max_parts=3) -> Graph:
     return _shuffled_union(draw, parts)
 
 
+@st.composite
+def hub_unions(draw, k: int, max_hubs=3) -> Graph:
+    """A :func:`degree_window_unions` graph, enlarged to at least 2k^2
+    vertices, plus a few hubs of degree at least 2k^2.
+
+    Each hub joins a drawn set of the vertices before it, earlier hubs
+    included, so the split step meets hubs and the vertices they push past
+    2k^2 alike; every degree stays at least k^2.
+    """
+    top = 2 * k * k
+    g = draw(degree_window_unions(k))
+    n, pairs = g.vertex_count, list(g.edges)
+    while n < top:
+        more = draw(degree_window_unions(k))
+        pairs.extend((u + n, v + n) for u, v in more.edges)
+        n += more.vertex_count
+    for _ in range(draw(st.integers(1, max_hubs))):
+        degree = draw(st.integers(top, min(n, top + k * k)))
+        pairs.extend((u, n) for u in draw(st.permutations(range(n)))[:degree])
+        n += 1
+    return _shuffled_union(draw, [(n, pairs)])
+
+
+def circulant_edges(n: int, d: int) -> list[tuple[int, int]]:
+    """The d-regular circulant on Z_n: steps 1..d/2, plus n/2 when d is odd
+    (n even when d is odd, d < n); K_n is the case d = n - 1."""
+    edges = [(i, (i + step) % n) for step in range(1, d // 2 + 1) for i in range(n)]
+    return edges + [(i, i + n // 2) for i in range(n // 2 if d % 2 else 0)]
+
+
+@st.composite
+def regular_unions(draw, shapes: list[tuple[int, int]], max_parts=4) -> Graph:
+    """Shuffled disjoint unions of circulants whose (n, d) are drawn from ``shapes``."""
+    chosen = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=max_parts))
+    return _shuffled_union(draw, [(n, circulant_edges(n, d)) for n, d in chosen])
+
+
 def _shuffled_union(draw, parts: list[tuple[int, list[tuple[int, int]]]]) -> Graph:
     """The disjoint union of (vertex count, edges) parts, with drawn vertex
     labels and edge order."""

@@ -68,7 +68,7 @@ def test_criterion_1_rounding_lemma_suite():
         x = [Fraction(b) for b in result.x]
         if not oracles.check_certificate(graph, z, x, result.exceptional):
             failures.append(trial)
-        if is_bipartite(graph).bipartite and result.exceptional:
+        if is_bipartite(graph) and result.exceptional:
             failures.append(("bipartite-ledger", trial))
     _announce(1, "rounding-lemma suite (500 graphs)", failures, started)
     assert not failures, failures[:5]
@@ -259,12 +259,12 @@ def test_criterion_8_reduction_round_trips():
                     hub = graph.vertex_count
                     edges.extend((v, hub) for v in range(hub_degree))
                     graph = build_graph(hub + 1, edges)
-            split_graph, split_trace = split_high_degree(graph, k)
+            split_graph, _ = split_high_degree(graph, k)
             if not all(
                 k * k <= d < 2 * k * k for d in split_graph.degrees()
             ):
                 failures.append(("split-profile", k, trial))
-            lifted, lift_trace = raise_to_sk(split_graph, k)
+            lifted, _ = raise_to_sk(split_graph, k)
             allowed = set(sk_degrees(k))
             if not all(d in allowed for d in lifted.degrees()):
                 failures.append(("lift-profile", k, trial))
@@ -274,9 +274,7 @@ def test_criterion_8_reduction_round_trips():
             ):
                 failures.append(("cap-equality", k, trial))
             colouring, _ = colour_sk_graph(lifted, k)
-            pulled = pull_back_colouring(
-                pull_back_colouring(colouring, lift_trace), split_trace
-            )
+            pulled = pull_back_colouring(colouring, graph)
             if not check_majority(graph, pulled, k).passed:
                 failures.append(("pull-back", k, trial))
     _announce(8, f"reduction round trips ({trial} pairs)", failures, started)

@@ -173,6 +173,12 @@ def test_oracle_exit_codes(tmp_path, c4_file):
     ) == 3
 
 
+def test_oracle_rejects_negative_node_limit(c4_file):
+    assert main(
+        ["oracle", "--k", "2", "--graph", str(c4_file), "--node-limit", "-5"]
+    ) == 2
+
+
 def test_oracle_writes_colouring_and_json(tmp_path, c4_file, capsys):
     out = tmp_path / "c4.col"
     code = main(

@@ -15,7 +15,7 @@ from kmajority import (
     is_bipartite,
 )
 from kmajority.graph import circuit_vertices, edge_subgraph, hierholzer_circuit
-from oracles import eulerian_circuit, hierholzer_reference
+from oracles import bipartite_check, eulerian_circuit, hierholzer_reference
 
 
 def test_cycle_construction():
@@ -47,14 +47,16 @@ def test_components():
 
 def test_bipartite_sides():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    check = is_bipartite(c4)
+    assert is_bipartite(c4)
+    check = bipartite_check(c4)
     assert check.bipartite
     assert check.sides[0] == check.sides[2] != check.sides[1] == check.sides[3]
 
 
 def test_odd_cycle_witness():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    check = is_bipartite(triangle)
+    assert not is_bipartite(triangle)
+    check = bipartite_check(triangle)
     assert not check.bipartite
     assert len(check.odd_cycle) == 3
     assert sorted(check.odd_cycle) == [0, 1, 2]
@@ -62,7 +64,8 @@ def test_odd_cycle_witness():
 
 def test_pendant_keeps_bipartite():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
-    check = is_bipartite(g)
+    assert is_bipartite(g)
+    check = bipartite_check(g)
     assert check.bipartite
     assert check.sides[4] != check.sides[2]
 
@@ -214,7 +217,7 @@ def test_greedy_trail_walk_matches_reference(g, data):
 
 @given(strategies.graphs(min_vertices=2))
 def test_bipartite_witness_is_odd_closed_walk(g):
-    check = is_bipartite(g)
+    check = bipartite_check(g)
     if check.bipartite:
         for u, v in g.edges:
             assert check.sides[u] != check.sides[v]
@@ -225,6 +228,11 @@ def test_bipartite_witness_is_odd_closed_walk(g):
         # consecutive edges share endpoints and the walk closes up
         for step, e in enumerate(cyc):
             assert set(g.edges[e]) == {order[step], order[step + 1]}
+
+
+@given(st.one_of(strategies.graphs(), strategies.disjoint_unions()))
+def test_is_bipartite_agrees_with_reference(g):
+    assert is_bipartite(g) == bipartite_check(g).bipartite
 
 
 @given(strategies.graphs_with_weights(max_denominator=1))

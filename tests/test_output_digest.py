@@ -1,0 +1,36 @@
+"""Scheme outputs stay byte-identical to the pinned digests.
+
+``scripts/output_digest.py`` hashes every colouring and per-round report of
+the benchmark workloads' instances.  The digests below are its seed-1
+``--reports`` lines; a change that is meant to leave every output as it is
+must keep them, and one that moves an output on purpose updates them and
+says why.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "output_digest.py"
+
+SEED_1_REPORTS = {
+    "large_graphs": "813880ac5b6bb79c6905b4603f4aee175270c0e9110ee39d4f127c2e28adebe4",
+    "many_components": "a89ffb1936b0ea4dcb7effe9635666a82333da0a52710bf27bef4f277d1f8d45",
+    "threshold_sweep": "686107a0d436d5bedcfb35c82c640d678d394bb0a626ad0725ee36c39cfc4816",
+}
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_REPORTS))
+def test_seed_1_output_digest_is_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))  # the workloads live in perfbench/
+    script = load_script()
+    assert script.workload_digest(workload, [1], True) == SEED_1_REPORTS[workload]

@@ -12,6 +12,7 @@ from kmajority import (
     build_graph,
     check_majority,
     colour_sk_graph,
+    colour_small_k,
     components,
     pull_back_colouring,
     raise_to_sk,
@@ -36,7 +37,7 @@ def test_split_degree_nine_vertex():
     g = complete_graph(10)  # 9-regular, k=2: 9 = 1*4 + 5
     out, trace = split_high_degree(g, 2)
     assert sorted(Counter(out.degrees()).items()) == [(4, 10), (5, 10)]
-    assert trace.edge_bijection == tuple(range(g.edge_count))
+    assert out.edge_count == g.edge_count
     assert len(trace.origin) == 20
     # each original vertex owns one part of degree 5 and one of degree 4
     by_origin = {}
@@ -62,9 +63,25 @@ def test_split_degree_sixteen_vertex():
 def test_split_endpoints_stay_consistent():
     g = complete_graph(10)
     out, trace = split_high_degree(g, 2)
-    for new_e, old_e in enumerate(trace.edge_bijection):
-        u, v = out.edges[new_e]
-        assert {trace.origin[u], trace.origin[v]} == set(g.edges[old_e])
+    assert out.edge_count == g.edge_count
+    for e, (u, v) in enumerate(out.edges):
+        assert {trace.origin[u], trace.origin[v]} == set(g.edges[e])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_split_and_colour_graphs_with_hubs(k, data):
+    g = data.draw(strategies.hub_unions(k))
+    assert g.max_degree() >= 2 * k * k
+    out, trace = split_high_degree(g, k)
+    assert all(k * k <= d < 2 * k * k for d in out.degrees())
+    assert out.edge_count == g.edge_count
+    for e, (u, v) in enumerate(out.edges):
+        assert {trace.origin[u], trace.origin[v]} == set(g.edges[e])
+    colouring, report = colour_small_k(g, k)
+    assert report.verdict.passed
+    assert check_majority(g, colouring, k).passed
 
 
 def test_split_requires_min_degree():
@@ -78,8 +95,7 @@ def test_raise_four_regular_needs_one_doubling():
     assert trace.copies == 1
     assert set(out.degrees()) == {5}
     assert out.vertex_count == 10
-    assert trace.embedding == tuple(range(g.edge_count))
-    assert [out.edges[e] for e in trace.embedding] == list(g.edges)
+    assert out.edges[: g.edge_count] == g.edges
 
 
 def test_raise_keeps_sk_graphs_unchanged():
@@ -135,7 +151,6 @@ def test_lift_takes_fewest_copies_per_component(k, data):
     allowed = set(sk_degrees(k))
     assert all(d in allowed for d in out.degrees())
     assert all(out.degree(v) // k == g.degree(v) // k for v in range(g.vertex_count))
-    assert trace.embedding == tuple(range(g.edge_count))
     assert out.edges[: g.edge_count] == g.edges
     copies = _copies_per_component(g, out)
     needs = [(k - 1 - d) % k for d in g.degrees()]
@@ -176,29 +191,28 @@ def test_cap_equality_spec_arithmetic():
 
 def test_pull_back_identity():
     g = complete_graph(8)
-    out, trace = split_high_degree(g, 2)
     colouring = EdgeColouring(tuple(e % 3 + 1 for e in range(g.edge_count)), 3)
-    assert pull_back_colouring(colouring, trace) == colouring
+    assert pull_back_colouring(colouring, g) == colouring
+    # A lifted graph's edges follow the input's: only the first m colours count.
+    longer = EdgeColouring(colouring.colours + (1, 2), 3)
+    assert pull_back_colouring(longer, g) == colouring
 
 
 def test_pull_back_rejects_size_mismatch():
     g = complete_graph(8)
-    _, trace = split_high_degree(g, 2)
     with pytest.raises(InputError):
-        pull_back_colouring(EdgeColouring((1, 2), 3), trace)
+        pull_back_colouring(EdgeColouring((1, 2), 3), g)
 
 
 @pytest.mark.parametrize("k, seed", [(2, 11), (3, 12), (4, 13)])
 def test_transform_colour_pull_back_round_trip(k, seed):
     g = random_min_degree_graph(k * k + 4, k * k, seed=seed, extra_edges=6)
-    split_g, split_trace = split_high_degree(g, k)
-    lifted, lift_trace = raise_to_sk(split_g, k)
+    split_g, _ = split_high_degree(g, k)
+    lifted, _ = raise_to_sk(split_g, k)
     allowed = set(sk_degrees(k))
     assert all(d in allowed for d in lifted.degrees())
     for v in range(split_g.vertex_count):
         assert lifted.degree(v) // k == split_g.degree(v) // k
     colouring, report = colour_sk_graph(lifted, k)
-    pulled = pull_back_colouring(
-        pull_back_colouring(colouring, lift_trace), split_trace
-    )
+    pulled = pull_back_colouring(colouring, g)
     assert check_majority(g, pulled, k).passed

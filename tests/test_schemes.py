@@ -19,6 +19,7 @@ from kmajority import (
     colour_bipartite,
     colour_general_2k2,
     colour_refined,
+    colour_sk_graph,
     colour_small_k,
     eliminate_bad_components,
     general_alphas,
@@ -165,8 +166,9 @@ def test_small_k_at_threshold(k, n, seed):
 
 
 def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
-    # Two copies each of K10 (lifted), K12, K15 (the 14-regular aside path)
-    # and K20 (hubs split), under shuffled labels and edge order.
+    # Two copies each of K10 (lifted), K12, K15 (14-regular of odd order: a
+    # bad vertex in the first split) and K20 (hubs split), under shuffled
+    # labels and edge order.
     rng = random.Random(1)
     sizes = [10, 12, 15, 20] * 2
     labels = list(range(sum(sizes)))
@@ -185,6 +187,22 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
         hashlib.sha256(bytes(colouring.colours)).hexdigest()
         == "252b9ba281ac2f5df448c39a343af4b47d47d7f1037c24bd5b44b3ad6774b9bc"
     )
+
+
+# (n, d) of 11-, 14- and 17-regular circulants; K12, K15 and K18 among them.
+S3_SHAPES = [(12, 11), (14, 11), (15, 14), (16, 14), (17, 14), (19, 14), (18, 17), (20, 17)]
+
+
+@settings(max_examples=40)
+@given(strategies.regular_unions(S3_SHAPES))
+def test_sk3_one_first_split_colours_regular_unions(g):
+    # A 14-regular part of odd order forces a bad vertex in the first split;
+    # one of even order, like every 11- or 17-regular part, forces none.
+    colouring, report = colour_sk_graph(g, 3)
+    assert report.verdict.passed
+    assert check_majority(g, colouring, 3).passed
+    initial, flips = report.elimination
+    assert flips <= initial
 
 
 def test_small_k_rejects_low_degree():
