@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Time one layer on disjoint unions of a clique as the copy count doubles.
+
+* ``eulersplit``: ``balanced_bicolouring`` on unions of K5.  Each K5 is
+  4-regular with 10 edges, so every component is walked as its own Euler
+  circuit.
+* ``eliminate``: ``eliminate_bad_components`` on unions of K13.  An Euler
+  split of K13 leaves two 6-regular colour classes with 39 edges each, both
+  bad for the k=3 small-k scheme, and one flip per copy repairs them
+  (column ``flips``).
+* ``certify``: ``round_weights`` at weight 1/2 on unions of K3 (``t``
+  triangles).  Every triangle is a bad support cycle with no edge to another,
+  so the ledger holds t cycles (column ``ledger``); certifying that they are
+  pairwise independent is then the largest part of the work.
+
+A linear layer grows about x2 per doubling; the script prints the best-of-N
+time per size, with the garbage collector off, and the ratio to the previous
+size.
+"""
+
+import argparse
+import timeit
+from fractions import Fraction
+
+from kmajority import balanced_bicolouring, build_graph, eliminate_bad_components, round_weights
+
+
+def clique_union(size: int, copies: int):
+    pairs = [
+        (size * c + i, size * c + j)
+        for c in range(copies)
+        for i in range(size)
+        for j in range(i + 1, size)
+    ]
+    return build_graph(size * copies, pairs)
+
+
+def six_regular_odd(verts, degs, edge_count):
+    return edge_count % 2 == 1 and all(degs[v] == 6 for v in verts)
+
+
+def eulersplit(graph):
+    return lambda: balanced_bicolouring(graph), None
+
+
+def eliminate(graph):
+    bic = balanced_bicolouring(graph)
+    _, (_, flips) = eliminate_bad_components(graph, bic, six_regular_odd)
+    return lambda: eliminate_bad_components(graph, bic, six_regular_odd), flips
+
+
+def certify(graph):
+    weights = [Fraction(1, 2)] * graph.edge_count
+    ledger = len(round_weights(graph, weights).exceptional)
+    return lambda: round_weights(graph, weights), ledger
+
+
+# layer -> (clique size, default copy counts, size column, counted column, setup)
+LAYERS = {
+    "eulersplit": (5, [1000, 2000, 4000], "copies", None, eulersplit),
+    "eliminate": (13, [25, 50, 100, 200], "copies", "flips", eliminate),
+    "certify": (3, [1000, 2000, 4000, 8000], "t", "ledger", certify),
+}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("--copies", type=int, nargs="+", help="copy counts (default per layer)")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+
+    size, default_copies, label, counted, setup = LAYERS[args.layer]
+
+    def row(first, m, count, best, ratio):
+        count_cell = f" {count:>{len(counted) + 1}}" if counted else ""
+        return f"{first:>7} {m:>7}{count_cell} {best:>9} {ratio:>6}"
+
+    print(row(label, "m", counted, "best_s", "ratio"))
+    previous = None
+    for copies in args.copies or default_copies:
+        graph = clique_union(size, copies)
+        run, count = setup(graph)
+        # timeit switches the cyclic garbage collector off while timing, so a
+        # collection over the whole union does not land in one size's samples.
+        best = min(timeit.repeat(run, repeat=args.repeats, number=1))
+        ratio = f"{best / previous:.2f}" if previous else "-"
+        print(row(copies, graph.edge_count, count, f"{best:.4f}", ratio))
+        previous = best
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

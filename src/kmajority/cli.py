@@ -70,7 +70,7 @@ def _report_json(
     duration_ms: float = 0.0,
     inputs: Optional[dict] = None,
 ) -> dict:
-    report = {
+    return {
         "command": command,
         "k": k,
         "algorithm": algorithm if scheme is None else scheme.algorithm,
@@ -82,7 +82,6 @@ def _report_json(
         "duration_ms": round(duration_ms, 3),
         "inputs": inputs or {},
     }
-    return report
 
 
 def _dump(report: dict, path: Optional[str]) -> None:
@@ -218,6 +217,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise InputError(f"trial count must be nonnegative, got {args.trials}")
     rows = [SWEEP_SCHEMA, SWEEP_COLUMNS]
     for trial in range(args.trials):
         trial_seed = args.seed + trial

@@ -47,19 +47,24 @@ def _check_vertex_bound(n: int, m: int, size: int, what: str) -> None:
         )
 
 
+def _read_header(lines: Iterator[tuple[int, str]], form: str) -> tuple[int, int, int]:
+    """Parse the first of ``lines`` as ``form``, say ``graph <n> <m>``: (line number, n, m)."""
+    kind = form.split()[0]
+    number, header = next(lines, (0, ""))
+    if not header:
+        raise FormatError(f"empty {kind} file")
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != kind:
+        raise FormatError(f"line {number}: expected header '{form}', got {header!r}")
+    try:
+        return number, int(parts[1]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"line {number}: non-integer counts in {header!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty graph file") from None
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "graph":
-        raise FormatError(f"line {header_no}: expected header 'graph <n> <m>', got {header!r}")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"line {header_no}: non-integer counts in {header!r}") from None
+    header_no, n, m = _read_header(lines, "graph <n> <m>")
     # Bound n by the file before one adjacency list per vertex is allocated.
     if n < 0:
         raise FormatError(f"line {header_no}: vertex count must be nonnegative, got {n}")
@@ -93,16 +98,7 @@ def format_graph(graph: Graph) -> str:
 
 def parse_colouring(text: str) -> EdgeColouring:
     lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty colouring file")
-    header_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "colouring":
-        raise FormatError(f"line {header_no}: expected header 'colouring <m> <c>', got {header!r}")
-    try:
-        m, c = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"line {header_no}: non-integer counts in {header!r}") from None
+    header_no, m, c = _read_header(iter(lines), "colouring <m> <c>")
     if c < 1:
         raise FormatError(f"line {header_no}: colour count must be positive")
     # Bound the header by the file before allocating one slot per edge.

@@ -101,12 +101,13 @@ def refined_parameters(k: int) -> tuple[int, int, Fraction]:
     return n, m, bound
 
 
-def _verify(graph: Graph, colours: Sequence[int], k: int) -> tuple[EdgeColouring, MajorityVerdict]:
-    colouring = EdgeColouring(tuple(colours), k + 1)
-    verdict = check_majority(graph, colouring, k)
+def _finish(graph: Graph, colours: Sequence[int], report: SchemeReport) -> SchemeOutcome:
+    """Verify ``colours`` against the 1/k-majority caps; return them with the verdict."""
+    colouring = EdgeColouring(tuple(colours), report.k + 1)
+    verdict = check_majority(graph, colouring, report.k)
     if not verdict.passed:
         raise InternalInvariantError(f"scheme output failed verification: {verdict.witness}")
-    return colouring, verdict
+    return colouring, replace(report, verdict=verdict)
 
 
 def _strip_round(
@@ -221,15 +222,8 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
                 max_residual_degree=max(_degree_in(graph, remaining), default=0),
             )
         )
-    colouring, verdict = _verify(graph, colours, k)
-    report = SchemeReport(
-        algorithm="bipartite",
-        k=k,
-        alphas=tuple(Fraction(1, i) for i in range(k + 1, 1, -1)),
-        rounds=tuple(stats),
-        verdict=verdict,
-    )
-    return colouring, report
+    alphas = tuple(Fraction(1, i) for i in range(k + 1, 1, -1))
+    return _finish(graph, colours, SchemeReport("bipartite", k, alphas=alphas, rounds=tuple(stats)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +240,7 @@ def colour_general_2k2(graph: Graph, k: int) -> SchemeOutcome:
     _require("general", graph, k)
     colours = [k + 1] * graph.edge_count
     _, stats, alphas = _general_rounds(graph, k, k, colours)
-    colouring, verdict = _verify(graph, colours, k)
-    report = SchemeReport(
-        algorithm="general",
-        k=k,
-        alphas=alphas,
-        rounds=tuple(stats),
-        verdict=verdict,
-    )
-    return colouring, report
+    return _finish(graph, colours, SchemeReport("general", k, alphas=alphas, rounds=tuple(stats)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +263,20 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     colours = [0] * graph.edge_count
     leftover, stats, alphas = _general_rounds(graph, k, m_rounds, colours)
 
-    bits: dict[int, list[int]] = {e: [0] * n_levels for e in leftover}
-    determined: set[int] = set()
-    special: dict[int, set[str]] = {}
+    # Each open edge's colour vector so far, most significant bit first; all
+    # codes at one level have one length, so numeric order is prefix order.
+    code = dict.fromkeys(leftover, 0)
+    special: dict[int, set[tuple[int, int]]] = {}  # v -> {(j, j-bit prefix ending in 1)}
     rule_a_max = 0
 
-    def special_for_prefix(v: int, prefix: str) -> bool:
-        marks = special.get(v)
-        if not marks:
-            return False
-        return any(prefix[:j] in marks for j in range(1, len(prefix) + 1))
+    def special_for_prefix(v: int, level: int, prefix: int) -> bool:
+        """Whether a mark (j, bits) of v begins the (level - 1)-bit ``prefix``."""
+        marks = special.get(v, ())
+        return any(j < level and prefix >> (level - 1 - j) == bits for j, bits in marks)
 
     for level in range(1, n_levels + 1):
-        buckets: dict[str, list[int]] = {}
-        for e in leftover:
-            if e in determined:
-                continue
-            prefix = "".join(str(b) for b in bits[e][: level - 1])
+        buckets: dict[int, list[int]] = {}
+        for e, prefix in code.items():
             buckets.setdefault(prefix, []).append(e)
         for prefix in sorted(buckets):
             # The bucket's own subgraph keeps each bucket's cost in its size,
@@ -304,39 +287,33 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
                 comp_edges = sorted({j for v in comp for _, j in sub.adjacency[v]})
                 if not comp_edges:
                     continue
-                if all(special_for_prefix(v, prefix) for v in comp):
+                if all(special_for_prefix(v, level, prefix) for v in comp):
                     if len(comp) > n_levels:
                         raise InternalInvariantError(
                             f"rule-(a) component has {len(comp)} vertices > n = {n_levels}"
                         )
                     rule_a_max = max(rule_a_max, len(comp))
-                    for j in comp_edges:
-                        determined.add(emap[j])  # remaining coordinates stay 0
+                    for j in comp_edges:  # remaining coordinates stay 0
+                        colours[emap[j]] = m_rounds + 1 + (prefix << (n_levels - level + 1))
+                        del code[emap[j]]
                 else:
                     rule_b.extend(comp_edges)
             if not rule_b:
                 continue
 
-            def selector(comp: tuple[int, ...], _prefix: str = prefix) -> Optional[int]:
-                for v in comp:
-                    if not special_for_prefix(v, _prefix):
-                        return v
-                return None
+            def selector(comp: tuple[int, ...]) -> Optional[int]:
+                return next((v for v in comp if not special_for_prefix(v, level, prefix)), None)
 
             bic = balanced_bicolouring(sub, selector, rule_b)
             for j in rule_b:
-                bits[emap[j]][level - 1] = bic.side[j]  # blue -> 0, red -> 1
+                code[emap[j]] = prefix << 1 | bic.side[j]  # blue -> 0, red -> 1
             for u in bic.bad_vertices:
-                special.setdefault(u, set()).add(prefix + "1")
+                special.setdefault(u, set()).add((level, prefix << 1 | 1))
 
-    for e in leftover:
-        value = 0
-        for b in bits[e]:
-            value = (value << 1) | b
+    for e, value in code.items():
         colours[e] = m_rounds + 1 + value
 
     _assert_refined_claim(graph, colours, leftover, k, n_levels, m_rounds)
-    colouring, verdict = _verify(graph, colours, k)
     report = SchemeReport(
         algorithm="refined",
         k=k,
@@ -345,9 +322,8 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
         alphas=alphas,
         rounds=tuple(stats),
         rule_a_max_size=rule_a_max,
-        verdict=verdict,
     )
-    return colouring, report
+    return _finish(graph, colours, report)
 
 
 def _assert_refined_claim(
@@ -648,9 +624,7 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
     if outside:
         raise PreconditionError(f"vertices with degree outside S_{k}: {outside[:5]}")
     colours, info = {2: _colour_sk2, 3: _colour_sk3, 4: _colour_sk4}[k](graph)
-    colouring, verdict = _verify(graph, colours, k)
-    report = SchemeReport("small-k", k, verdict=verdict, **info)
-    return colouring, report
+    return _finish(graph, colours, SchemeReport("small-k", k, **info))
 
 
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
@@ -663,9 +637,7 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     split_graph, _ = split_high_degree(graph, k)
     lifted, _ = raise_to_sk(split_graph, k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
-    colouring = pull_back_colouring(reduced_colouring, graph)
-    final, verdict = _verify(graph, colouring.colours, k)
-    return final, replace(reduced_report, verdict=verdict)
+    return _finish(graph, pull_back_colouring(reduced_colouring, graph).colours, reduced_report)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from kmajority import parse_colouring, parse_graph, read_graph
-from kmajority.cli import main
+from kmajority.cli import SWEEP_COLUMNS, SWEEP_SCHEMA, main
 from kmajority.graphio import format_graph, write_graph
 from kmajority.instances import general_lower_bound
 
@@ -232,6 +232,16 @@ def test_sweep_rejects_zero_oracle_colours(tmp_path):
              "--seed", "1", "--oracle-colours", colours, "--output", str(tmp_path / "s.csv")]
         )
         assert code == 2
+
+
+def test_sweep_rejects_a_negative_trial_count(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    base = ["sweep", "--k", "2", "--delta", "3", "--n", "8", "--seed", "1", "--output", str(out)]
+    assert main(base + ["--trials", "-3"]) == 2
+    assert "trial count must be nonnegative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(base + ["--trials", "0"]) == 0
+    assert out.read_text().splitlines() == [SWEEP_SCHEMA, SWEEP_COLUMNS]
 
 
 def test_usage_error_exits_2():

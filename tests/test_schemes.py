@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from kmajority import (
 from kmajority.cli import build_parser
 from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
+from kmajority.graphio import format_colouring
 from oracles import eliminate_by_full_recompute
 
 
@@ -142,6 +144,24 @@ def test_refined_bound_is_strict():
     g = random_min_degree_graph(46, 44, seed=4)
     with pytest.raises(PreconditionError):
         colour_refined(g, 5)
+
+
+def test_refined_colours_at_three_levels_are_pinned():
+    """k=7 and k=8 run three levels, and the k=6 and k=8 runs designate one and
+    two bad vertices, so the special marks steer the later levels' selectors.
+
+    Rule (a) fires on none of these, and no test reaches that branch: under
+    the hypothesis every leftover degree after m rounds is at least
+    delta*(k-m)/k, so no component of at most n vertices seems able to hold
+    an edge of a bucket.
+    """
+    digest = hashlib.sha256()
+    for k, n in [(6, 67), (7, 78), (8, 105)]:
+        g = random_min_degree_graph(n, math.ceil(refined_parameters(k)[2]), seed=1)
+        colouring, report = colour_refined(g, k)
+        assert report.rule_a_max_size == 0
+        digest.update(format_colouring(colouring).encode())
+    assert digest.hexdigest() == "82ea002ac58c6f5f2c24eaeffa3979277352ae5c55acb1dca07ab74c897a4b50"
 
 
 # --------------------------------------------------------------------------
