@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one layer on disjoint unions of a clique as the copy count doubles.
+"""Time one layer as its input doubles in size.
 
 * ``eulersplit``: ``balanced_bicolouring`` on unions of K5.  Each K5 is
   4-regular with 10 edges, so every component is walked as its own Euler
@@ -12,17 +12,28 @@
   triangles).  Every triangle is a bad support cycle with no edge to another,
   so the ledger holds t cycles (column ``ledger``); certifying that they are
   pairwise independent is then the largest part of the work.
+* ``kernel``: ``round_weights`` at weight 5/18 on
+  ``random_min_degree_graph(n, 18, seed=1)``, the first round of the general
+  scheme at k=3.  The graph is 18-regular with 9n edges, and nearly all the
+  time goes to the walk kernel's moves.
 
-A linear layer grows about x2 per doubling; the script prints the best-of-N
-time per size, with the garbage collector off, and the ratio to the previous
-size.
+The first three layers time disjoint unions of a clique as the copy count
+doubles, the last a random graph as n doubles.  A linear layer grows about x2
+per doubling; the script prints the best-of-N time per size, with the garbage
+collector off, and the ratio to the previous size.
 """
 
 import argparse
 import timeit
 from fractions import Fraction
 
-from kmajority import balanced_bicolouring, build_graph, eliminate_bad_components, round_weights
+from kmajority import (
+    balanced_bicolouring,
+    build_graph,
+    eliminate_bad_components,
+    random_min_degree_graph,
+    round_weights,
+)
 
 
 def clique_union(size: int, copies: int):
@@ -55,22 +66,41 @@ def certify(graph):
     return lambda: round_weights(graph, weights), ledger
 
 
-# layer -> (clique size, default copy counts, size column, counted column, setup)
+def kernel(graph):
+    weights = [Fraction(5, 18)] * graph.edge_count
+    return lambda: round_weights(graph, weights), None
+
+
+def cliques(size):
+    return lambda copies: clique_union(size, copies)
+
+
+# layer -> (graph of a size, default sizes, size column, counted column, setup)
 LAYERS = {
-    "eulersplit": (5, [1000, 2000, 4000], "copies", None, eulersplit),
-    "eliminate": (13, [25, 50, 100, 200], "copies", "flips", eliminate),
-    "certify": (3, [1000, 2000, 4000, 8000], "t", "ledger", certify),
+    "eulersplit": (cliques(5), [1000, 2000, 4000], "copies", None, eulersplit),
+    "eliminate": (cliques(13), [25, 50, 100, 200], "copies", "flips", eliminate),
+    "certify": (cliques(3), [1000, 2000, 4000, 8000], "t", "ledger", certify),
+    "kernel": (
+        lambda n: random_min_degree_graph(n, 18, seed=1),
+        [250, 500, 1000, 2000],
+        "n",
+        None,
+        kernel,
+    ),
 }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("layer", choices=LAYERS)
-    parser.add_argument("--copies", type=int, nargs="+", help="copy counts (default per layer)")
+    parser.add_argument(
+        "--sizes", type=int, nargs="+",
+        help="copy counts, or vertex counts for kernel (default per layer)",
+    )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    size, default_copies, label, counted, setup = LAYERS[args.layer]
+    make_graph, default_sizes, label, counted, setup = LAYERS[args.layer]
 
     def row(first, m, count, best, ratio):
         count_cell = f" {count:>{len(counted) + 1}}" if counted else ""
@@ -78,14 +108,14 @@ def main() -> int:
 
     print(row(label, "m", counted, "best_s", "ratio"))
     previous = None
-    for copies in args.copies or default_copies:
-        graph = clique_union(size, copies)
+    for size in args.sizes or default_sizes:
+        graph = make_graph(size)
         run, count = setup(graph)
         # timeit switches the cyclic garbage collector off while timing, so a
-        # collection over the whole union does not land in one size's samples.
+        # collection over the whole graph does not land in one size's samples.
         best = min(timeit.repeat(run, repeat=args.repeats, number=1))
         ratio = f"{best / previous:.2f}" if previous else "-"
-        print(row(copies, graph.edge_count, count, f"{best:.4f}", ratio))
+        print(row(size, graph.edge_count, count, f"{best:.4f}", ratio))
         previous = best
     return 0
 

@@ -51,6 +51,13 @@ doubled when a move next reads it.  What is left is finished off directly: an
 edge whose two ends are leaves is set to 1, and a component that is exactly
 one odd cycle goes to :func:`resolve_cycles`, over the final ``D``.
 
+One pass over the numerators sets the kernel up: it builds the live dicts
+and the weight sum of every vertex.  A move then costs one pass over its walk
+to add up the coefficients, one to find the step, and one to apply it.  The
+last drops each edge it makes integral from the live dicts and notes the
+earliest edge of the walk's path among them; the walk is cut back there, and
+left as it is when no path edge was dropped.
+
 Sums change only at leaves: kernel moves leave every vertex sum alone, and
 leaf moves leave the sums of their inner vertices alone.  A leaf has one live
 edge and integral others, so from the moment ``v`` becomes a leaf until the
@@ -110,17 +117,6 @@ def _as_weight(value, e: int) -> Fraction:
 _MOVE, _ISOLATED, _TERMINAL = range(3)
 
 
-def _live_adjacency(graph: Graph, live: Iterable[int]) -> list[dict[int, int]]:
-    """Per vertex, live edge -> other end; ``live`` ascending keeps dicts ordered."""
-    nbr: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
-    edges = graph.edges
-    for e in live:
-        u, v = edges[e]
-        nbr[u][e] = v
-        nbr[v][e] = u
-    return nbr
-
-
 def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int, int]) -> list[int]:
     """Even closed walk from two odd closings ``(end, p, chord)``, chord from vs[end] to vs[p].
 
@@ -152,39 +148,39 @@ def _next_move(
     ``(_TERMINAL, cycle)`` for a component that is exactly one odd cycle, or
     ``None`` when the walk's only vertex has no live edge.
     """
-    held = None
-    x = vs[-1]
+    held = None  # the held odd closing (end, p, chord)
+    end = len(vs) - 1
+    x = vs[end]
     back = es[-1] if es else -1
     chord = -1  # the held chord, when it touches the end of the walk
     while True:
-        end = len(vs) - 1
-        fresh = -1
-        even = odd = odd2 = None
+        # Closings at x as (position, edge); -1 for none.
+        fresh = even_p = odd_p = odd2_p = odd_e = -1
         for e, u in nbr[x].items():
-            if e == back or e == chord:
-                continue
             p = pos[u]
             if p < 0:
                 if fresh < 0:
                     fresh, fresh_u = e, u
-            elif (end - p) % 2:
-                if even is None or p > even[1]:
-                    even = (end, p, e)
-            elif odd is None or p > odd[1]:
-                odd2, odd = odd, (end, p, e)
-            elif odd2 is None or p > odd2[1]:
-                odd2 = (end, p, e)
-        if even is not None:
-            return _MOVE, es[even[1]:] + [even[2]]
-        if odd is not None:
+            elif e == back or e == chord:
+                continue
+            elif (end - p) & 1:
+                if p > even_p:
+                    even_p, even_e = p, e
+            elif p > odd_p:
+                odd2_p, odd2_e, odd_p, odd_e = odd_p, odd_e, p, e
+            elif p > odd2_p:
+                odd2_p, odd2_e = p, e
+        if even_p >= 0:
+            return _MOVE, es[even_p:] + [even_e]
+        if odd_p >= 0:
             if held is not None:
-                return _MOVE, _join_odd(es, held, odd)
-            if odd2 is not None:
-                return _MOVE, _join_odd(es, odd2, odd)
-            p, c = odd[1], odd[2]
+                return _MOVE, _join_odd(es, held, (end, odd_p, odd_e))
+            if odd2_p >= 0:
+                return _MOVE, _join_odd(es, (end, odd2_p, odd2_e), (end, odd_p, odd_e))
+            p, c = odd_p, odd_e
             if len(nbr[vs[0]]) == 1:  # lollipop from the walk's leaf
                 return _MOVE, es + [c] + es[p - 1::-1]
-            held = odd
+            held = (end, p, c)
             if fresh < 0:
                 # The walk cannot go on from x: re-lay it to end at a vertex of
                 # the cycle that has another edge, and hold the cycle there.
@@ -202,7 +198,7 @@ def _next_move(
                     es[:] = es[j + 1:] + [c] + es[:j]
                 for i, v in enumerate(vs):  # the same vertices, in a new order
                     pos[v] = i
-                x, back = vs[-1], es[-1]
+                x, back = vs[end], es[-1]
                 continue
         if fresh < 0:
             if held is not None:  # lollipop from the leaf reached into the held cycle
@@ -216,55 +212,14 @@ def _next_move(
                 es.reverse()
                 for i, v in enumerate(vs):
                     pos[v] = i
-                x, back = vs[-1], es[-1]
+                x, back = vs[end], es[-1]
                 continue
-            return (_ISOLATED if len(es) == 1 else _MOVE), es[:]
+            return (_ISOLATED if end == 1 else _MOVE), es[:]
         es.append(fresh)
-        pos[fresh_u] = len(vs)
+        end += 1
+        pos[fresh_u] = end
         vs.append(fresh_u)
         x, back, chord = fresh_u, fresh, -1
-
-
-def _alternating_direction(walk: Sequence[int]) -> dict[int, int]:
-    """Add up +1/-1 along a walk.
-
-    No coefficient cancels on the kernel's walks: an edge is used twice only
-    on a lollipop stem or a dumbbell path, both times with the same sign.
-    """
-    direction: dict[int, int] = {}
-    sign = 1
-    for e in walk:
-        direction[e] = direction.get(e, 0) + sign
-        sign = -sign
-    return direction
-
-
-def _drop(edges: Sequence[tuple[int, int]], nbr: Sequence[dict[int, int]], e: int) -> None:
-    u, v = edges[e]
-    del nbr[u][e]
-    del nbr[v][e]
-
-
-def _truncate(
-    edges: Sequence[tuple[int, int]],
-    vs: list[int],
-    es: list[int],
-    pos: list[int],
-    dropped: Iterable[int],
-) -> None:
-    """Cut the walk back to its longest prefix of still-live path edges."""
-    cut = len(vs) - 1
-    for e in dropped:
-        a, b = edges[e]
-        ka, kb = pos[a], pos[b]
-        if ka >= 0 and kb >= 0:
-            k = min(ka, kb)
-            if k < cut and es[k] == e:
-                cut = k
-    for v in vs[cut + 1:]:
-        pos[v] = -1
-    del vs[cut + 1:]
-    del es[cut:]
 
 
 class _Kernel:
@@ -274,16 +229,26 @@ class _Kernel:
     scale is ``base << top``, and a numerator is brought up to ``top`` when
     a move next reads it, so doubling the scale costs O(1).  Live edges are
     those in ``nbr``; an edge outside the rounded subset holds ``-1`` and is
-    never live.
+    never live.  The one set-up pass over ``x`` also sums the values at each
+    vertex into ``sums``, the z-sums when ``x`` holds the weights.
     """
 
     def __init__(self, graph: Graph, scale: int, x: list[int]):
-        self.edges = graph.edges
+        self.edges = edges = graph.edges
         self.base = scale
         self.top = 0
         self.x = x
         self.level = [0] * len(x)
-        self.nbr = _live_adjacency(graph, (e for e, v in enumerate(x) if 0 < v < scale))
+        self.nbr = nbr = [{} for _ in range(graph.vertex_count)]
+        self.sums = sums = [0] * graph.vertex_count
+        for e, value in enumerate(x):
+            if value > 0:
+                u, v = edges[e]
+                sums[u] += value
+                sums[v] += value
+                if value < scale:
+                    nbr[u][e] = v
+                    nbr[v][e] = u
 
     def numerator(self, e: int) -> int:
         """``x[e]`` over the common scale ``base << top``."""
@@ -313,25 +278,43 @@ class _Kernel:
                 continue
             kind, walk = found
             if kind == _MOVE:
-                dropped = self._step(_alternating_direction(walk))
+                cut = self._step(walk, es, pos)
+                if cut == len(es):
+                    continue
             else:
-                dropped = walk
+                # The whole walk goes: an isolated edge is all of it, a
+                # terminal cycle runs from its first vertex.
                 for e in walk:
-                    _drop(edges, nbr, e)
+                    u, v = edges[e]
+                    del nbr[u][e]
+                    del nbr[v][e]
                 if kind == _ISOLATED:
                     isolated.extend(walk)
                 else:
                     cycles.append(walk)
-            _truncate(edges, vs, es, pos, dropped)
+                cut = 0
+            for v in vs[cut + 1:]:
+                pos[v] = -1
+            del vs[cut + 1:]
+            del es[cut:]
 
-    def _step(self, direction: dict[int, int]) -> list[int]:
-        """Move along ``direction`` until an edge value hits 0 or the scale.
+    def _step(self, walk: list[int], es: list[int], pos: list[int]) -> int:
+        """Move along the alternating +1/-1 walk until an edge value hits 0 or the scale.
 
-        Step lengths are counted in half units so that +-2 coefficients stay
-        exact; an odd count doubles the scale.  Of the two signs, the one
-        integralising more edges wins, ties going to +.  Returns the edges
-        that became integral.
+        Coefficients are added up per edge; none cancels on the kernel's
+        walks, since an edge is used twice only on a lollipop stem or a
+        dumbbell path, both times with the same sign.  Step lengths are
+        counted in half units so that +-2 coefficients stay exact; an odd
+        count doubles the scale.  Of the two signs, the one integralising
+        more edges wins, ties going to +.  The edges that become integral
+        leave ``nbr`` at once; returns the length of the longest prefix of
+        the walk path ``es`` still live.
         """
+        direction: dict[int, int] = {}
+        sign = 1
+        for e in walk:
+            direction[e] = direction.get(e, 0) + sign
+            sign = -sign
         x, level, top = self.x, self.level, self.top
         scale = self.base << top
         t_pos = t_neg = 2 * scale + 1
@@ -358,27 +341,34 @@ class _Kernel:
             elif down == t_neg:
                 n_neg += 1
         step = t_pos if n_pos >= n_neg else -t_neg
-        grow = step % 2
+        grow = step & 1
         if grow:
             top += 1
             scale += scale
             self.top = top
+            for e in direction:
+                level[e] = top
         else:
-            step //= 2
+            step >>= 1
         edges, nbr = self.edges, self.nbr
-        dropped = []
+        cut = len(es)
+        dropped = False
         for e, a in direction.items():
             value = (x[e] << grow) + a * step
             if not 0 <= value <= scale:
                 raise InternalInvariantError(f"step pushed edge {e} to {value}/{scale}")
             x[e] = value
-            level[e] = top
             if value == 0 or value == scale:
-                dropped.append(e)
-                _drop(edges, nbr, e)
+                dropped = True
+                u, v = edges[e]
+                del nbr[u][e]
+                del nbr[v][e]
+                k = min(pos[u], pos[v])
+                if 0 <= k < cut and es[k] == e:
+                    cut = k
         if not dropped:
             raise InternalInvariantError("move made no edge integral")
-        return dropped
+        return cut
 
 
 def _assert_zero_sums(graph: Graph, direction: dict) -> None:
@@ -599,7 +589,8 @@ def round_weights(
     else:
         ids = sorted(_checked_edge_ids(graph, edges))
     scale, zl = _scaled_weights(weights, ids)
-    kernel = _Kernel(graph, scale, list(zl))
+    kernel = _Kernel(graph, scale, zl)
+    sums_z = kernel.sums
     isolated, cycles = kernel.run()
     full = scale << kernel.top
     # Off the terminal cycles every rounded edge is integral, 0 or its own
@@ -614,7 +605,6 @@ def round_weights(
             if x[e] != 0 and x[e] != full:
                 raise InternalInvariantError(f"edge {e} left fractional at {Fraction(x[e], full)}")
     xi = [1 if value == full else value for value in x]
-    sums_z = _int_sums(graph, zl, ids)
     sums_x = _enforce_ii_int(graph, ids, scale, sums_z, xi)
     _certify_int(graph, ids, scale, sums_z, xi, ledger, sums_x)
     return RoundingResult(tuple(xi), tuple(ledger))

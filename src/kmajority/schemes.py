@@ -343,7 +343,8 @@ def _assert_refined_claim(
             counts[(v, c)] = counts.get((v, c), 0) + 1
     two_n = 1 << n_levels
     for (v, c), count in counts.items():
-        if count > Fraction(d_h[v] - 1, two_n) + Fraction(3, 2):
+        # count > (d_H(v) - 1)/2^n + 3/2, multiplied through by 2 * 2^n
+        if 2 * two_n * count > 2 * (d_h[v] - 1) + 3 * two_n:
             raise InternalInvariantError(
                 f"vector-colour bound fails at vertex {v}, colour {c}: "
                 f"{count} > ({d_h[v]}-1)/{two_n} + 3/2"

@@ -4,8 +4,9 @@ Everything here re-derives expected behaviour from first principles
 (enumeration, brute force) without touching the library's own certification
 paths, so tests cross-check two independent routes.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
-tests call: kernel and pendant directions, the condition-(ii) repair on its
-own, vertex sums and whole-graph Euler circuits.
+tests call: kernel and pendant directions, with the live adjacency, the
++1/-1 sums along a walk and the edge removal they are built from, the
+condition-(ii) repair on its own, vertex sums and whole-graph Euler circuits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,12 +31,9 @@ from kmajority import (
 from kmajority.graph import hierholzer_circuit
 from kmajority.rounding import (
     _TERMINAL,
-    _alternating_direction,
     _assert_zero_sums,
-    _drop,
     _enforce_ii_int,
     _int_sums,
-    _live_adjacency,
     _next_move,
     _scaled_weights,
 )
@@ -589,6 +587,37 @@ def eulerian_circuit(graph: Graph, start=None) -> tuple[int, ...]:
     )
     assert len(circuit) == graph.edge_count
     return tuple(circuit)
+
+
+def _live_adjacency(graph: Graph, live: Iterable[int]) -> list[dict[int, int]]:
+    """Per vertex, live edge -> other end; ``live`` ascending keeps dicts ordered."""
+    nbr: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
+    edges = graph.edges
+    for e in live:
+        u, v = edges[e]
+        nbr[u][e] = v
+        nbr[v][e] = u
+    return nbr
+
+
+def _alternating_direction(walk: Sequence[int]) -> dict[int, int]:
+    """Add up +1/-1 along a walk.
+
+    No coefficient cancels on the kernel's walks: an edge is used twice only
+    on a lollipop stem or a dumbbell path, both times with the same sign.
+    """
+    direction: dict[int, int] = {}
+    sign = 1
+    for e in walk:
+        direction[e] = direction.get(e, 0) + sign
+        sign = -sign
+    return direction
+
+
+def _drop(edges: Sequence[tuple[int, int]], nbr: Sequence[dict[int, int]], e: int) -> None:
+    u, v = edges[e]
+    del nbr[u][e]
+    del nbr[v][e]
 
 
 def _component_adjacency(graph: Graph, support, component):

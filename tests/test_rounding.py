@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -14,8 +16,10 @@ from kmajority import (
     build_graph,
     edge_subgraph,
     is_bipartite,
+    random_min_degree_graph,
     resolve_cycles,
     round_weights,
+    rounding,
 )
 from kmajority.rounding import _certify_int, _int_sums, _Kernel
 from oracles import enforce_condition_ii, find_kernel_direction, pendant_direction, vertex_sums
@@ -445,3 +449,61 @@ def test_certificate_rejects_an_edge_joining_ledger_cycles():
     with pytest.raises(InternalInvariantError, match="joins two ledger cycles"):
         _certify(g, range(7), weights, [1, 0, 1, 1, 0, 1, 0], ledger)
     _certify(g, range(6), weights, [1, 0, 1, 1, 0, 1, -1], ledger)
+
+
+# --------------------------------------------------------------------------
+# pinned outputs
+# --------------------------------------------------------------------------
+
+
+def _pinned_cases():
+    """Seeded (graph, weights, edges) triples covering every kind of move."""
+    cases = []
+    for n, seed in ((40, 1), (70, 2)):
+        g = random_min_degree_graph(n, 18, seed=seed)
+        cases.append((g, [Fraction(5, 18)] * g.edge_count, None))
+        cases.append((g, [Fraction(1, 4)] * g.edge_count, [e for e in range(g.edge_count) if e % 3]))
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 24
+        pairs = sorted(rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], 40))
+        g = build_graph(n, pairs)
+        weights = []
+        for _ in pairs:
+            q = rng.randint(1, 6)
+            weights.append(Fraction(rng.randint(0, q), q))
+        cases.append((g, weights, None))
+    dumbbell = build_graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 3)])
+    cases.append((dumbbell, [THIRD] * 3 + [HALF] + [THIRD] * 3, None))
+    return cases
+
+
+def test_round_weights_outputs_are_pinned(monkeypatch):
+    # The x values and ledgers of a fixed set of roundings, hashed.  The set
+    # makes at least one move with a +-2 stem or path (a lollipop or a
+    # dumbbell) and doubles the scale at least once; both are asserted, so
+    # the digest covers those paths of the kernel.
+    tops, doubled_walks = [], []
+    next_move = rounding._next_move
+
+    def spy_next_move(nbr, vs, es, pos):
+        found = next_move(nbr, vs, es, pos)
+        if found is not None and found[0] == rounding._MOVE and len(set(found[1])) < len(found[1]):
+            doubled_walks.append(found[1])
+        return found
+
+    class SpyKernel(rounding._Kernel):
+        def run(self):
+            found = super().run()
+            tops.append(self.top)
+            return found
+
+    monkeypatch.setattr(rounding, "_next_move", spy_next_move)
+    monkeypatch.setattr(rounding, "_Kernel", SpyKernel)
+    digest = hashlib.sha256()
+    for graph, weights, edges in _pinned_cases():
+        result = round_weights(graph, weights, edges)
+        digest.update(repr((result.x, result.exceptional)).encode())
+    assert max(tops) > 0
+    assert doubled_walks
+    assert digest.hexdigest() == "9677a48d69bf1351ac779aceb0d5fd15b32a57fbcea04cba2e65d58796eacc20"

@@ -11,11 +11,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "scaling.py"
 
 
-@pytest.mark.parametrize("layer", ["eulersplit", "eliminate", "certify"])
+@pytest.mark.parametrize("layer", ["eulersplit", "eliminate", "certify", "kernel"])
 def test_scaling_script_prints_one_row_per_size(layer):
+    # kernel sizes are vertex counts, and minimum degree 18 needs n >= 19
+    sizes = ["20", "40"] if layer == "kernel" else ["4", "8"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), layer, "--copies", "4", "8", "--repeats", "1"],
+        [sys.executable, str(SCRIPT), layer, "--sizes", *sizes, "--repeats", "1"],
         capture_output=True,
         text=True,
         env=env,
@@ -23,4 +25,4 @@ def test_scaling_script_prints_one_row_per_size(layer):
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["best_s", "ratio"]
-    assert [row.split()[0] for row in rows] == ["4", "8"]
+    assert [row.split()[0] for row in rows] == sizes
