@@ -84,13 +84,16 @@ def _report_json(
     }
 
 
-def _dump(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(report: dict, path: Optional[str]) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", path)
 
 
 def cmd_colour(args: argparse.Namespace) -> int:
@@ -135,14 +138,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # file's colour count is reported beside the verdict; the schemes use k+1.
     colours = colouring.colour_count
     if args.json:
-        report = _report_json(
-            "verify",
-            args.k,
-            algorithm=None,
-            verdict=verdict,
-            duration_ms=duration,
-            inputs={args.graph: _digest(args.graph), args.colouring: _digest(args.colouring)},
-        )
+        inputs = {args.graph: _digest(args.graph), args.colouring: _digest(args.colouring)}
+        report = _report_json("verify", args.k, verdict=verdict, duration_ms=duration, inputs=inputs)
         report["colour_count"] = colours
         _dump(report, None)
     elif verdict.passed:
@@ -242,12 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{trial},{graph.vertex_count},{graph.edge_count},{graph.min_degree()},"
             f"{algorithm},{passed},{oracle_nodes},{oracle_result}"
         )
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
 

@@ -98,14 +98,11 @@ def balanced_bicolouring(
             aux_edges += len(odd)
             start = aux
         elif degree_sum // 2 % 2 == 1:
-            if bad_selector is None:
-                u = comp[0]
-            else:
-                u = bad_selector(comp)
-                if u is None:
-                    raise SelectorExhaustedError(
-                        f"no admissible bad vertex in component starting at {comp[0]}"
-                    )
+            u = comp[0] if bad_selector is None else bad_selector(comp)
+            if u is None:
+                raise SelectorExhaustedError(
+                    f"no admissible bad vertex in component starting at {comp[0]}"
+                )
             bad.append(u)
             start = u
         else:

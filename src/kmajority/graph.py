@@ -9,6 +9,7 @@ incident edges in increasing edge-index order, so all derived structures
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BuildError, InputError
@@ -22,7 +23,8 @@ class Graph:
 
     ``adjacency[v]`` holds ``(neighbour, edge_index)`` pairs in increasing
     edge-index order.  Instances are safe to share between concurrent tasks;
-    all operations in this package treat them as read-only.
+    all operations in this package treat them as read-only.  The degree
+    sequence is computed once, on first use.
     """
 
     vertex_count: int
@@ -36,14 +38,18 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def degrees(self) -> tuple[int, ...]:
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
+    def degrees(self) -> tuple[int, ...]:
+        return self._degrees
+
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return min(self._degrees, default=0)
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(self._degrees, default=0)
 
 
 def build_graph(vertex_count: int, edge_pairs: Iterable[Edge]) -> Graph:

@@ -137,9 +137,17 @@ def format_colouring(colouring: EdgeColouring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text; :class:`FormatError` if it is not."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    return parse_graph(_read_text(path))
 
 
 def write_graph(path: str, graph: Graph) -> None:
@@ -149,8 +157,7 @@ def write_graph(path: str, graph: Graph) -> None:
 
 
 def read_colouring(path: str) -> EdgeColouring:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_colouring(handle.read())
+    return parse_colouring(_read_text(path))
 
 
 def write_colouring(path: str, colouring: EdgeColouring) -> None:

@@ -11,8 +11,9 @@ dispatcher :func:`colour_auto` tries them; it never reaches ``general``
   classes with tuned rational weights, leftover edges form the last class.
 * :func:`colour_refined` - minimum degree (3/2)k^2 + (1/2)km + (1/2)k where
   k = 2^n + m - 1: m weighted rounds, then n levels of balanced Euler
-  bisection assign binary colour vectors, with "special" vertices barred
-  from absorbing a second surplus on the same prefix chain.
+  bisection assign binary colour vectors, one split per prefix bucket, with
+  "special" vertices barred from absorbing a second surplus on the same
+  prefix chain.
 * :func:`colour_small_k` - k in {2, 3, 4} at the conjectured-optimal bound
   k^2, via degree reduction to S_k and colour-class surgery that eliminates
   unsplittable monochromatic components.
@@ -28,7 +29,8 @@ from typing import Callable, Optional, Sequence
 from .colouring import EdgeColouring, MajorityVerdict, check_majority
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
-from .graph import Graph, components, edge_subgraph, is_bipartite
+from .graph import Graph, edge_subgraph, is_bipartite
+from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
 from .reductions import pull_back_colouring, raise_to_sk, sk_degrees, split_high_degree
 from .rounding import round_weights
 
@@ -58,7 +60,6 @@ class SchemeReport:
     alphas: tuple[Fraction, ...] = ()
     rounds: tuple[RoundStat, ...] = ()
     elimination: Optional[tuple[int, int]] = None  # (initial bad components, flips)
-    rule_a_max_size: Optional[int] = None
     verdict: Optional[MajorityVerdict] = None
 
     def params_json(self) -> dict:
@@ -251,23 +252,31 @@ def colour_general_2k2(graph: Graph, k: int) -> SchemeOutcome:
 def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at minimum degree (3/2)k^2 + (1/2)km + (1/2)k.
 
-    After m weighted rounds, the leftover graph is coloured with binary
-    vectors of length n, one coordinate per level.  Each level splits every
-    prefix-class component evenly (rule b), except components whose vertices
-    all carry an earlier surplus - those are finished with zeros at once
-    (rule a).  A forced bad vertex becomes "special" for its extended prefix
-    and is never chosen again along that chain.
+    After m weighted rounds, the leftover graph H is coloured with binary
+    vectors of length n, one coordinate per level: each level splits every
+    prefix bucket with one balanced Euler split.  A forced bad vertex becomes
+    "special" for its extended prefix and is never chosen again along that
+    chain.  Every bucket component with an edge holds a vertex that is not
+    special, so the selector never runs dry:
+
+    * :func:`_general_rounds` asserts class degree <= d(v)/k in each round, so
+      d_H(v) >= delta*(k - m)/k = delta*(2^n - 1)/k, as k + 1 = 2^n + m.
+    * A balanced split leaves every vertex at least D/2 - 1 of its D edges on
+      each side, so at level l <= n every vertex has degree at least
+      d_H/2^(l-1) - 2 >= delta/k - 2 >= (3k + 1)/2 - 2 in every bucket.
+    * A bucket component C at level l has at most l - 1 special vertices, at
+      most one per earlier level j: C lies inside one component of the
+      level-j bucket, and each component designates at most one bad vertex.
+    * C has at least (3k + 1)/2 - 1 > log2(k + 1) - 1 >= l - 1 vertices.
     """
     _require("refined", graph, k)
     n_levels, m_rounds, _ = refined_parameters(k)
     colours = [0] * graph.edge_count
     leftover, stats, alphas = _general_rounds(graph, k, m_rounds, colours)
 
-    # Each open edge's colour vector so far, most significant bit first; all
-    # codes at one level have one length, so numeric order is prefix order.
-    code = dict.fromkeys(leftover, 0)
+    # colours[e] holds a leftover edge's vector so far, most significant bit
+    # first; prefixes at one level have one length, so numeric order is prefix order.
     special: dict[int, set[tuple[int, int]]] = {}  # v -> {(j, j-bit prefix ending in 1)}
-    rule_a_max = 0
 
     def special_for_prefix(v: int, level: int, prefix: int) -> bool:
         """Whether a mark (j, bits) of v begins the (level - 1)-bit ``prefix``."""
@@ -276,63 +285,34 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
 
     for level in range(1, n_levels + 1):
         buckets: dict[int, list[int]] = {}
-        for e, prefix in code.items():
-            buckets.setdefault(prefix, []).append(e)
+        for e in leftover:
+            buckets.setdefault(colours[e], []).append(e)
         for prefix in sorted(buckets):
             # The bucket's own subgraph keeps each bucket's cost in its size,
-            # not the whole graph's; rule (b) splits a subset of it in place.
+            # not the whole graph's.
             sub, emap = edge_subgraph(graph, buckets[prefix])
-            rule_b: list[int] = []
-            for comp in components(sub):
-                comp_edges = sorted({j for v in comp for _, j in sub.adjacency[v]})
-                if not comp_edges:
-                    continue
-                if all(special_for_prefix(v, level, prefix) for v in comp):
-                    if len(comp) > n_levels:
-                        raise InternalInvariantError(
-                            f"rule-(a) component has {len(comp)} vertices > n = {n_levels}"
-                        )
-                    rule_a_max = max(rule_a_max, len(comp))
-                    for j in comp_edges:  # remaining coordinates stay 0
-                        colours[emap[j]] = m_rounds + 1 + (prefix << (n_levels - level + 1))
-                        del code[emap[j]]
-                else:
-                    rule_b.extend(comp_edges)
-            if not rule_b:
-                continue
 
             def selector(comp: tuple[int, ...]) -> Optional[int]:
                 return next((v for v in comp if not special_for_prefix(v, level, prefix)), None)
 
-            bic = balanced_bicolouring(sub, selector, rule_b)
-            for j in rule_b:
-                code[emap[j]] = prefix << 1 | bic.side[j]  # blue -> 0, red -> 1
+            bic = balanced_bicolouring(sub, selector)
+            for j, e in enumerate(emap):
+                colours[e] = prefix << 1 | bic.side[j]  # blue -> 0, red -> 1
             for u in bic.bad_vertices:
                 special.setdefault(u, set()).add((level, prefix << 1 | 1))
 
-    for e, value in code.items():
-        colours[e] = m_rounds + 1 + value
+    for e in leftover:
+        colours[e] += m_rounds + 1
 
-    _assert_refined_claim(graph, colours, leftover, k, n_levels, m_rounds)
+    _assert_refined_claim(graph, colours, leftover, n_levels)
     report = SchemeReport(
-        algorithm="refined",
-        k=k,
-        levels=n_levels,
-        head_rounds=m_rounds,
-        alphas=alphas,
-        rounds=tuple(stats),
-        rule_a_max_size=rule_a_max,
+        "refined", k, levels=n_levels, head_rounds=m_rounds, alphas=alphas, rounds=tuple(stats)
     )
     return _finish(graph, colours, report)
 
 
 def _assert_refined_claim(
-    graph: Graph,
-    colours: Sequence[int],
-    leftover: Sequence[int],
-    k: int,
-    n_levels: int,
-    m_rounds: int,
+    graph: Graph, colours: Sequence[int], leftover: Sequence[int], n_levels: int
 ) -> None:
     """Every vector colour obeys count_alpha(v) <= (d_H(v) - 1)/2^n + 3/2."""
     d_h = _degree_in(graph, leftover)

@@ -7,15 +7,18 @@ the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, the
 +1/-1 sums along a walk and the edge removal they are built from, the
 condition-(ii) repair on its own, vertex sums and whole-graph Euler circuits.
+The section before it checks the refined scheme's bucket invariant at each
+Euler split the scheme makes.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from kmajority import (
     PreconditionError,
     build_graph,
     components,
+    schemes,
 )
 from kmajority.graph import hierholzer_circuit
 from kmajority.rounding import (
@@ -546,6 +550,43 @@ def eliminate_by_full_recompute(graph: Graph, bicolouring: Bicolouring, is_bad, 
             raise InternalInvariantError("bad-component count failed to decrease")
         bads = remaining
     return Bicolouring(tuple(side), bicolouring.bad_vertices), (initial, flips)
+
+
+# ---------------------------------------------------------------------------
+# The refined scheme's bucket invariant
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def refined_bucket_checks(levels: int) -> Iterator[list[int]]:
+    """Check every Euler split that ``colour_refined`` makes within the block.
+
+    The scheme's docstring proves that every bucket component with an edge
+    holds a vertex that is not special.  ``schemes.balanced_bicolouring`` is
+    replaced by a wrapper that asserts, for each component of the split graph
+    that has an edge, that it has more than ``levels`` vertices and that the
+    scheme's bad-vertex selector admits one of them.  Yields the sizes of the
+    components checked, so a caller can see that the checks ran.
+    """
+    original = schemes.balanced_bicolouring
+    sizes: list[int] = []
+
+    def checked(graph: Graph, bad_selector=None, edges=None) -> Bicolouring:
+        assert edges is None and bad_selector is not None
+        for comp in components(graph):
+            if len(comp) == 1:  # a lone vertex has no edge
+                continue
+            where = f"the component of vertex {comp[0]} ({len(comp)} vertices)"
+            assert len(comp) > levels, f"{where} has at most {levels} vertices"
+            assert bad_selector(comp) is not None, f"every vertex of {where} is special"
+            sizes.append(len(comp))
+        return original(graph, bad_selector, edges)
+
+    schemes.balanced_bicolouring = checked
+    try:
+        yield sizes
+    finally:
+        schemes.balanced_bicolouring = original
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,17 @@ def test_criterion_5_refined_theorem():
         for trial in range(10):
             n = delta + 2 + trial % 5
             graph = random_min_degree_graph(n, delta, seed=3000 * k + trial)
-            colouring, report = colour_refined(graph, k)
+            # Every bucket component with an edge: more than n vertices, and
+            # one of them not special (the proof in colour_refined).
+            try:
+                with oracles.refined_bucket_checks(levels):
+                    colouring, report = colour_refined(graph, k)
+            except AssertionError:
+                failures.append(("bucket", k, trial))
+                continue
             if not report.verdict.passed:
                 failures.append((k, trial))
                 continue
-            if report.rule_a_max_size is not None and report.rule_a_max_size > levels:
-                failures.append(("rule-a", k, trial))
             # independent claim-bound check from the final colouring alone
             counts = report.verdict.counts
             two_n = 1 << levels

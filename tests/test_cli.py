@@ -79,6 +79,24 @@ def test_absurd_graph_header_exits_2(tmp_path, capsys):
     assert "declares 20000000 vertices" in capsys.readouterr().err
 
 
+def test_graph_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bytes.g"
+    path.write_bytes(b"graph 2 1\n0 1\xff\n")
+    code = main(
+        ["colour", "--k", "2", "--input", str(path), "--output", str(tmp_path / "x.col")]
+    )
+    assert code == 2
+    assert "format error:" in capsys.readouterr().err
+
+
+def test_colouring_file_that_is_not_utf8_exits_2(tmp_path, c4_file, capsys):
+    path = tmp_path / "bytes.col"
+    path.write_bytes(b"colouring 4 3\n0 1\n1 2\n2 1\n3 \xff\n")
+    code = main(["verify", "--k", "2", "--graph", str(c4_file), "--colouring", str(path)])
+    assert code == 2
+    assert "format error:" in capsys.readouterr().err
+
+
 def test_construct_refuses_a_graph_it_could_not_read_back(tmp_path, capsys):
     out = tmp_path / "empty.g"
     code = main(

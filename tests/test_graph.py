@@ -45,6 +45,13 @@ def test_components():
     assert components(build_graph(3, [])) == ((0,), (1,), (2,))
 
 
+def test_degree_sequence_is_computed_once():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert g.degrees() is g.degrees()
+    assert g.degrees() == (2, 2, 3, 1)
+    assert (g.min_degree(), g.max_degree()) == (1, 3)
+
+
 def test_bipartite_sides():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert is_bipartite(c4)

@@ -31,7 +31,7 @@ from kmajority.cli import build_parser
 from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
 from kmajority.graphio import format_colouring
-from oracles import eliminate_by_full_recompute
+from oracles import eliminate_by_full_recompute, refined_bucket_checks
 
 
 def complete_bipartite(a, b):
@@ -150,18 +150,29 @@ def test_refined_colours_at_three_levels_are_pinned():
     """k=7 and k=8 run three levels, and the k=6 and k=8 runs designate one and
     two bad vertices, so the special marks steer the later levels' selectors.
 
-    Rule (a) fires on none of these, and no test reaches that branch: under
-    the hypothesis every leftover degree after m rounds is at least
-    delta*(k-m)/k, so no component of at most n vertices seems able to hold
-    an edge of a bucket.
+    Every bucket component with an edge has more than n vertices and one of
+    them is not special, as ``colour_refined``'s docstring proves.
     """
     digest = hashlib.sha256()
     for k, n in [(6, 67), (7, 78), (8, 105)]:
-        g = random_min_degree_graph(n, math.ceil(refined_parameters(k)[2]), seed=1)
-        colouring, report = colour_refined(g, k)
-        assert report.rule_a_max_size == 0
+        levels, _, bound = refined_parameters(k)
+        g = random_min_degree_graph(n, math.ceil(bound), seed=1)
+        with refined_bucket_checks(levels) as checked:
+            colouring, _ = colour_refined(g, k)
+        assert checked
         digest.update(format_colouring(colouring).encode())
     assert digest.hexdigest() == "82ea002ac58c6f5f2c24eaeffa3979277352ae5c55acb1dca07ab74c897a4b50"
+
+
+@pytest.mark.parametrize("k, n", [(2, 10), (3, 17), (4, 30), (15, 346)])
+def test_refined_bucket_components_hold_a_vertex_that_is_not_special(k, n):
+    # One and two levels at k = 2, 3, 4; k = 15 is the least k with four.
+    levels, _, bound = refined_parameters(k)
+    g = random_min_degree_graph(n, math.ceil(bound), seed=k)
+    with refined_bucket_checks(levels) as checked:
+        colouring, report = colour_refined(g, k)
+    assert report.verdict.passed
+    assert checked
 
 
 # --------------------------------------------------------------------------
