@@ -14,8 +14,10 @@
   pairwise independent is then the largest part of the work.
 * ``kernel``: ``round_weights`` at weight 5/18 on
   ``random_min_degree_graph(n, 18, seed=1)``, the first round of the general
-  scheme at k=3.  The graph is 18-regular with 9n edges, and nearly all the
-  time goes to the walk kernel's moves.
+  scheme at k=3.  The graph is 18-regular with 9n edges.  Two Euler passes,
+  each linear, leave about 30% of the edges fractional, at mean degree about
+  5; most of the time goes to the walk kernel's moves on what is left, whose
+  walks grow with n.
 
 The first three layers time disjoint unions of a clique as the copy count
 doubles, the last a random graph as n doubles.  A linear layer grows about x2

@@ -6,8 +6,10 @@ vertex ``v`` sees each colour on at most ``floor(d(v)/k)`` incident edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Union
 
 from .errors import InputError
 from .graph import Graph
@@ -28,38 +30,55 @@ class MajorityVerdict:
     ``counts[v][i]`` is the number of colour-``i+1`` edges at vertex ``v``.
     ``witness`` is the first violation in (vertex, colour) lexicographic
     order as ``(vertex, colour, count, cap)``; present iff the check fails.
+    The check tallies keys ``v * c + colour - 1``, which run through the
+    pairs in that order: in a list when ``n * c <= n + 2m``, else in a
+    ``Counter``.  ``counts`` is built from the tally when read.
     """
 
     passed: bool
-    counts: tuple[tuple[int, ...], ...]
     witness: Optional[tuple[int, int, int, int]]
+    _shape: tuple[int, int] = field(repr=False, compare=False)  # (n, c)
+    _tally: Union[list[int], Counter] = field(repr=False, compare=False)
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        n, c = self._shape
+        rows = [[0] * c for _ in range(n)]
+        tally = self._tally
+        for key, count in enumerate(tally) if isinstance(tally, list) else tally.items():
+            v, i = divmod(key, c)
+            rows[v][i] = count
+        return tuple(map(tuple, rows))
 
 
 def check_majority(graph: Graph, colouring: EdgeColouring, k: int) -> MajorityVerdict:
-    """Exact incidence counts against the caps ``floor(d(v)/k)``."""
+    """Exact incidence counts against the caps ``floor(d(v)/k)``, in O(n + m)."""
     if k < 2:
         raise InputError(f"majority parameter k must be at least 2, got {k}")
-    if len(colouring.colours) != graph.edge_count:
+    colours = colouring.colours
+    if len(colours) != graph.edge_count:
         raise InputError(
-            f"colouring covers {len(colouring.colours)} edges, graph has {graph.edge_count}"
+            f"colouring covers {len(colours)} edges, graph has {graph.edge_count}"
         )
     c = colouring.colour_count
     if c < 1:
         raise InputError("colour count must be positive")
-    counts = [[0] * c for _ in range(graph.vertex_count)]
-    for e, colour in enumerate(colouring.colours):
-        if not 1 <= colour <= c:
-            raise InputError(f"edge {e} has colour {colour} outside 1..{c}")
-        u, v = graph.edges[e]
-        counts[u][colour - 1] += 1
-        counts[v][colour - 1] += 1
-    witness = None
-    for v in range(graph.vertex_count):
-        cap = graph.degree(v) // k
-        for i in range(c):
-            if counts[v][i] > cap:
-                witness = (v, i + 1, counts[v][i], cap)
-                break
-        if witness:
-            break
-    return MajorityVerdict(witness is None, tuple(tuple(row) for row in counts), witness)
+    if colours and not (1 <= min(colours) and max(colours) <= c):
+        e, colour = next((e, a) for e, a in enumerate(colours) if not 1 <= a <= c)
+        raise InputError(f"edge {e} has colour {colour} outside 1..{c}")
+    n, ends = graph.vertex_count, graph.edges
+    caps = [d // k for d in graph.degrees()]
+    if n * c <= n + 2 * len(colours):  # a table of every key is O(n + m), and faster
+        tally: Union[list[int], Counter] = [0] * (n * c)
+        for (u, v), colour in zip(ends, colours):
+            tally[u * c + colour - 1] += 1
+            tally[v * c + colour - 1] += 1
+        pairs = enumerate(tally)
+    else:  # an absurd colour count: only the keys that occur
+        tally = Counter([u * c + colour - 1 for (u, _), colour in zip(ends, colours)])
+        tally.update([v * c + colour - 1 for (_, v), colour in zip(ends, colours)])
+        pairs = tally.items()
+    first = min((key for key, count in pairs if count > caps[key // c]), default=-1)
+    v, i = divmod(first, c)
+    witness = (v, i + 1, tally[first], caps[v]) if first >= 0 else None
+    return MajorityVerdict(witness is None, witness, (n, c), tally)

@@ -227,6 +227,9 @@ def exhaustive_search(
     interchangeable).  If ``colour_count * floor(delta/k) < delta`` the
     minimum-degree vertex cannot cover its edges and the search is settled
     immediately with ``node_count = 0``.
+    Only colours up to min(c, m) are tried: a later one would only repeat a
+    fresh colour's failure, so the outcome and ``node_count`` are as over all
+    c, except that a vertex of degree 1..k-1 (no colouring) is settled sooner.
     """
     if colour_count < 1:
         raise InputError(f"colour count must be positive, got {colour_count}")
@@ -246,7 +249,8 @@ def exhaustive_search(
         range(m), key=lambda e: (-min(graph.degree(graph.edges[e][0]),
                                       graph.degree(graph.edges[e][1])), e)
     )
-    counts = [[0] * colour_count for _ in range(graph.vertex_count)]
+    searched = min(colour_count, m)
+    counts = [[0] * searched for _ in range(graph.vertex_count)]
     chosen = [0] * m  # colour currently applied at each position, 0 = none
     nodes = 0
     pos = 0
@@ -262,7 +266,7 @@ def exhaustive_search(
             return SearchOutcome(colouring, nodes, False)
         e = order[pos]
         u, v = graph.edges[e]
-        limit = 1 if pos == 0 else colour_count
+        limit = 1 if pos == 0 else searched
         advanced = False
         for colour in range(chosen[pos] + 1, limit + 1):
             if counts[u][colour - 1] < caps[u] and counts[v][colour - 1] < caps[v]:

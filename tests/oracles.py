@@ -7,8 +7,10 @@ the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, the
 +1/-1 sums along a walk and the edge removal they are built from, the
 condition-(ii) repair on its own, vertex sums and whole-graph Euler circuits.
-The section before it checks the refined scheme's bucket invariant at each
-Euler split the scheme makes.
+The sections before it check the refined scheme's bucket invariant at each
+Euler split the scheme makes, check each move of the rounding kernel's Euler
+passes, and keep the exhaustive oracle's plain backtracking loop as a
+reference.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from kmajority import (
     PreconditionError,
     build_graph,
     components,
+    rounding,
     schemes,
 )
 from kmajority.graph import hierholzer_circuit
@@ -587,6 +590,111 @@ def refined_bucket_checks(levels: int) -> Iterator[list[int]]:
         yield sizes
     finally:
         schemes.balanced_bicolouring = original
+
+
+# ---------------------------------------------------------------------------
+# The rounding kernel's Euler-pass moves
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def euler_move_checks() -> Iterator[list[list[int]]]:
+    """Check every move that the rounding kernel's Euler passes make within the block.
+
+    ``rounding._euler_trails`` is replaced by a wrapper that asserts, for each
+    trail of a pass, that its edges are live and distinct (within the trail
+    and across the pass's trails), that it is a closed trail (each edge
+    shares an end with the next, and the last returns to where the first
+    left) and that its length is even; the +1/-1 move along it is then
+    checked to sum to zero at every vertex.  Yields the trails checked, so a
+    caller can see that the checks ran.
+    """
+    original = rounding._euler_trails
+    checked_trails: list[list[int]] = []
+
+    def checked(edges, nbr, live, used, cursors):
+        trails = original(edges, nbr, live, used, cursors)
+        taken: set[int] = set()
+        for trail in trails:
+            assert len(trail) >= 4 and len(trail) % 2 == 0, f"trail {trail} is not even"
+            for e in trail:
+                u, v = edges[e]
+                assert nbr[u].get(e) == v and nbr[v].get(e) == u, f"edge {e} is not live"
+                assert e not in taken, f"edge {e} is used twice in one pass"
+                taken.add(e)
+            first, second = set(edges[trail[0]]), set(edges[trail[1]])
+            assert len(first - second) == 1, f"trail {trail} does not start a walk"
+            start = at = (first - second).pop()
+            sums: dict[int, int] = {}
+            for i, e in enumerate(trail):
+                a, b = edges[e]
+                assert at in (a, b), f"trail {trail} breaks at edge {e}"
+                sign = 1 if i % 2 == 0 else -1
+                sums[a] = sums.get(a, 0) + sign
+                sums[b] = sums.get(b, 0) + sign
+                at = b if at == a else a
+            assert at == start, f"trail {trail} is not closed"
+            assert not any(sums.values()), f"move along {trail} has a nonzero vertex sum"
+        checked_trails.extend(trails)
+        return trails
+
+    rounding._euler_trails = checked
+    try:
+        yield checked_trails
+    finally:
+        rounding._euler_trails = original
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive oracle's reference loop
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_search_reference(graph: Graph, k: int, colour_count: int, node_limit: int):
+    """The oracle's backtracking over all ``colour_count`` colours, unbounded.
+
+    The same edge order, the same caps and the same node counting as
+    ``exhaustive_search``, with one counter per vertex and colour.  Returns
+    ``(colours or None, node_count, limit_hit)``.
+    """
+    m = graph.edge_count
+    delta = graph.min_degree()
+    if m == 0:
+        return (), 0, False
+    if colour_count * (delta // k) < delta:
+        return None, 0, False
+    caps = [graph.degree(v) // k for v in range(graph.vertex_count)]
+    order = sorted(
+        range(m), key=lambda e: (-min(graph.degree(w) for w in graph.edges[e]), e)
+    )
+    counts = [[0] * (colour_count + 1) for _ in range(graph.vertex_count)]
+    chosen = [0] * m
+    nodes = pos = 0
+    while pos < m:
+        u, v = graph.edges[order[pos]]
+        limit = 1 if pos == 0 else colour_count
+        for colour in range(chosen[pos] + 1, limit + 1):
+            if counts[u][colour] < caps[u] and counts[v][colour] < caps[v]:
+                if nodes >= node_limit:
+                    return None, nodes, True
+                nodes += 1
+                counts[u][colour] += 1
+                counts[v][colour] += 1
+                chosen[pos] = colour
+                pos += 1
+                break
+        else:
+            chosen[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return None, nodes, False
+            u, v = graph.edges[order[pos]]
+            counts[u][chosen[pos]] -= 1
+            counts[v][chosen[pos]] -= 1
+    colours = [0] * m
+    for p, e in enumerate(order):
+        colours[e] = chosen[p]
+    return tuple(colours), nodes, False
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,18 @@ def test_verify_failure_reports_witness(tmp_path):
     assert code == 1
 
 
+def test_verify_accepts_the_empty_graph(tmp_path, capsys):
+    graph_path = tmp_path / "empty.g"
+    graph_path.write_text("graph 0 0\n")
+    col_path = tmp_path / "empty.col"
+    col_path.write_text("colouring 0 1\n")
+    code = main(
+        ["verify", "--k", "2", "--graph", str(graph_path), "--colouring", str(col_path)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.startswith("valid 1/2-majority colouring")
+
+
 def test_verify_edge_count_mismatch_exits_2(tmp_path, c4_file):
     col_path = tmp_path / "short.col"
     col_path.write_text("colouring 3 3\n0 1\n1 2\n2 3\n")

@@ -253,6 +253,33 @@ def test_colour_counts_sum_to_degree(gw):
         assert sum(verdict.counts[v]) == g.degree(v)
 
 
+@given(strategies.graphs(), st.integers(2, 3), st.data())
+def test_majority_verdict_matches_direct_counts(g, k, data):
+    # A colour count past n + 2m is tallied in a Counter of the keys that
+    # occur, a smaller one in a list; both must give the direct counts.
+    colours, c = data.draw(strategies.colourings(g))
+    for colour_count in (c, c + 2 * (g.vertex_count + g.edge_count)):
+        counts = [[0] * colour_count for _ in range(g.vertex_count)]
+        for (u, v), colour in zip(g.edges, colours):
+            counts[u][colour - 1] += 1
+            counts[v][colour - 1] += 1
+        over = [
+            (v, i + 1, row[i], g.degree(v) // k)
+            for v, row in enumerate(counts)
+            for i in range(colour_count)
+            if row[i] > g.degree(v) // k
+        ]
+        verdict = check_majority(g, EdgeColouring(colours, colour_count), k)
+        assert verdict.witness == (over[0] if over else None)
+        assert verdict.passed == (not over)
+        assert verdict.counts == tuple(map(tuple, counts))
+
+
+def test_empty_graph_passes_the_majority_check():
+    verdict = check_majority(build_graph(0, []), EdgeColouring((), 3), 2)
+    assert verdict.passed and verdict.witness is None and verdict.counts == ()
+
+
 def test_edge_subgraph_keeps_vertices_and_maps_edges():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
     sub, emap = edge_subgraph(g, [5, 1, 3])

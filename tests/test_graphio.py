@@ -8,6 +8,7 @@ from kmajority import (
     EdgeColouring,
     FormatError,
     build_graph,
+    check_majority,
     format_colouring,
     format_graph,
     parse_colouring,
@@ -116,6 +117,21 @@ def test_colouring_header_is_bounded_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_absurd_colour_count_is_checked_without_a_table():
+    # One counter per vertex and colour would take about 32 MB here; the
+    # 24-byte file is parsed and checked in O(n + m).
+    graph = build_graph(2, [(0, 1)])
+    tracemalloc.start()
+    try:
+        colouring = parse_colouring("colouring 1 1000000\n0 1\n")
+        verdict = check_majority(graph, colouring, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not verdict.passed and verdict.witness == (0, 1, 1, 0)
 
 
 @given(strategies.graphs())

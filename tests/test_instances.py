@@ -1,9 +1,12 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import strategies
 from kmajority import (
     EdgeColouring,
@@ -122,6 +125,39 @@ def test_oracle_empty_graph_trivially_colourable():
     g = build_graph(3, [])
     outcome = exhaustive_search(g, 2, 1)
     assert outcome.found and outcome.colouring.colours == ()
+
+
+def test_oracle_colour_count_past_the_edge_count_allocates_nothing_more():
+    # One counter per vertex and colour would take about 64 MB here, and the
+    # colouring's check another 128 MB.
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    tracemalloc.start()
+    try:
+        outcome = exhaustive_search(c4, 2, 2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert outcome.colouring.colour_count == 2_000_000
+    assert outcome.colouring.colours == exhaustive_search(c4, 2, 4).colouring.colours
+    assert (outcome.node_count, outcome.limit_hit) == (4, False)
+
+
+@given(strategies.graphs(max_vertices=6, max_edges=7), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_oracle_matches_the_search_over_every_colour(g, k, data):
+    # The oracle searches min(c, m) colours; past m it must agree with the
+    # plain loop over all c, node for node, unless some vertex has a degree
+    # in 1..k-1, where no colouring exists at all.
+    m = g.edge_count
+    colour_count = data.draw(st.integers(1, m + 3))
+    outcome = exhaustive_search(g, k, colour_count, node_limit=20_000)
+    colours, nodes, limit_hit = oracles.exhaustive_search_reference(g, k, colour_count, 20_000)
+    if any(0 < d < k for d in g.degrees()):
+        assert not outcome.found and colours is None
+        return
+    assert outcome.node_count == nodes and outcome.limit_hit == limit_hit
+    assert (outcome.colouring.colours if outcome.found else None) == colours
 
 
 @given(strategies.graphs(min_vertices=2, max_vertices=6, max_edges=8))

@@ -16,7 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
-    "large_graphs": "813880ac5b6bb79c6905b4603f4aee175270c0e9110ee39d4f127c2e28adebe4",
+    "large_graphs": "3749b2c1c9359ba3a889b8dab5c37c6ccd6e3a599f97bbdbe022ad3bebb60159",
     "many_components": "a89ffb1936b0ea4dcb7effe9635666a82333da0a52710bf27bef4f277d1f8d45",
     "threshold_sweep": "686107a0d436d5bedcfb35c82c640d678d394bb0a626ad0725ee36c39cfc4816",
 }

@@ -349,6 +349,73 @@ def test_many_odd_cycles_certified(gw):
 
 
 # --------------------------------------------------------------------------
+# Euler passes on dense supports
+# --------------------------------------------------------------------------
+
+
+def dense_shapes():
+    """Supports dense enough for Euler passes: even-regular and all-odd-degree
+    circulants and their disjoint unions, and near-cliques with hubs."""
+    return st.one_of(
+        strategies.regular_unions([(10, 8), (13, 10), (17, 12), (11, 10)]),
+        strategies.regular_unions([(10, 9), (12, 9), (14, 11), (16, 13)]),
+        strategies.regular_unions([(10, 8), (12, 9), (13, 10), (14, 11)], max_parts=3),
+        strategies.hub_unions(3),
+    )
+
+
+@given(dense_shapes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_euler_pass_moves_are_even_closed_trails(graph, data):
+    m = graph.edge_count
+    uniform = data.draw(st.booleans())
+    if uniform:
+        weights = [data.draw(st.sampled_from([THIRD, Fraction(5, 18), Fraction(2, 7)]))] * m
+    else:
+        mixed = [Fraction(0), THIRD, HALF, Fraction(2, 5), Fraction(5, 18), Fraction(1)]
+        weights = data.draw(st.lists(st.sampled_from(mixed), min_size=m, max_size=m))
+    everything = set(range(m))
+    few = strategies.edge_subsets(graph).filter(lambda s: len(s) <= 4)
+    subset = data.draw(st.one_of(st.just(everything), few.map(lambda s: everything - s)))
+    with oracles.euler_move_checks() as trails:
+        result = round_weights(graph, weights, sorted(subset))
+    if uniform and subset == everything:
+        assert trails  # every vertex has degree at least 8: the passes ran
+    sub, emap = edge_subgraph(graph, subset)
+    new_id = {e: j for j, e in enumerate(emap)}
+    x = [Fraction(result.x[e]) for e in emap]
+    ledger = [(v, tuple(new_id[e] for e in cycle)) for v, cycle in result.exceptional]
+    assert oracles.check_certificate(sub, [weights[e] for e in emap], x, ledger)
+
+
+def test_first_euler_pass_makes_half_of_a_uniform_support_integral():
+    # A connected 10-regular circulant with 110 edges at 5/18: F is empty,
+    # and the one Euler circuit is even, so one move pushes the 55 edges
+    # at -1 to 0 and the 55 at +1 to 10/18.  The support left has mean
+    # degree 5, so no second pass runs.
+    g = build_graph(22, strategies.circulant_edges(22, 10))
+    kernel = _Kernel(g, 18, [5] * g.edge_count)
+    with oracles.euler_move_checks() as trails:
+        kernel._euler_passes([-1] * g.vertex_count)
+    assert [len(trail) for trail in trails] == [110]
+    assert sorted(kernel.x) == [0] * 55 + [10] * 55
+    assert sum(map(len, kernel.nbr)) == 2 * 55
+
+
+def test_odd_trail_keeps_an_even_closed_half():
+    # A triangle 0-1-2 and a square 1-3-4-5 sharing vertex 1: an odd closed
+    # trail through all 7 edges holds exactly one even closed half, the square.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 5), (5, 1)])
+    # From 3, vertex 1 repeats 3 edges after its first visit: the triangle
+    # is cut off and the rest kept.
+    assert rounding._even_half(g.edges, 3, [4, 5, 6, 1, 2, 0, 3]) == [3, 4, 5, 6]
+    # From 0, the one repeat (vertex 1) is 4 edges on: its segment is kept.
+    assert rounding._even_half(g.edges, 0, [0, 3, 4, 5, 6, 1, 2]) == [3, 4, 5, 6]
+    # A simple odd cycle has no even closed half.
+    assert rounding._even_half(g.edges, 0, [0, 1, 2]) == []
+
+
+# --------------------------------------------------------------------------
 # rounding an edge subset of a graph
 # --------------------------------------------------------------------------
 
@@ -506,4 +573,4 @@ def test_round_weights_outputs_are_pinned(monkeypatch):
         digest.update(repr((result.x, result.exceptional)).encode())
     assert max(tops) > 0
     assert doubled_walks
-    assert digest.hexdigest() == "9677a48d69bf1351ac779aceb0d5fd15b32a57fbcea04cba2e65d58796eacc20"
+    assert digest.hexdigest() == "09978749d0f8dd15905221137667728b42ed9122504cda8df9c8ceb6ab65f14b"
