@@ -18,11 +18,17 @@
   each linear, leave about 30% of the edges fractional, at mean degree about
   5; most of the time goes to the walk kernel's moves on what is left, whose
   walks grow with n.
+* ``smallk``: ``colour_small_k`` at k=4 on
+  ``random_min_degree_graph(n, 16, seed=1)``, which is 16-regular with 8n
+  edges.  Every vertex needs 3 more edges to reach S_4; at the default sizes
+  ``fill_within_components`` finds them all among the graph's own non-edges,
+  so no copy is lifted.  The column ``lifted`` counts the edges of the graph
+  that ``colour_sk_graph`` colours.
 
 The first three layers time disjoint unions of a clique as the copy count
-doubles, the last a random graph as n doubles.  A linear layer grows about x2
-per doubling; the script prints the best-of-N time per size, with the garbage
-collector off, and the ratio to the previous size.
+doubles, the last two a random graph as n doubles.  A linear layer grows
+about x2 per doubling; the script prints the best-of-N time per size, with
+the garbage collector off, and the ratio to the previous size.
 """
 
 import argparse
@@ -32,9 +38,13 @@ from fractions import Fraction
 from kmajority import (
     balanced_bicolouring,
     build_graph,
+    colour_small_k,
     eliminate_bad_components,
+    fill_within_components,
+    raise_to_sk,
     random_min_degree_graph,
     round_weights,
+    split_high_degree,
 )
 
 
@@ -73,6 +83,12 @@ def kernel(graph):
     return lambda: round_weights(graph, weights), None
 
 
+def smallk(graph):
+    split, _ = split_high_degree(graph, 4)
+    lifted, _ = raise_to_sk(fill_within_components(split, 4), 4)
+    return lambda: colour_small_k(graph, 4), lifted.edge_count
+
+
 def cliques(size):
     return lambda copies: clique_union(size, copies)
 
@@ -89,6 +105,13 @@ LAYERS = {
         None,
         kernel,
     ),
+    "smallk": (
+        lambda n: random_min_degree_graph(n, 16, seed=1),
+        [250, 500, 1000, 2000],
+        "n",
+        "lifted",
+        smallk,
+    ),
 }
 
 
@@ -97,7 +120,7 @@ def main() -> int:
     parser.add_argument("layer", choices=LAYERS)
     parser.add_argument(
         "--sizes", type=int, nargs="+",
-        help="copy counts, or vertex counts for kernel (default per layer)",
+        help="copy counts, or vertex counts for kernel and smallk (default per layer)",
     )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()

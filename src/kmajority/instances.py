@@ -224,12 +224,12 @@ def exhaustive_search(
     Edges are assigned in non-increasing order of min-endpoint degree (ties by
     index); per-vertex per-colour counters prune against the caps
     ``floor(d/k)``, and the first edge is fixed to colour 1 (colours are
-    interchangeable).  If ``colour_count * floor(delta/k) < delta`` the
-    minimum-degree vertex cannot cover its edges and the search is settled
-    immediately with ``node_count = 0``.
+    interchangeable).  If ``colour_count * floor(delta/k) < delta``, or a
+    vertex of degree 1..k-1 has cap 0, a vertex cannot cover its edges and
+    the search is settled immediately with ``node_count = 0``.
     Only colours up to min(c, m) are tried: a later one would only repeat a
     fresh colour's failure, so the outcome and ``node_count`` are as over all
-    c, except that a vertex of degree 1..k-1 (no colouring) is settled sooner.
+    c, except that a vertex of degree 1..k-1 is settled sooner.
     """
     if colour_count < 1:
         raise InputError(f"colour count must be positive, got {colour_count}")
@@ -242,7 +242,7 @@ def exhaustive_search(
         return SearchOutcome(EdgeColouring((), colour_count), 0, False)
     delta = graph.min_degree()
     caps = [graph.degree(v) // k for v in range(graph.vertex_count)]
-    if colour_count * (delta // k) < delta:
+    if colour_count * (delta // k) < delta or any(0 < d < k for d in graph.degrees()):
         return SearchOutcome(None, 0, False)
 
     order = sorted(

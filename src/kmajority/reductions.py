@@ -1,28 +1,26 @@
 """Degree-confining graph transforms and colouring pull-back.
 
-Two reductions let the small-k colouring schemes assume every degree lies in
+The small-k colouring schemes may assume every degree lies in
 
     S_k = { i : k^2 <= i < 2k^2, i = k-1 (mod k) }
 
-without losing generality:
-
-* :func:`split_high_degree` replaces each vertex of degree >= 2k^2 by several
-  vertices of degree in [k^2, 2k^2), partitioning its incident edges; every
-  edge keeps its id.
-* :func:`raise_to_sk` lifts each component that needs it: it adds the fewest
-  fresh copies (at most 3 for k <= 4) and joins the copies of every vertex by
-  a small regular circulant, so every degree gains at most k-1, lands in S_k
-  and keeps its majority cap: floor(d_new/k) = floor(d_old/k).  The input's
-  edges keep their ids and the new edges follow them.
-
-So edge e of the original graph is edge e of either transformed graph, and
-:func:`pull_back_colouring` keeps the first m colours of a valid colouring of
-the transformed graph; the result stays valid thanks to the cap arithmetic.
+A vertex of degree d in [k^2, 2k^2) needs t = (k-1-d) mod k more edges to
+reach S_k, and keeps its majority cap: floor((d+t)/k) = floor(d/k).
+:func:`split_high_degree` splits each vertex of degree >= 2k^2 into parts of
+degree in [k^2, 2k^2); :func:`fill_within_components` joins non-adjacent
+vertices of one component that both need degree; :func:`raise_to_sk` meets
+the rest of the need with fresh copies of each component (at most 3 for
+k <= 4).  Each step keeps its input's edge ids and appends its new edges, so
+:func:`pull_back_colouring` keeps the first m colours.  They stay valid: a
+colour's count at v in G is at most its count in the supergraph, which is at
+most floor(d'/k) = floor(d/k) (the caps of a split vertex's parts sum to at
+most its own).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -54,12 +52,15 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
     A vertex of degree n*k^2 + d (with k^2 <= d < 2k^2) becomes n+1 vertices
     taking d, k^2, ..., k^2 of its incident edges, assigned in increasing
     neighbour order.  Edges keep their indices; only endpoints are renamed.
+    A graph with no such vertex comes back as the same object.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
     ksq = k * k
     if graph.min_degree() < ksq:
         raise PreconditionError(f"minimum degree {graph.min_degree()} below k^2 = {ksq}")
+    if graph.max_degree() < 2 * ksq:
+        return graph, SplitTrace(tuple(range(graph.vertex_count)))
     origin: list[int] = []
     first_part: list[int] = [0] * graph.vertex_count
     part_of_edge: dict[tuple[int, int], int] = {}  # (vertex, edge) -> part offset
@@ -87,18 +88,87 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
     return out, SplitTrace(tuple(origin))
 
 
+def _copy_count(needs: list[int]) -> int:
+    """Copies of a component that :func:`raise_to_sk` joins (1: none): the fewest
+    c carrying a t-regular simple graph for every need t."""
+    c = max(needs, default=0) + 1
+    if c % 2 and any(t % 2 for t in needs):
+        c += 1
+    return c
+
+
+def fill_within_components(graph: Graph, k: int) -> Graph:
+    """Join non-adjacent vertices of one component that both need degree.
+
+    Each vertex in turn takes the lowest later vertices of its component that
+    still need degree and are not its neighbours (a linked list: O(n + m +
+    nk)); the few left short, pairwise adjacent, then trade for new edges.  A
+    component keeps its new edges only if they lower its copy count, so the
+    lift never grows.  New edges follow the input's; none kept, the input
+    comes back as it is.
+    """
+    left = [(k - 1 - d) % k for d in graph.degrees()]
+    if not any(left):
+        return graph
+    adjacency = graph.adjacency
+    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
+    added: list[Edge] = []
+    for comp in components(graph):
+        order = [v for v in comp if left[v]]
+        before = _copy_count([left[v] for v in order])
+        new: list[Edge] = []
+        after = list(range(1, len(order) + 1))  # after[i]: next listed position
+        for i, v in enumerate(order):
+            if not left[v]:  # met by earlier vertices, and off the list
+                continue
+            for u, _ in adjacency[v]:
+                marked[u] = v
+            prev, j = i, after[i]
+            while left[v] and j < len(order):
+                w = order[j]
+                if marked[w] != v:
+                    new.append((v, w))
+                    left[v] -= 1
+                    left[w] -= 1
+                    if not left[w]:
+                        after[prev] = j = after[j]
+                        continue
+                prev, j = j, after[j]
+        short = [v for v in order if left[v]]
+        for v, u in product(short, repeat=2):
+            while new and left[v] and left[u] > (u == v) and _swap_in(new, adjacency, v, u):
+                left[v] -= 1
+                left[u] -= 1
+        if new and _copy_count([left[v] for v in order]) < before:
+            added.extend(new)
+    return _assemble(graph.vertex_count, graph.edges + tuple(added)) if added else graph
+
+
+def _swap_in(new: list[Edge], adjacency, v: int, u: int) -> bool:
+    """Trade a new edge ab, a not next to v and b not next to u, for va and ub
+    (a linear scan); whether one was found."""
+    near = {x: {x, *(y for y, _ in adjacency[x])} for x in (v, u)}
+    for x, y in chain(new, (ab[::-1] for ab in new)):
+        if x in near:
+            near[x].add(y)
+    for i, ab in enumerate(new):
+        for a, b in (ab, ab[::-1]):
+            if a not in near[v] and b not in near[u] and a != u and b != v:
+                new[i] = (v, a)
+                new.append((u, b))
+                return True
+    return False
+
+
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     """Lift every degree into S_k by joining fresh copies of each component.
 
-    A vertex of degree d needs t = (k-1-d) mod k more edges, which keeps its
-    cap: floor((d+t)/k) = floor(d/k).  A component whose t are all 0 is left
-    as it is.  Any other component gets the fewest copies c for which every
-    t-regular simple graph on c vertices exists (c > max t, and c even when
-    some t is odd), and the c copies of each vertex v are joined by the
-    t_v-regular circulant on Z_c with steps 1..floor(t_v/2), plus c/2 when
-    t_v is odd.  The input keeps all its vertex and edge indices; fresh
-    copies and their joining edges follow in order of each component's least
-    vertex.  Restricted to k <= 4, so c <= 4.
+    A component whose needs t are all 0 is left as it is.  Any other gets
+    c = :func:`_copy_count` copies, and the c copies of each vertex v are
+    joined by the t_v-regular circulant on Z_c with steps 1..floor(t_v/2),
+    plus c/2 when t_v is odd.  The input keeps all its vertex and edge
+    indices; fresh copies and their joining edges follow in order of each
+    component's least vertex.  Restricted to k <= 4, so c <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -126,12 +196,9 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     vertex_count = graph.vertex_count
     copies = 0
     for comp, local_edges in zip(comps, comp_edges):
-        top = max(need[v] for v in comp)
-        if top == 0:
+        c = _copy_count([need[v] for v in comp])
+        if c == 1:
             continue
-        c = top + 1
-        if c % 2 and any(need[v] % 2 for v in comp):
-            c += 1
         copies = max(copies, c - 1)
         # The t-regular circulant on Z_c, for each t: steps 1..t/2 and c/2.
         circulant = [

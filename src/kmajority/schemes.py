@@ -31,7 +31,8 @@ from .errors import InputError, InternalInvariantError, PreconditionError
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
 from .graph import Graph, edge_subgraph, is_bipartite
 from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
-from .reductions import pull_back_colouring, raise_to_sk, sk_degrees, split_high_degree
+from .reductions import fill_within_components, pull_back_colouring, raise_to_sk, sk_degrees
+from .reductions import split_high_degree
 from .rounding import round_weights
 
 
@@ -611,12 +612,13 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
-    Reduces to degrees in S_k (vertex splitting, then a per-component lift),
-    colours the reduced graph, and pulls the colouring back by edge id.
+    Reduces to degrees in S_k (vertex splitting, a fill within components,
+    then a per-component lift), colours the reduced graph, and pulls the
+    colouring back by edge id.
     """
     _require("small-k", graph, k)
     split_graph, _ = split_high_degree(graph, k)
-    lifted, _ = raise_to_sk(split_graph, k)
+    lifted, _ = raise_to_sk(fill_within_components(split_graph, k), k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
     return _finish(graph, pull_back_colouring(reduced_colouring, graph).colours, reduced_report)
 

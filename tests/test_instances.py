@@ -101,6 +101,15 @@ def test_oracle_rejects_leaf_graphs_immediately():
     assert outcome.node_count == 0  # pigeonhole pre-filter
 
 
+def test_oracle_settles_a_low_degree_vertex_beside_an_isolated_one():
+    # K7, a pendant edge at vertex 0 and an isolated vertex: delta = 0 passes
+    # the pigeonhole check, but the pendant vertex has cap 0 at k=2.
+    pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)] + [(0, 7)]
+    outcome = exhaustive_search(build_graph(9, pairs), 2, 3, node_limit=2_000_000)
+    assert not outcome.found and not outcome.limit_hit
+    assert outcome.node_count == 0
+
+
 def test_oracle_finds_cycle_colouring():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     outcome = exhaustive_search(c4, 2, 3)

@@ -16,9 +16,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
-    "large_graphs": "3749b2c1c9359ba3a889b8dab5c37c6ccd6e3a599f97bbdbe022ad3bebb60159",
-    "many_components": "a89ffb1936b0ea4dcb7effe9635666a82333da0a52710bf27bef4f277d1f8d45",
-    "threshold_sweep": "686107a0d436d5bedcfb35c82c640d678d394bb0a626ad0725ee36c39cfc4816",
+    "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
+    "many_components": "c839ef15b560a8f77c42292b7201c17e3cc869076c7f761e5ca7ee5595870e60",
+    "threshold_sweep": "9dedb916812f71bfffbe1fde8ea4106a2637760c221c06725ea57d003ad30c46",
 }
 
 

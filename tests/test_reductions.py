@@ -14,6 +14,7 @@ from kmajority import (
     colour_sk_graph,
     colour_small_k,
     components,
+    fill_within_components,
     pull_back_colouring,
     raise_to_sk,
     random_min_degree_graph,
@@ -50,6 +51,13 @@ def test_split_leaves_low_degrees_alone():
     g = complete_graph(8)  # 7-regular < 2k^2 for k=2
     out, trace = split_high_degree(g, 2)
     assert out == g
+    assert trace.origin == tuple(range(8))
+
+
+def test_split_with_nothing_to_split_returns_its_input():
+    g = complete_graph(8)  # 7-regular < 2k^2 for k=2
+    out, trace = split_high_degree(g, 2)
+    assert out is g
     assert trace.origin == tuple(range(8))
 
 
@@ -173,6 +181,49 @@ def test_lift_copies_per_clique_of_a_union():
     out, trace = raise_to_sk(split, 3)
     assert _copies_per_component(split, out) == [3, 1, 1, 2, 4, 3]
     assert trace.copies == 3
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
+    g = data.draw(strategies.degree_window_unions(k) | strategies.hub_unions(k))
+    split, _ = split_high_degree(g, k)
+    out = fill_within_components(split, k)
+    assert build_graph(out.vertex_count, out.edges) == out
+    assert out.edges[: split.edge_count] == split.edges
+    assert out.vertex_count == split.vertex_count
+    assert components(out) == components(split)
+    assert all(out.degree(v) // k == split.degree(v) // k for v in range(split.vertex_count))
+    assert raise_to_sk(out, k)[0].edge_count <= raise_to_sk(split, k)[0].edge_count
+    colouring, report = colour_small_k(g, k)
+    assert report.verdict.passed
+    assert check_majority(g, colouring, k).passed
+
+
+def test_fill_completes_a_sixteen_regular_graph_on_twenty_vertices():
+    # Each vertex needs 3 at k=4 and misses exactly 3 others: K20, 19 in S_4.
+    g = random_min_degree_graph(20, 16, seed=1)
+    assert set(g.degrees()) == {16}
+    out = fill_within_components(g, 4)
+    assert {frozenset(e) for e in out.edges} == {frozenset(e) for e in complete_graph(20).edges}
+    assert raise_to_sk(out, 4)[1].copies == 0
+
+
+def test_fill_leaves_a_clique_as_it_is():
+    g = complete_graph(10)  # 9-regular at k=3 needs 2, but has no non-edges
+    assert fill_within_components(g, 3) is g
+
+
+def test_fill_that_would_raise_the_copy_count_is_dropped():
+    # K13 minus these pairs, at k=3: its needs are 2 and 0, so 3 copies.
+    # The fill would leave one vertex needing 1, an odd need: 4 copies.
+    missing = {(0, 1), (0, 9), (0, 12), (1, 2), (1, 9), (2, 3), (2, 11), (3, 7), (3, 11),
+               (4, 7), (7, 11), (9, 12), (10, 12)}
+    g = build_graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                         if (u, v) not in missing])
+    assert fill_within_components(g, 3) is g
+    assert raise_to_sk(g, 3)[1].copies == 2
 
 
 def test_raise_preconditions_and_size_guard():

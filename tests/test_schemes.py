@@ -216,7 +216,7 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
     assert report.verdict.passed
     assert (
         hashlib.sha256(bytes(colouring.colours)).hexdigest()
-        == "252b9ba281ac2f5df448c39a343af4b47d47d7f1037c24bd5b44b3ad6774b9bc"
+        == "51325352a35e28c8f9bb04a459ac465f8e0a4f1acbf9fc2fd5a20951e52b6026"
     )
 
 
