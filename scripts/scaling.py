@@ -21,8 +21,8 @@
 * ``smallk``: ``colour_small_k`` at k=4 on
   ``random_min_degree_graph(n, 16, seed=1)``, which is 16-regular with 8n
   edges.  Every vertex needs 3 more edges to reach S_4; at the default sizes
-  ``fill_within_components`` finds them all among the graph's own non-edges,
-  so no copy is lifted.  The column ``lifted`` counts the edges of the graph
+  ``raise_to_sk`` finds them all among the graph's own non-edges, so no copy
+  is lifted.  The column ``lifted`` counts the edges of the graph
   that ``colour_sk_graph`` colours.
 
 The first three layers time disjoint unions of a clique as the copy count
@@ -40,7 +40,6 @@ from kmajority import (
     build_graph,
     colour_small_k,
     eliminate_bad_components,
-    fill_within_components,
     raise_to_sk,
     random_min_degree_graph,
     round_weights,
@@ -85,7 +84,7 @@ def kernel(graph):
 
 def smallk(graph):
     split, _ = split_high_degree(graph, 4)
-    lifted, _ = raise_to_sk(fill_within_components(split, 4), 4)
+    lifted, _ = raise_to_sk(split, 4)
     return lambda: colour_small_k(graph, 4), lifted.edge_count
 
 

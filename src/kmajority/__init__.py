@@ -45,7 +45,6 @@ from .instances import (
 from .reductions import (
     LiftTrace,
     SplitTrace,
-    fill_within_components,
     pull_back_colouring,
     raise_to_sk,
     sk_degrees,

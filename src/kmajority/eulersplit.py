@@ -30,10 +30,6 @@ from .graph import Graph, components, hierholzer_circuit
 BLUE = 0
 RED = 1
 
-#: Given a component's sorted vertex tuple, return the chosen bad vertex or
-#: ``None`` when no listed vertex is admissible.
-BadSelector = Callable[[tuple[int, ...]], Optional[int]]
-
 
 @dataclass(frozen=True)
 class Bicolouring:
@@ -45,7 +41,7 @@ class Bicolouring:
 
 def balanced_bicolouring(
     graph: Graph,
-    bad_selector: Optional[BadSelector] = None,
+    admissible: Optional[Callable[[int, int], bool]] = None,
     edges: Optional[Iterable[int]] = None,
 ) -> Bicolouring:
     """Split every component's edges into blue and red, balanced per vertex.
@@ -53,11 +49,12 @@ def balanced_bicolouring(
     ``edges`` restricts the split to those edge ids of ``graph`` (all edges
     when ``None``); an id listed twice or outside the graph is an
     :class:`InputError`.  ``side`` has one entry per edge of ``graph``,
-    ``-1`` for an edge outside the subset.  ``bad_selector`` is consulted
-    only for components that force a bad vertex (all degrees even, odd edge
-    count); returning ``None`` raises :class:`SelectorExhaustedError`, which
-    callers treat as a breach of their theorem's hypotheses.  Without a
-    selector the least vertex is designated.  The bad vertex always receives
+    ``-1`` for an edge outside the subset.  A component that forces a bad
+    vertex (all degrees even, odd edge count) designates its least vertex v
+    with ``admissible(v, d)``, d being v's degree among the split edges, or
+    its least vertex when ``admissible`` is ``None``.  With no admissible
+    vertex it raises :class:`SelectorExhaustedError`, which callers treat as
+    a breach of their theorem's hypotheses.  The bad vertex always receives
     its surplus edge in red.
     """
     m = graph.edge_count
@@ -98,7 +95,7 @@ def balanced_bicolouring(
             aux_edges += len(odd)
             start = aux
         elif degree_sum // 2 % 2 == 1:
-            u = comp[0] if bad_selector is None else bad_selector(comp)
+            u = next((v for v in comp if admissible is None or admissible(v, degree[v])), None)
             if u is None:
                 raise SelectorExhaustedError(
                     f"no admissible bad vertex in component starting at {comp[0]}"

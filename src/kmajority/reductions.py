@@ -7,10 +7,10 @@ The small-k colouring schemes may assume every degree lies in
 A vertex of degree d in [k^2, 2k^2) needs t = (k-1-d) mod k more edges to
 reach S_k, and keeps its majority cap: floor((d+t)/k) = floor(d/k).
 :func:`split_high_degree` splits each vertex of degree >= 2k^2 into parts of
-degree in [k^2, 2k^2); :func:`fill_within_components` joins non-adjacent
-vertices of one component that both need degree; :func:`raise_to_sk` meets
-the rest of the need with fresh copies of each component (at most 3 for
-k <= 4).  Each step keeps its input's edge ids and appends its new edges, so
+degree in [k^2, 2k^2); :func:`raise_to_sk` joins non-adjacent vertices of one
+component that both need degree, then meets the rest of the need with fresh
+copies of each component (at most 3 for k <= 4).  Each step keeps its
+input's edge ids and appends its new edges, so
 :func:`pull_back_colouring` keeps the first m colours.  They stay valid: a
 colour's count at v in G is at most its count in the supergraph, which is at
 most floor(d'/k) = floor(d/k) (the caps of a split vertex's parts sum to at
@@ -97,51 +97,46 @@ def _copy_count(needs: list[int]) -> int:
     return c
 
 
-def fill_within_components(graph: Graph, k: int) -> Graph:
-    """Join non-adjacent vertices of one component that both need degree.
+def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) -> list[Edge]:
+    """The edges joining non-adjacent vertices of ``comp`` that both need degree.
 
     Each vertex in turn takes the lowest later vertices of its component that
     still need degree and are not its neighbours (a linked list: O(n + m +
-    nk)); the few left short, pairwise adjacent, then trade for new edges.  A
-    component keeps its new edges only if they lower its copy count, so the
-    lift never grows.  New edges follow the input's; none kept, the input
-    comes back as it is.
+    nk)); the few left short, pairwise adjacent, then trade for new edges.
+    The edges are kept, and taken off ``need``, only if they lower the
+    component's copy count, so the lift never grows; else none is returned.
+    ``marked`` is one mark per vertex, shared by all components.
     """
-    left = [(k - 1 - d) % k for d in graph.degrees()]
-    if not any(left):
-        return graph
-    adjacency = graph.adjacency
-    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
-    added: list[Edge] = []
-    for comp in components(graph):
-        order = [v for v in comp if left[v]]
-        before = _copy_count([left[v] for v in order])
-        new: list[Edge] = []
-        after = list(range(1, len(order) + 1))  # after[i]: next listed position
-        for i, v in enumerate(order):
-            if not left[v]:  # met by earlier vertices, and off the list
-                continue
-            for u, _ in adjacency[v]:
-                marked[u] = v
-            prev, j = i, after[i]
-            while left[v] and j < len(order):
-                w = order[j]
-                if marked[w] != v:
-                    new.append((v, w))
-                    left[v] -= 1
-                    left[w] -= 1
-                    if not left[w]:
-                        after[prev] = j = after[j]
-                        continue
-                prev, j = j, after[j]
-        short = [v for v in order if left[v]]
-        for v, u in product(short, repeat=2):
-            while new and left[v] and left[u] > (u == v) and _swap_in(new, adjacency, v, u):
-                left[v] -= 1
-                left[u] -= 1
-        if new and _copy_count([left[v] for v in order]) < before:
-            added.extend(new)
-    return _assemble(graph.vertex_count, graph.edges + tuple(added)) if added else graph
+    order = [v for v in comp if need[v]]
+    before = [need[v] for v in order]
+    new: list[Edge] = []
+    after = list(range(1, len(order) + 1))  # after[i]: next listed position
+    for i, v in enumerate(order):
+        if not need[v]:  # met by earlier vertices, and off the list
+            continue
+        for u, _ in adjacency[v]:
+            marked[u] = v
+        prev, j = i, after[i]
+        while need[v] and j < len(order):
+            w = order[j]
+            if marked[w] != v:
+                new.append((v, w))
+                need[v] -= 1
+                need[w] -= 1
+                if not need[w]:
+                    after[prev] = j = after[j]
+                    continue
+            prev, j = j, after[j]
+    short = [v for v in order if need[v]]
+    for v, u in product(short, repeat=2):
+        while new and need[v] and need[u] > (u == v) and _swap_in(new, adjacency, v, u):
+            need[v] -= 1
+            need[u] -= 1
+    if new and _copy_count([need[v] for v in order]) < _copy_count(before):
+        return new
+    for v, t in zip(order, before):
+        need[v] = t
+    return []
 
 
 def _swap_in(new: list[Edge], adjacency, v: int, u: int) -> bool:
@@ -161,14 +156,17 @@ def _swap_in(new: list[Edge], adjacency, v: int, u: int) -> bool:
 
 
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
-    """Lift every degree into S_k by joining fresh copies of each component.
+    """Lift every degree into S_k: fill within each component, then join
+    fresh copies of it.
 
-    A component whose needs t are all 0 is left as it is.  Any other gets
-    c = :func:`_copy_count` copies, and the c copies of each vertex v are
-    joined by the t_v-regular circulant on Z_c with steps 1..floor(t_v/2),
-    plus c/2 when t_v is odd.  The input keeps all its vertex and edge
-    indices; fresh copies and their joining edges follow in order of each
-    component's least vertex.  Restricted to k <= 4, so c <= 4.
+    A component first gains the edges :func:`_fill` keeps among its own
+    non-edges.  One whose needs t are then all 0 is left as it is.  Any
+    other gets c = :func:`_copy_count` copies, and the c copies of each
+    vertex v are joined by the t_v-regular circulant on Z_c with steps
+    1..floor(t_v/2), plus c/2 when t_v is odd.  The input keeps all its
+    vertex and edge indices; the kept fill edges follow in component order,
+    then fresh copies and their joining edges in order of each component's
+    least vertex.  Restricted to k <= 4, so c <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -180,9 +178,14 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     if graph.max_degree() >= 2 * ksq:
         raise PreconditionError(f"maximum degree {graph.max_degree()} not below 2k^2 = {2 * ksq}")
     need = [(k - 1 - d) % k for d in graph.degrees()]
-    if not any(need):
+    if not any(need):  # in S_k as it came
         return graph, LiftTrace(0)
     comps = components(graph)
+    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
+    fills = [_fill(comp, need, graph.adjacency, marked) for comp in comps]
+    edges = list(chain(graph.edges, *fills))
+    if not any(need):  # in S_k once filled
+        return _assemble(graph.vertex_count, edges), LiftTrace(0)
     owner = [0] * graph.vertex_count
     rank = [0] * graph.vertex_count  # position of a vertex within its component
     for i, comp in enumerate(comps):
@@ -190,9 +193,8 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
             owner[v] = i
             rank[v] = r
     comp_edges: list[list[Edge]] = [[] for _ in comps]
-    for u, v in graph.edges:
+    for u, v in edges:
         comp_edges[owner[u]].append((rank[u], rank[v]))
-    edges = list(graph.edges)
     vertex_count = graph.vertex_count
     copies = 0
     for comp, local_edges in zip(comps, comp_edges):
@@ -215,8 +217,9 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
             if need[v]:
                 ring = [v, *range(bases[0] + r, vertex_count, len(comp))]  # the c copies of v
                 edges.extend([(ring[i], ring[j]) for i, j in circulant[need[v]]])
-    # Copies are disjoint and each circulant joins copies of one vertex by
-    # distinct steps, so the lifted graph is simple by construction.
+    # Fill edges join non-adjacent vertices once each, copies are disjoint
+    # and each circulant joins copies of one vertex by distinct steps, so the
+    # lifted graph is simple by construction.
     lifted = _assemble(vertex_count, edges)
     if not set(sk_degrees(k)).issuperset(lifted.degrees()):
         raise InternalInvariantError(f"lift left a degree outside S_{k}")

@@ -62,9 +62,8 @@ an alternating +1/-1 walk, added up per edge:
 Each move is pushed until an edge becomes integral, in whichever direction
 makes more edges integral (ties go to the walk's own orientation).  A +-2
 step can need half a unit; then ``D`` doubles, exactly, and each numerator is
-doubled when a move next reads it.  What is left is finished off directly: an
-edge whose two ends are leaves is set to 1, and a component that is exactly
-one odd cycle goes to :func:`resolve_cycles`, over the final ``D``.
+doubled when a move next reads it.  What is left, a component that is
+exactly one odd cycle, goes to :func:`resolve_cycles`, over the final ``D``.
 
 One pass over the numerators sets the kernel up: it builds the live dicts
 and the weight sum of every vertex.  A move then costs one pass over its walk
@@ -128,8 +127,8 @@ def _as_weight(value, e: int) -> Fraction:
 # Walks over the support
 # ---------------------------------------------------------------------------
 
-# Outcomes of _next_move besides an ordinary move.
-_MOVE, _ISOLATED, _TERMINAL = range(3)
+# Outcomes of _next_move: an ordinary move, or a component that is one odd cycle.
+_MOVE, _TERMINAL = range(2)
 
 
 def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int, int]) -> list[int]:
@@ -158,10 +157,10 @@ def _next_move(
     every live edge back onto the walk is a closing; the shortest even cycle
     wins.  An odd cycle is held while the walk goes on, until a second odd
     closing or a dead end completes a move with it.
-    Returns ``(_MOVE, walk)`` with an edge walk to alternate,
-    ``(_ISOLATED, [e])`` for an edge between two leaves,
-    ``(_TERMINAL, cycle)`` for a component that is exactly one odd cycle, or
-    ``None`` when the walk's only vertex has no live edge.
+    Returns ``(_MOVE, walk)`` with an edge walk to alternate (an edge
+    between two leaves is one), ``(_TERMINAL, cycle)`` for a component that
+    is exactly one odd cycle, or ``None`` when the walk's only vertex has no
+    live edge.
     """
     held = None  # the held odd closing (end, p, chord)
     end = len(vs) - 1
@@ -229,7 +228,7 @@ def _next_move(
                     pos[v] = i
                 x, back = vs[end], es[-1]
                 continue
-            return (_ISOLATED if end == 1 else _MOVE), es[:]
+            return _MOVE, es[:]
         es.append(fresh)
         end += 1
         pos[fresh_u] = end
@@ -325,10 +324,9 @@ class _Kernel:
         """``x[e]`` over the common scale ``base << top``."""
         return self.x[e] << (self.top - self.level[e])
 
-    def run(self) -> tuple[list[int], list[list[int]]]:
-        """Move until no edge is live; returns (isolated edges, terminal odd cycles)."""
+    def run(self) -> list[list[int]]:
+        """Move until no edge is live; returns the terminal odd cycles."""
         edges, nbr = self.edges, self.nbr
-        isolated: list[int] = []
         cycles: list[list[int]] = []
         vs: list[int] = []
         es: list[int] = []
@@ -340,7 +338,7 @@ class _Kernel:
                 while lo < len(nbr) and not nbr[lo]:
                     lo += 1
                 if lo == len(nbr):
-                    return isolated, cycles
+                    return cycles
                 vs.append(lo)
                 pos[lo] = 0
             found = _next_move(nbr, vs, es, pos)
@@ -354,16 +352,12 @@ class _Kernel:
                 if cut == len(es):
                     continue
             else:
-                # The whole walk goes: an isolated edge is all of it, a
-                # terminal cycle runs from its first vertex.
+                # The whole walk goes: a terminal cycle runs from its first vertex.
                 for e in walk:
                     u, v = edges[e]
                     del nbr[u][e]
                     del nbr[v][e]
-                if kind == _ISOLATED:
-                    isolated.extend(walk)
-                else:
-                    cycles.append(walk)
+                cycles.append(walk)
                 cut = 0
             for v in vs[cut + 1:]:
                 pos[v] = -1
@@ -662,10 +656,10 @@ def round_weights(
     (i)-(iii) hold for the subset's sums and cycles.
 
     Pipeline: run the Euler passes and the walk kernel on the scaled integer
-    values until every support component is gone or reduced to an isolated
-    edge or an odd cycle; set isolated edges to 1; merge adjacent bad cycles;
-    round the remaining cycles (designating one exceptional vertex per bad
-    cycle); finally repair condition (ii) and certify (i)-(iii).
+    values until every support component is gone or reduced to an odd cycle;
+    merge adjacent bad cycles; round the remaining cycles (designating one
+    exceptional vertex per bad cycle); finally repair condition (ii) and
+    certify (i)-(iii).
     """
     if len(weights) != graph.edge_count:
         raise InputError(
@@ -678,10 +672,9 @@ def round_weights(
     scale, zl = _scaled_weights(weights, ids)
     kernel = _Kernel(graph, scale, zl)
     sums_z = kernel.sums
-    isolated, cycles = kernel.run()
+    cycles = kernel.run()
     full = scale << kernel.top
-    # Off the terminal cycles every rounded edge is integral, 0 or its own
-    # scale, except the isolated edges, still fractional and set to 1 here.
+    # Off the terminal cycles every rounded edge is integral: 0 or its own scale.
     x = [full if value > 0 else value for value in kernel.x]
     for cycle in cycles:
         for e in cycle:

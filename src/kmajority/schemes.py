@@ -31,8 +31,7 @@ from .errors import InputError, InternalInvariantError, PreconditionError
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
 from .graph import Graph, edge_subgraph, is_bipartite
 from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
-from .reductions import fill_within_components, pull_back_colouring, raise_to_sk, sk_degrees
-from .reductions import split_high_degree
+from .reductions import pull_back_colouring, raise_to_sk, sk_degrees, split_high_degree
 from .rounding import round_weights
 
 
@@ -258,7 +257,7 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     prefix bucket with one balanced Euler split.  A forced bad vertex becomes
     "special" for its extended prefix and is never chosen again along that
     chain.  Every bucket component with an edge holds a vertex that is not
-    special, so the selector never runs dry:
+    special, so the bad-vertex rule always admits one:
 
     * :func:`_general_rounds` asserts class degree <= d(v)/k in each round, so
       d_H(v) >= delta*(k - m)/k = delta*(2^n - 1)/k, as k + 1 = 2^n + m.
@@ -279,10 +278,11 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     # first; prefixes at one level have one length, so numeric order is prefix order.
     special: dict[int, set[tuple[int, int]]] = {}  # v -> {(j, j-bit prefix ending in 1)}
 
-    def special_for_prefix(v: int, level: int, prefix: int) -> bool:
-        """Whether a mark (j, bits) of v begins the (level - 1)-bit ``prefix``."""
+    def admissible(v: int, d: int) -> bool:
+        """Whether no mark (j, bits) of v begins the (level - 1)-bit ``prefix``,
+        both read from the loops below when called: during that bucket's split."""
         marks = special.get(v, ())
-        return any(j < level and prefix >> (level - 1 - j) == bits for j, bits in marks)
+        return not any(j < level and prefix >> (level - 1 - j) == bits for j, bits in marks)
 
     for level in range(1, n_levels + 1):
         buckets: dict[int, list[int]] = {}
@@ -292,11 +292,7 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
             # The bucket's own subgraph keeps each bucket's cost in its size,
             # not the whole graph's.
             sub, emap = edge_subgraph(graph, buckets[prefix])
-
-            def selector(comp: tuple[int, ...]) -> Optional[int]:
-                return next((v for v in comp if not special_for_prefix(v, level, prefix)), None)
-
-            bic = balanced_bicolouring(sub, selector)
+            bic = balanced_bicolouring(sub, admissible)
             for j, e in enumerate(emap):
                 colours[e] = prefix << 1 | bic.side[j]  # blue -> 0, red -> 1
             for u in bic.bad_vertices:
@@ -487,14 +483,7 @@ def _split_half_into(
     A component that forces a bad vertex takes its least vertex v with
     ``admissible(v, d)``, d being v's degree among ``edge_ids``.
     """
-    degree: list[int] = []
-
-    def selector(comp: tuple[int, ...]) -> Optional[int]:
-        if not degree:  # counted once, and only if some component forces a bad vertex
-            degree.extend(_degree_in(graph, edge_ids))
-        return next((v for v in comp if admissible(v, degree[v])), None)
-
-    side = balanced_bicolouring(graph, selector, edge_ids).side
+    side = balanced_bicolouring(graph, admissible, edge_ids).side
     blue, red = colour_pair
     for e in edge_ids:
         colours[e] = blue if side[e] == BLUE else red
@@ -535,19 +524,15 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
 
     One Euler split halves every component.  Only a 14-regular component
     with an odd number of vertices (7 edges per vertex) forces a bad vertex
-    there, and its least vertex takes it; any other component forcing one
-    breaches the hypothesis.  Elimination then removes every 6-regular
+    there, and its least vertex takes it: a component that forces one has
+    only even degrees, and 14 is the only even degree in S_3, so the split
+    needs no bad-vertex rule.  Elimination then removes every 6-regular
     monochromatic component with oddly many edges, and each half is split
     again, a forced bad vertex having half-degree 8.  The halves of an
     odd-order 14-regular component never force one: each of their
     components holds a vertex of half-degree 7, so none of them is bad.
     """
-    degrees = graph.degrees()
-
-    def first_split_bad(comp: tuple[int, ...]) -> Optional[int]:
-        return comp[0] if all(degrees[v] == 14 for v in comp) else None
-
-    bic = balanced_bicolouring(graph, first_split_bad)
+    bic = balanced_bicolouring(graph)
     bic, elimination = eliminate_bad_components(graph, bic, _six_regular_odd)
     colours = [0] * graph.edge_count
     _split_halves(graph, bic.side, ((1, 2), (3, 4)), colours, lambda v, d: d == 8)
@@ -562,14 +547,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     for e in chosen:
         colours[e] = 1
     d_h = _degree_in(graph, rest)
-
-    def first_split_bad(comp: tuple[int, ...]) -> Optional[int]:
-        for v in comp:
-            if d_h[v] in (18, 22):
-                return v
-        return None
-
-    bic = balanced_bicolouring(graph, first_split_bad, rest)
+    bic = balanced_bicolouring(graph, lambda v, d: d in (18, 22), rest)
 
     def is_bad(verts: tuple[int, ...], degs: dict[int, int], edge_count: int) -> bool:
         if edge_count % 2 == 0:
@@ -580,14 +558,11 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
         )
 
     def pick(verts: tuple[int, ...], degs: dict[int, int]) -> Optional[int]:
-        # Prefer a degree-10 vertex that was not a first-split bad vertex.
-        for v in verts:
-            if degs[v] == 10 and d_h[v] == 19:
-                return v
-        for v in verts:
-            if degs[v] == 10:
-                return v
-        return None
+        # Prefer a degree-10 vertex of degree 19 among the split edges: never a
+        # first-split bad vertex (those have 18 or 22).  This passes over every
+        # vertex of degree 18 there too, designated or not.
+        tens = [v for v in verts if degs[v] == 10]
+        return next((v for v in tens if d_h[v] == 19), tens[0] if tens else None)
 
     bic, elimination = eliminate_bad_components(graph, bic, is_bad, pick)
 
@@ -612,13 +587,13 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
-    Reduces to degrees in S_k (vertex splitting, a fill within components,
-    then a per-component lift), colours the reduced graph, and pulls the
-    colouring back by edge id.
+    Reduces to degrees in S_k (vertex splitting, then a fill within each
+    component and a per-component lift), colours the reduced graph, and
+    pulls the colouring back by edge id.
     """
     _require("small-k", graph, k)
     split_graph, _ = split_high_degree(graph, k)
-    lifted, _ = raise_to_sk(fill_within_components(split_graph, k), k)
+    lifted, _ = raise_to_sk(split_graph, k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
     return _finish(graph, pull_back_colouring(reduced_colouring, graph).colours, reduced_report)
 

@@ -568,22 +568,23 @@ def refined_bucket_checks(levels: int) -> Iterator[list[int]]:
     holds a vertex that is not special.  ``schemes.balanced_bicolouring`` is
     replaced by a wrapper that asserts, for each component of the split graph
     that has an edge, that it has more than ``levels`` vertices and that the
-    scheme's bad-vertex selector admits one of them.  Yields the sizes of the
+    scheme's bad-vertex rule admits one of them.  Yields the sizes of the
     components checked, so a caller can see that the checks ran.
     """
     original = schemes.balanced_bicolouring
     sizes: list[int] = []
 
-    def checked(graph: Graph, bad_selector=None, edges=None) -> Bicolouring:
-        assert edges is None and bad_selector is not None
+    def checked(graph: Graph, admissible=None, edges=None) -> Bicolouring:
+        assert edges is None and admissible is not None
         for comp in components(graph):
             if len(comp) == 1:  # a lone vertex has no edge
                 continue
             where = f"the component of vertex {comp[0]} ({len(comp)} vertices)"
             assert len(comp) > levels, f"{where} has at most {levels} vertices"
-            assert bad_selector(comp) is not None, f"every vertex of {where} is special"
+            admitted = any(admissible(v, graph.degree(v)) for v in comp)
+            assert admitted, f"every vertex of {where} is special"
             sizes.append(len(comp))
-        return original(graph, bad_selector, edges)
+        return original(graph, admissible, edges)
 
     schemes.balanced_bicolouring = checked
     try:

@@ -119,6 +119,22 @@ def test_verify_failure_reports_witness(tmp_path):
     assert code == 1
 
 
+def test_verify_json_reports_the_witness(tmp_path, capsys):
+    graph_path = tmp_path / "star.g"
+    graph_path.write_text("graph 4 3\n0 1\n0 2\n0 3\n")
+    col_path = tmp_path / "star.col"
+    col_path.write_text("colouring 3 3\n0 1\n1 1\n2 2\n")
+    code = main(
+        ["verify", "--k", "2", "--graph", str(graph_path), "--colouring", str(col_path),
+         "--json"]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    # Colour 1 twice at the centre, whose cap is floor(3/2) = 1.
+    witness = {"vertex": 0, "colour": 1, "count": 2, "cap": 1}
+    assert payload["verdict"] == {"pass": False, "witness": witness}
+
+
 def test_verify_accepts_the_empty_graph(tmp_path, capsys):
     graph_path = tmp_path / "empty.g"
     graph_path.write_text("graph 0 0\n")
@@ -203,6 +219,25 @@ def test_oracle_exit_codes(tmp_path, c4_file):
     ) == 3
 
 
+def test_oracle_json_on_a_certified_infeasible_instance(tmp_path, capsys):
+    lb = tmp_path / "lb.g"
+    assert main(["construct", "--family", "general-lower", "--k", "2", "--output", str(lb)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--k", "2", "--graph", str(lb), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] is None
+    assert payload["oracle"]["limit_hit"] is False
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    code = main(
+        ["colour", "--k", "2", "--input", str(tmp_path / "absent.g"), "--output",
+         str(tmp_path / "x.col")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
 def test_oracle_rejects_negative_node_limit(c4_file):
     assert main(
         ["oracle", "--k", "2", "--graph", str(c4_file), "--node-limit", "-5"]
@@ -251,6 +286,19 @@ def test_sweep_falls_through_to_oracle(tmp_path):
     for row in rows:
         assert row[4] == "none"
         assert row[7] in {"found", "infeasible", "limit"}
+
+
+@pytest.mark.parametrize("limit, result", [("100", "true,26,found"), ("1", ",1,limit")])
+def test_sweep_rows_of_the_oracle(tmp_path, limit, result):
+    # No scheme applies to a 3-regular graph at k=2; the oracle finds a
+    # colouring within 100 nodes and stops at 1.
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", "--k", "2", "--delta", "3", "--n", "8", "--trials", "1",
+         "--seed", "1", "--node-limit", limit, "--output", str(out)]
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[2] == f"0,8,12,3,none,{result}"
 
 
 def test_sweep_rejects_zero_oracle_colours(tmp_path):

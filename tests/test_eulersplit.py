@@ -43,7 +43,7 @@ def test_path_alternates():
 
 def test_selector_controls_bad_vertex():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    bic = balanced_bicolouring(triangle, lambda comp: 2)
+    bic = balanced_bicolouring(triangle, lambda v, d: v == 2)
     assert bic.bad_vertices == (2,)
     assert side_counts(triangle, bic)[2] == [0, 2]
 
@@ -51,12 +51,12 @@ def test_selector_controls_bad_vertex():
 def test_selector_exhaustion_raises():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(SelectorExhaustedError):
-        balanced_bicolouring(triangle, lambda comp: None)
+        balanced_bicolouring(triangle, lambda v, d: False)
 
 
 def test_selector_not_consulted_when_unnecessary():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    bic = balanced_bicolouring(c4, lambda comp: None)
+    bic = balanced_bicolouring(c4, lambda v, d: False)
     assert bic.bad_vertices == ()
 
 
@@ -125,34 +125,34 @@ def test_subset_split_rejects_repeated_edges():
         balanced_bicolouring(g, None, [0, 1, 0])
 
 
-def _last_vertex(comp):
-    return comp[-1]
+def _odd_vertices(v, d):
+    return v % 2 == 1
 
 
-def _odd_blocks_only(comp):
-    return comp[0] if len(comp) % 2 else None
+def _high_degree(v, d):
+    return d >= 4  # the degree among the split edges, not the graph's
 
 
-def _split_outcome(graph, selector, edges=None):
+def _split_outcome(graph, admissible, edges=None):
     try:
-        return balanced_bicolouring(graph, selector, edges)
+        return balanced_bicolouring(graph, admissible, edges)
     except SelectorExhaustedError as exc:
         return str(exc)
 
 
 @given(
     st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()),
-    st.sampled_from([None, _last_vertex, _odd_blocks_only]),
+    st.sampled_from([None, _odd_vertices, _high_degree]),
     st.data(),
 )
 @settings(max_examples=200)
-def test_subset_split_is_the_split_of_the_edge_subgraph(g, selector, data):
+def test_subset_split_is_the_split_of_the_edge_subgraph(g, admissible, data):
     m = g.edge_count
     subset = data.draw(strategies.edge_subsets(g))
     edges = data.draw(st.permutations(sorted(subset)))  # the order must not matter
     sub, emap = edge_subgraph(g, subset)
-    alone = _split_outcome(sub, selector)
-    whole = _split_outcome(g, selector, edges)
+    alone = _split_outcome(sub, admissible)
+    whole = _split_outcome(g, admissible, edges)
     if isinstance(alone, str):
         assert whole == alone
         return

@@ -37,6 +37,11 @@ def test_forbidden_inputs():
         build_graph(3, [(0, 3)])
 
 
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(BuildError, match="vertex count must be nonnegative, got -1"):
+        build_graph(-1, [])
+
+
 def test_components():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert components(c4) == ((0, 1, 2, 3),)
@@ -139,6 +144,11 @@ def test_majority_input_errors():
         check_majority(c4, EdgeColouring((1, 2, 1), 3), 2)
     with pytest.raises(InputError):
         check_majority(c4, EdgeColouring((1, 2, 1, 2), 2), 1)
+
+
+def test_majority_check_refuses_zero_colours():
+    with pytest.raises(InputError, match="colour count must be positive"):
+        check_majority(build_graph(3, []), EdgeColouring((), 0), 2)
 
 
 @given(strategies.graphs())

@@ -14,7 +14,6 @@ from kmajority import (
     colour_sk_graph,
     colour_small_k,
     components,
-    fill_within_components,
     pull_back_colouring,
     raise_to_sk,
     random_min_degree_graph,
@@ -161,7 +160,9 @@ def test_lift_takes_fewest_copies_per_component(k, data):
     assert all(out.degree(v) // k == g.degree(v) // k for v in range(g.vertex_count))
     assert out.edges[: g.edge_count] == g.edges
     copies = _copies_per_component(g, out)
-    needs = [(k - 1 - d) % k for d in g.degrees()]
+    n = g.vertex_count
+    # The need left after the fill: a vertex's edges to fresh copies.
+    needs = [sum(u >= n for u, _ in out.adjacency[v]) for v in range(n)]
     assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(g)]
     assert trace.copies == max(copies) - 1
     assert out.edge_count <= doubling_lift(g, k).edge_count
@@ -171,16 +172,22 @@ def test_lift_copies_per_clique_of_a_union():
     # At k=3: K10 is 9-regular (t=2: 3 copies), K12 and K15 are 11- and
     # 14-regular (in S_3: left alone).  Split K20 falls into a 10-regular
     # part (t=1: 2 copies), a part with degrees 10 and 9 (t=1 and 2: a
-    # 1-regular circulant needs an even count, so 4 copies) and a 9-regular
-    # part (3 copies).
+    # 1-regular circulant needs an even count, so 4 copies, until the fill
+    # leaves needs of 1 only: 2 copies) and a 9-regular part (3 copies).
     pairs, base = [], 0
     for size in (10, 12, 15, 20):
         pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
         base += size
     split, _ = split_high_degree(build_graph(base, pairs), 3)
     out, trace = raise_to_sk(split, 3)
-    assert _copies_per_component(split, out) == [3, 1, 1, 2, 4, 3]
-    assert trace.copies == 3
+    assert _copies_per_component(split, out) == [3, 1, 1, 2, 2, 3]
+    assert trace.copies == 2
+
+
+def _fill_edges(graph, lifted):
+    """The edges that ``lifted`` adds between vertices of ``graph``."""
+    n = graph.vertex_count
+    return [(u, v) for u, v in lifted.edges[graph.edge_count:] if u < n and v < n]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -189,13 +196,19 @@ def test_lift_copies_per_clique_of_a_union():
 def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
     g = data.draw(strategies.degree_window_unions(k) | strategies.hub_unions(k))
     split, _ = split_high_degree(g, k)
-    out = fill_within_components(split, k)
+    out, _ = raise_to_sk(split, k)
     assert build_graph(out.vertex_count, out.edges) == out
-    assert out.edges[: split.edge_count] == split.edges
-    assert out.vertex_count == split.vertex_count
-    assert components(out) == components(split)
-    assert all(out.degree(v) // k == split.degree(v) // k for v in range(split.vertex_count))
-    assert raise_to_sk(out, k)[0].edge_count <= raise_to_sk(split, k)[0].edge_count
+    m, n = split.edge_count, split.vertex_count
+    fill = _fill_edges(split, out)
+    assert out.edges[:m] == split.edges
+    assert list(out.edges[m : m + len(fill)]) == fill  # before any copy
+    filled = build_graph(n, split.edges + tuple(fill))
+    assert components(filled) == components(split)
+    assert all(out.degree(v) // k == split.degree(v) // k for v in range(n))
+    needs = [(k - 1 - d) % k for d in split.degrees()]
+    copies = _copies_per_component(split, out)
+    for c, comp in zip(copies, components(split), strict=True):
+        assert c <= _minimal_copies([needs[v] for v in comp])
     colouring, report = colour_small_k(g, k)
     assert report.verdict.passed
     assert check_majority(g, colouring, k).passed
@@ -205,14 +218,16 @@ def test_fill_completes_a_sixteen_regular_graph_on_twenty_vertices():
     # Each vertex needs 3 at k=4 and misses exactly 3 others: K20, 19 in S_4.
     g = random_min_degree_graph(20, 16, seed=1)
     assert set(g.degrees()) == {16}
-    out = fill_within_components(g, 4)
+    out, trace = raise_to_sk(g, 4)
     assert {frozenset(e) for e in out.edges} == {frozenset(e) for e in complete_graph(20).edges}
-    assert raise_to_sk(out, 4)[1].copies == 0
+    assert trace.copies == 0
 
 
 def test_fill_leaves_a_clique_as_it_is():
     g = complete_graph(10)  # 9-regular at k=3 needs 2, but has no non-edges
-    assert fill_within_components(g, 3) is g
+    out, trace = raise_to_sk(g, 3)
+    assert _fill_edges(g, out) == []
+    assert trace.copies == 2
 
 
 def test_fill_that_would_raise_the_copy_count_is_dropped():
@@ -222,8 +237,9 @@ def test_fill_that_would_raise_the_copy_count_is_dropped():
                (4, 7), (7, 11), (9, 12), (10, 12)}
     g = build_graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
                          if (u, v) not in missing])
-    assert fill_within_components(g, 3) is g
-    assert raise_to_sk(g, 3)[1].copies == 2
+    out, trace = raise_to_sk(g, 3)
+    assert _fill_edges(g, out) == []
+    assert trace.copies == 2
 
 
 def test_raise_preconditions_and_size_guard():
@@ -231,6 +247,12 @@ def test_raise_preconditions_and_size_guard():
         raise_to_sk(complete_graph(10), 2)  # max degree 9 >= 2k^2
     with pytest.raises(InputError):
         raise_to_sk(complete_graph(26), 5)
+
+
+@pytest.mark.parametrize("reduce", [split_high_degree, raise_to_sk])
+def test_reductions_refuse_k_below_two(reduce):
+    with pytest.raises(InputError, match="k must be at least 2, got 1"):
+        reduce(complete_graph(5), 1)
 
 
 def test_cap_equality_spec_arithmetic():

@@ -13,6 +13,7 @@ from kmajority import (
     InputError,
     InternalInvariantError,
     PreconditionError,
+    SelectorExhaustedError,
     balanced_bicolouring,
     build_graph,
     check_majority,
@@ -31,6 +32,7 @@ from kmajority.cli import build_parser
 from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
 from kmajority.graphio import format_colouring
+from kmajority.schemes import _split_half_into
 from oracles import eliminate_by_full_recompute, refined_bucket_checks
 
 
@@ -241,6 +243,22 @@ def test_small_k_rejects_low_degree():
         colour_small_k(complete_graph(4), 2)
 
 
+def test_sk_graph_rejects_a_degree_outside_sk():
+    with pytest.raises(PreconditionError, match="degree outside S_2"):
+        colour_sk_graph(complete_graph(5), 2)  # 4-regular; S_2 = {5, 7}
+
+
+def test_half_split_puts_a_forced_surplus_on_the_least_admissible_vertex():
+    # The triangle 0-1-2 split alone forces a bad vertex; vertex 1 also has
+    # the pendant edge 3, so its degree is 3 in the graph but 2 in the half.
+    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (1, 3)])
+    colours = [0] * 4
+    _split_half_into(g, [0, 1, 2], (5, 6), colours, lambda v, d: v > 0 and d == 2)
+    assert colours == [6, 6, 5, 0]  # both triangle edges at 1 take the second colour
+    with pytest.raises(SelectorExhaustedError):
+        _split_half_into(g, [0, 1, 2], (5, 6), [0] * 4, lambda v, d: d == 3)
+
+
 # --------------------------------------------------------------------------
 # bad-component elimination
 # --------------------------------------------------------------------------
@@ -401,6 +419,11 @@ def test_auto_k5_chooses_refined_over_general():
     g = random_min_degree_graph(48, 45, seed=6)
     colouring, report = colour_auto(g, 5)
     assert report.algorithm == "refined"
+
+
+def test_auto_refuses_k_below_two():
+    with pytest.raises(InputError, match="k must be at least 2, got 1"):
+        colour_auto(complete_bipartite(2, 2), 1)
 
 
 def test_auto_below_threshold():
