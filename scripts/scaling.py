@@ -24,9 +24,11 @@
   ``raise_to_sk`` finds them all among the graph's own non-edges, so no copy
   is lifted.  The column ``lifted`` counts the edges of the graph
   that ``colour_sk_graph`` colours.
+* ``parse``: ``parse_graph`` of ``format_graph(random_min_degree_graph(n, 18,
+  seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
 
 The first three layers time disjoint unions of a clique as the copy count
-doubles, the last two a random graph as n doubles.  A linear layer grows
+doubles, the last three a random graph as n doubles.  A linear layer grows
 about x2 per doubling; the script prints the best-of-N time per size, with
 the garbage collector off, and the ratio to the previous size.
 """
@@ -40,6 +42,8 @@ from kmajority import (
     build_graph,
     colour_small_k,
     eliminate_bad_components,
+    format_graph,
+    parse_graph,
     raise_to_sk,
     random_min_degree_graph,
     round_weights,
@@ -88,6 +92,11 @@ def smallk(graph):
     return lambda: colour_small_k(graph, 4), lifted.edge_count
 
 
+def parse(graph):
+    text = format_graph(graph)
+    return lambda: parse_graph(text), None
+
+
 def cliques(size):
     return lambda copies: clique_union(size, copies)
 
@@ -111,6 +120,13 @@ LAYERS = {
         "lifted",
         smallk,
     ),
+    "parse": (
+        lambda n: random_min_degree_graph(n, 18, seed=1),
+        [500, 1000, 2000, 4000],
+        "n",
+        None,
+        parse,
+    ),
 }
 
 
@@ -119,7 +135,7 @@ def main() -> int:
     parser.add_argument("layer", choices=LAYERS)
     parser.add_argument(
         "--sizes", type=int, nargs="+",
-        help="copy counts, or vertex counts for kernel and smallk (default per layer)",
+        help="copy counts, or vertex counts for kernel, smallk and parse (default per layer)",
     )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()

@@ -8,8 +8,7 @@ incident edges in increasing edge-index order, so all derived structures
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BuildError, InputError
@@ -24,12 +23,16 @@ class Graph:
     ``adjacency[v]`` holds ``(neighbour, edge_index)`` pairs in increasing
     edge-index order.  Instances are safe to share between concurrent tasks;
     all operations in this package treat them as read-only.  The degree
-    sequence is computed once, on first use.
+    sequence is computed once, when the graph is built.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    _degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_degrees", tuple(map(len, self.adjacency)))
 
     @property
     def edge_count(self) -> int:
@@ -37,10 +40,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees

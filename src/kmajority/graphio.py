@@ -17,19 +17,26 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Iterator, Optional
 
 from .colouring import EdgeColouring
-from .errors import FormatError
-from .graph import Graph, build_graph
+from .errors import BuildError, FormatError
+from .graph import Graph, _assemble, build_graph
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(raw_lines: list[str]) -> Iterator[tuple[int, str]]:
+    for number, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         yield number, line
+
+
+#: Edge lines as ``format_graph`` writes them, or else lines of two decimal
+#: fields, blank lines and comments; each matched one way only, in linear time.
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*|(?:[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*|#.*)?\n)*")
+_COMMENT = re.compile(r"#.*")
 
 
 def _check_vertex_bound(n: int, m: int, size: int, what: str) -> None:
@@ -63,29 +70,59 @@ def _read_header(lines: Iterator[tuple[int, str]], form: str) -> tuple[int, int,
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _content_lines(text)
+    raw_lines = text.splitlines()
+    lines = _content_lines(raw_lines)
     header_no, n, m = _read_header(lines, "graph <n> <m>")
     # Bound n by the file before one adjacency list per vertex is allocated.
     if n < 0:
         raise FormatError(f"line {header_no}: vertex count must be nonnegative, got {n}")
     _check_vertex_bound(n, m, len(text), f"line {header_no}: declares")
-    pairs = []
-    for number, line in lines:
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError(f"line {number}: expected '<u> <v>', got {line!r}")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise FormatError(f"line {number}: non-integer endpoint in {line!r}") from None
-        if len(pairs) > m:
-            raise FormatError(f"line {number}: more than the declared {m} edges")
-    if len(pairs) != m:
-        raise FormatError(f"declared {m} edges but found {len(pairs)}")
     try:
+        # Joined on "\n", the body has exactly the lines splitlines() saw.
+        graph = _read_body("\n".join(raw_lines[header_no:]) + "\n", n, m)
+        if graph is not None:
+            return graph
+        pairs = []
+        for number, line in lines:
+            fields = line.split()
+            if len(fields) != 2:
+                raise FormatError(f"line {number}: expected '<u> <v>', got {line!r}")
+            try:
+                pairs.append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                raise FormatError(f"line {number}: non-integer endpoint in {line!r}") from None
+            if len(pairs) > m:
+                raise FormatError(f"line {number}: more than the declared {m} edges")
+        if len(pairs) != m:
+            raise FormatError(f"declared {m} edges but found {len(pairs)}")
         return build_graph(n, pairs)
-    except ValueError as exc:
+    except BuildError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _read_body(body: str, n: int, m: int) -> Optional[Graph]:
+    """The graph of the m edge lines joined in ``body``, or None to read them one by one.
+
+    Looking a label below min(n, 2m) up costs a third of ``int()``; a sign, a
+    leading zero or a larger label is not found.  A duplicate shrinks the set
+    of pairs, and a self-loop or a pair listed both ways meets its reversal
+    there; only then does ``build_graph`` scan the pairs, to name the fault.
+    """
+    if not _EDGE_LINES.fullmatch(body):
+        return None
+    fields = (_COMMENT.sub("", body) if "#" in body else body).split()
+    if len(fields) != 2 * m:
+        return None
+    labels = {str(v): v for v in range(min(n, len(fields)))}
+    try:
+        ends = list(map(labels.__getitem__, fields))
+    except KeyError:
+        return None
+    edges = list(zip(ends[0::2], ends[1::2]))
+    seen = set(edges)
+    if len(seen) < m or not seen.isdisjoint(zip(ends[1::2], ends[0::2])):
+        return build_graph(n, edges)
+    return _assemble(n, edges)
 
 
 def format_graph(graph: Graph) -> str:
@@ -97,7 +134,7 @@ def format_graph(graph: Graph) -> str:
 
 
 def parse_colouring(text: str) -> EdgeColouring:
-    lines = list(_content_lines(text))
+    lines = list(_content_lines(text.splitlines()))
     header_no, m, c = _read_header(iter(lines), "colouring <m> <c>")
     if c < 1:
         raise FormatError(f"line {header_no}: colour count must be positive")

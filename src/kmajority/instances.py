@@ -222,11 +222,13 @@ def exhaustive_search(
     """Backtracking search for a 1/k-majority colouring with ``colour_count`` colours.
 
     Edges are assigned in non-increasing order of min-endpoint degree (ties by
-    index); per-vertex per-colour counters prune against the caps
-    ``floor(d/k)``, and the first edge is fixed to colour 1 (colours are
-    interchangeable).  If ``colour_count * floor(delta/k) < delta``, or a
-    vertex of degree 1..k-1 has cap 0, a vertex cannot cover its edges and
-    the search is settled immediately with ``node_count = 0``.
+    index), each the lowest colour under the caps ``floor(d/k)`` at both ends:
+    bit c-1 of the bitmask ``free[v]`` is set while v's room counter for
+    colour c is positive, so the candidates are ``free[u] & free[v]`` above
+    the colour last tried, lowest set bit first.  The first edge is fixed to
+    colour 1 (colours are interchangeable).  If ``colour_count *
+    floor(delta/k) < delta``, or a vertex of degree 1..k-1 has cap 0, a vertex
+    cannot cover its edges and the search is settled with ``node_count = 0``.
     Only colours up to min(c, m) are tried: a later one would only repeat a
     fresh colour's failure, so the outcome and ``node_count`` are as over all
     c, except that a vertex of degree 1..k-1 is settled sooner.
@@ -238,54 +240,54 @@ def exhaustive_search(
     if node_limit < 0:
         raise InputError(f"node limit must be nonnegative, got {node_limit}")
     m = graph.edge_count
-    if m == 0:
-        return SearchOutcome(EdgeColouring((), colour_count), 0, False)
+    degrees = graph.degrees()
     delta = graph.min_degree()
-    caps = [graph.degree(v) // k for v in range(graph.vertex_count)]
-    if colour_count * (delta // k) < delta or any(0 < d < k for d in graph.degrees()):
+    if colour_count * (delta // k) < delta or any(0 < d < k for d in degrees):
         return SearchOutcome(None, 0, False)
 
-    order = sorted(
-        range(m), key=lambda e: (-min(graph.degree(graph.edges[e][0]),
-                                      graph.degree(graph.edges[e][1])), e)
-    )
-    searched = min(colour_count, m)
-    counts = [[0] * searched for _ in range(graph.vertex_count)]
+    edges = graph.edges
+    low = [min(degrees[u], degrees[v]) for u, v in edges]
+    order = sorted(range(m), key=low.__getitem__, reverse=True)  # stable: ties by index
+    us = [edges[e][0] for e in order]
+    vs = [edges[e][1] for e in order]
+    width = min(colour_count, m)
+    room = [[d // k] * (width + 1) for d in degrees]  # room[v][c]: edges v may add in colour c
+    free = [(1 << width) - 1] * graph.vertex_count
     chosen = [0] * m  # colour currently applied at each position, 0 = none
-    nodes = 0
-    pos = 0
-    while True:
-        if pos == m:
-            colours = [0] * m
-            for p, e in enumerate(order):
-                colours[e] = chosen[p]
-            colouring = EdgeColouring(tuple(colours), colour_count)
-            verdict = check_majority(graph, colouring, k)
-            if not verdict.passed:
-                raise InternalInvariantError(f"oracle produced invalid colouring: {verdict.witness}")
-            return SearchOutcome(colouring, nodes, False)
-        e = order[pos]
-        u, v = graph.edges[e]
-        limit = 1 if pos == 0 else searched
-        advanced = False
-        for colour in range(chosen[pos] + 1, limit + 1):
-            if counts[u][colour - 1] < caps[u] and counts[v][colour - 1] < caps[v]:
-                if nodes >= node_limit:
-                    return SearchOutcome(None, nodes, True)
-                nodes += 1
-                counts[u][colour - 1] += 1
-                counts[v][colour - 1] += 1
-                chosen[pos] = colour
-                pos += 1
-                advanced = True
-                break
-        if advanced:
+    nodes = pos = 0
+    while pos < m:
+        u, v = us[pos], vs[pos]
+        candidates = free[u] & free[v] & (-1 << chosen[pos])
+        if candidates:
+            if nodes >= node_limit:
+                return SearchOutcome(None, nodes, True)
+            nodes += 1
+            bit = candidates & -candidates
+            c = bit.bit_length()
+            chosen[pos] = c
+            at = room[u]
+            at[c] -= 1
+            if not at[c]:
+                free[u] ^= bit
+            at = room[v]
+            at[c] -= 1
+            if not at[c]:
+                free[v] ^= bit
+            pos += 1
             continue
         chosen[pos] = 0
         pos -= 1
-        if pos < 0:
+        if pos == 0:  # the first edge keeps colour 1
             return SearchOutcome(None, nodes, False)
-        e = order[pos]
-        u, v = graph.edges[e]
-        counts[u][chosen[pos] - 1] -= 1
-        counts[v][chosen[pos] - 1] -= 1
+        u, v = us[pos], vs[pos]
+        c = chosen[pos]
+        bit = 1 << (c - 1)
+        room[u][c] += 1
+        free[u] |= bit
+        room[v][c] += 1
+        free[v] |= bit
+    colouring = EdgeColouring(tuple(c for _, c in sorted(zip(order, chosen))), colour_count)
+    verdict = check_majority(graph, colouring, k)
+    if not verdict.passed:
+        raise InternalInvariantError(f"oracle produced invalid colouring: {verdict.witness}")
+    return SearchOutcome(colouring, nodes, False)

@@ -9,8 +9,8 @@ tests call: kernel and pendant directions, with the live adjacency, the
 condition-(ii) repair on its own, vertex sums and whole-graph Euler circuits.
 The sections before it check the refined scheme's bucket invariant at each
 Euler split the scheme makes, check each move of the rounding kernel's Euler
-passes, and keep the exhaustive oracle's plain backtracking loop as a
-reference.
+passes, and keep the exhaustive oracle's plain backtracking loop and the
+graph reader's line-by-line loop as references.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from kmajority import (
     Bicolouring,
+    FormatError,
     Graph,
     InputError,
     InternalInvariantError,
@@ -36,6 +37,7 @@ from kmajority import (
     schemes,
 )
 from kmajority.graph import hierholzer_circuit
+from kmajority.graphio import _check_vertex_bound, _read_header
 from kmajority.rounding import (
     _TERMINAL,
     _assert_zero_sums,
@@ -696,6 +698,56 @@ def exhaustive_search_reference(graph: Graph, k: int, colour_count: int, node_li
     for p, e in enumerate(order):
         colours[e] = chosen[p]
     return tuple(colours), nodes, False
+
+
+# ---------------------------------------------------------------------------
+# The graph reader's line-by-line reference
+# ---------------------------------------------------------------------------
+
+
+def parse_graph_reference(text: str) -> Graph:
+    """``parse_graph`` one content line at a time, then one pair at a time.
+
+    The header is read as the library reads it.  Each edge line is split and
+    converted on its own, and each pair is checked in order, so every
+    :class:`FormatError` names the first offending line or pair.
+    """
+    lines = (
+        (number, line.strip())
+        for number, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    )
+    header_no, n, m = _read_header(lines, "graph <n> <m>")
+    if n < 0:
+        raise FormatError(f"line {header_no}: vertex count must be nonnegative, got {n}")
+    _check_vertex_bound(n, m, len(text), f"line {header_no}: declares")
+    pairs = []
+    for number, line in lines:
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"line {number}: expected '<u> <v>', got {line!r}")
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise FormatError(f"line {number}: non-integer endpoint in {line!r}") from None
+        if len(pairs) > m:
+            raise FormatError(f"line {number}: more than the declared {m} edges")
+    if len(pairs) != m:
+        raise FormatError(f"declared {m} edges but found {len(pairs)}")
+    seen = set()
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"edge ({u}, {v}) has a vertex index outside 0..{n - 1}")
+        if u == v:
+            raise FormatError(f"self-loop ({u}, {v}) is not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise FormatError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        adjacency[u].append((v, e))
+        adjacency[v].append((u, e))
+    return Graph(n, tuple(pairs), tuple(map(tuple, adjacency)))
 
 
 # ---------------------------------------------------------------------------

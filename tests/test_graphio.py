@@ -1,8 +1,10 @@
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
+import oracles
 import strategies
 from kmajority import (
     EdgeColouring,
@@ -46,6 +48,14 @@ def test_graph_comments_and_blank_lines():
 def test_graph_parse_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_graph(text)
+
+
+def test_a_fault_after_many_edge_lines_is_named_in_linear_time():
+    # A body pattern that could match a line two ways would backtrack through
+    # 2^2000 ways of reading these lines before it refused the last one.
+    lines = "".join(f"{v} {v + 1}\n" for v in range(2000))
+    with pytest.raises(FormatError, match="line 2002: expected"):
+        parse_graph(f"graph 2002 2001\n{lines}0\t1 2\n")
 
 
 def test_graph_header_may_declare_isolated_vertices():
@@ -141,3 +151,87 @@ def test_format_parse_is_identity(g):
     if g.edge_count:
         colouring = EdgeColouring(tuple(e % 3 + 1 for e in range(g.edge_count)), 3)
         assert parse_colouring(format_colouring(colouring)) == colouring
+
+
+MUTATIONS = [
+    None, "third field", "missing field", "moved field", "non-integer", "self-loop",
+    "duplicate", "reversed duplicate", "out of range", "one line too many", "one line too few",
+]
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph file in free form, with at most one fault from ``MUTATIONS``.
+
+    Labels may carry a plus sign or leading zeros; fields are split by spaces,
+    tabs or a no-break space; lines end in \\n or \\r\\n, and comment and blank
+    lines fall anywhere.
+    """
+    g = draw(strategies.graphs(max_vertices=7, max_edges=10))
+    n = g.vertex_count
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in g.edges]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    declared = len(pairs)
+    if mutation in ("duplicate", "reversed duplicate") and pairs:
+        u, v = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), (v, u) if mutation[0] == "r" else (u, v))
+        declared += 1
+    elif mutation == "self-loop":
+        w = draw(st.integers(0, max(n - 1, 0)))
+        pairs.insert(draw(st.integers(0, len(pairs))), (w, w))
+        declared += 1
+    elif mutation == "out of range":
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(st.sampled_from([-1, n, n + 5])), 0))
+        declared += 1
+    elif mutation == "one line too many":
+        pairs.append((0, 1))
+    elif mutation == "one line too few" and pairs:
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+
+    def label(x):
+        return draw(st.sampled_from(["", "", "", "+", "0", "00"])) + str(x)
+
+    def gap():
+        return draw(st.sampled_from([" ", " ", "\t", "  ", " \t", "\u00a0"]))
+
+    lines = [f"graph {n} {declared}"]
+    for u, v in pairs:
+        fields = [label(u), label(v)]
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + gap().join(fields)
+                     + draw(st.sampled_from(["", "", " ", "\t"])))
+    edge_lines = range(1, len(lines))
+    if mutation in ("third field", "missing field", "non-integer") and pairs:
+        i = draw(st.sampled_from(edge_lines))
+        fields = lines[i].split()
+        if mutation == "third field":
+            fields.append(label(0))
+        elif mutation == "missing field":
+            fields.pop()
+        else:
+            fields[draw(st.integers(0, 1))] = draw(
+                st.sampled_from(["x", "1.5", "-", "0x1", "1_0", "\u0661", "1" * 5000])
+            )
+        lines[i] = " ".join(fields)
+    if mutation == "moved field" and len(pairs) > 1:
+        # The field count stays 2m, so only the per-line check sees the fault.
+        i, j = draw(st.lists(st.sampled_from(edge_lines), min_size=2, max_size=2, unique=True))
+        moved, rest = lines[i].split(), lines[j].split()
+        lines[i], lines[j] = " ".join(moved[:-1]), " ".join(rest + moved[-1:])
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", "   ", "# note", "  #0 1", "\t# a b c"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+@given(graph_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_graph_matches_the_line_by_line_reference(text):
+    try:
+        expected = oracles.parse_graph_reference(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as raised:
+            parse_graph(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_graph(text) == expected

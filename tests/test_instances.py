@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -150,6 +151,26 @@ def test_oracle_colour_count_past_the_edge_count_allocates_nothing_more():
     assert outcome.colouring.colour_count == 2_000_000
     assert outcome.colouring.colours == exhaustive_search(c4, 2, 4).colouring.colours
     assert (outcome.node_count, outcome.limit_hit) == (4, False)
+
+
+def test_oracle_outcomes_on_sweep_sized_graphs_are_pinned():
+    # The sweep's oracle calls: 14-vertex graphs just below the threshold,
+    # with k+1 colours, plus the k=2 certificate and a k=3 limit hit.  The
+    # digest covers every colouring, node count and limit flag.
+    calls = [
+        (random_min_degree_graph(14, delta, seed=s), k, k + 1, 10**8)
+        for k, delta in ((2, 3), (3, 8))
+        for s in range(20)
+    ]
+    calls += [(general_lower_bound(2), 2, 3, 10**8), (general_lower_bound(3), 3, 4, 20_000)]
+    outcomes = []
+    for graph, k, colour_count, node_limit in calls:
+        outcome = exhaustive_search(graph, k, colour_count, node_limit=node_limit)
+        colours = outcome.colouring.colours if outcome.found else None
+        outcomes.append((colours, outcome.node_count, outcome.limit_hit))
+    assert outcomes[-1][1:] == (20_000, True)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "2874b8faeeb6c4f9899b813d376a01bb96f4dd4a1ba6f097de15b5b6ac9e7823"
 
 
 @given(strategies.graphs(max_vertices=6, max_edges=7), st.sampled_from([2, 3]), st.data())
