@@ -66,11 +66,14 @@ doubled when a move next reads it.  What is left, a component that is
 exactly one odd cycle, goes to :func:`resolve_cycles`, over the final ``D``.
 
 One pass over the numerators sets the kernel up: it builds the live dicts
-and the weight sum of every vertex.  A move then costs one pass over its walk
-to add up the coefficients, one to find the step, and one to apply it.  The
-last drops each edge it makes integral from the live dicts and notes the
-earliest edge of the walk's path among them; the walk is cut back there, and
-left as it is when no path edge was dropped.
+and the weight sum of every vertex.  A move that uses each edge once (every
+Euler-pass trail, and every walk move but lollipops and dumbbells) has
+coefficients +-1 alternating along it, so it costs one pass to find both
+directions' least slack and their ties and one to apply the step.  A
+lollipop or a dumbbell costs one more pass first, to add up its coefficients
+per edge.  Applying a step drops each edge it makes integral from the live
+dicts and notes the earliest edge of the walk's path among them; the walk is
+cut back there, and left as it is when no path edge was dropped.
 
 Sums change only at leaves: kernel moves leave every vertex sum alone, and
 leaf moves leave the sums of their inner vertices alone.  A leaf has one live
@@ -244,26 +247,27 @@ def _euler_trails(edges, nbr: Sequence[dict[int, int]], live: list[int], used, c
     """One Euler pass: edge-disjoint even closed trails of live edges, walked
     from each vertex of ``live`` (those with a live edge, ascending) in turn.
     ``used`` (all True, and left so) and ``cursors`` are the walk's scratch."""
-    tree: dict[int, tuple[int, int]] = {}  # v's forest edge and parent
-    odd: dict[int, int] = {}  # v's degree parity, then its subtree's
+    up = [-1] * len(nbr)  # v's forest edge, -1 at a root
+    odd = [-1] * len(nbr)  # -1 off the forest; v's degree parity, then its subtree's
     for root in live:
-        if root not in tree:
-            tree[root] = (-1, -1)
+        if odd[root] < 0:
+            odd[root] = len(nbr[root]) & 1
             block = [root]
             for v in block:  # grows while it is read: a breadth-first search
                 d = nbr[v]
                 cursors[v] = zip(d.values(), d.keys())
-                odd[v] = len(d) & 1
                 for e, u in d.items():
                     used[e] = False
-                    if u not in tree:
-                        tree[u] = (e, v)
+                    if odd[u] < 0:
+                        odd[u] = len(nbr[u]) & 1
+                        up[u] = e
                         block.append(u)
-    for v in reversed(odd):  # leaves first; a root's subtree is even
-        if odd[v]:
-            e, parent = tree[v]
-            used[e] = True  # into F
-            odd[parent] ^= 1
+            for v in reversed(block):  # leaves first; the root's subtree is even
+                if odd[v]:
+                    e = up[v]
+                    used[e] = True  # into F
+                    a, b = edges[e]
+                    odd[a + b - v] ^= 1
     trails = []
     for start in live:
         trail = hierholzer_circuit(start, cursors, used)
@@ -348,7 +352,10 @@ class _Kernel:
                 continue
             kind, walk = found
             if kind == _MOVE:
-                cut = self._step(walk, es, pos)
+                if len(set(walk)) == len(walk):
+                    cut = self._sweep(walk, es, pos)
+                else:
+                    cut = self._step(walk, es, pos)
                 if cut == len(es):
                     continue
             else:
@@ -369,22 +376,71 @@ class _Kernel:
         nbr = self.nbr
         live = [v for v, d in enumerate(nbr) if d]
         ends = sum(map(len, nbr))  # twice the live edge count
-        used = [True] * len(self.x)
-        cursors: list = [None] * len(nbr)
+        used = cursors = None
         while live and ends >= _EULER_DEGREE * len(live):
+            if used is None:
+                used = [True] * len(self.x)
+                cursors = [None] * len(nbr)
             for trail in _euler_trails(self.edges, nbr, live, used, cursors):
-                self._step(trail, [], pos)
+                self._sweep(trail, [], pos)
             live = [v for v in live if nbr[v]]
             before, ends = ends, sum(len(nbr[v]) for v in live)
             if _EULER_SHARE * (before - ends) < before:
                 return
 
+    def _sweep(self, walk: list[int], es: list[int], pos: list[int]) -> int:
+        """:meth:`_step` for a walk that repeats no edge, whose coefficients
+        are +-1 along it: one loop finds the step, one applies it."""
+        x, level, top = self.x, self.level, self.top
+        scale = self.base << top
+        t_pos = t_neg = scale + 1
+        n_pos = n_neg = 0
+        plus = True
+        for e in walk:
+            xe = x[e]
+            if level[e] != top:
+                xe <<= top - level[e]
+                x[e] = xe
+                level[e] = top
+            up = scale - xe if plus else xe
+            down = scale - up
+            plus = not plus
+            if up < t_pos:
+                t_pos, n_pos = up, 1
+            elif up == t_pos:
+                n_pos += 1
+            if down < t_neg:
+                t_neg, n_neg = down, 1
+            elif down == t_neg:
+                n_neg += 1
+        step = t_pos if n_pos >= n_neg else -t_neg
+        edges, nbr = self.edges, self.nbr
+        cut = len(es)
+        dropped = False
+        for e in walk:
+            value = x[e] + step
+            step = -step
+            if not 0 <= value <= scale:
+                raise InternalInvariantError(f"step pushed edge {e} to {value}/{scale}")
+            x[e] = value
+            if value == 0 or value == scale:
+                dropped = True
+                u, v = edges[e]
+                del nbr[u][e]
+                del nbr[v][e]
+                k = min(pos[u], pos[v])
+                if 0 <= k < cut and es[k] == e:
+                    cut = k
+        if not dropped:
+            raise InternalInvariantError("move made no edge integral")
+        return cut
+
     def _step(self, walk: list[int], es: list[int], pos: list[int]) -> int:
         """Move along the alternating +1/-1 walk until an edge value hits 0 or the scale.
 
-        Coefficients are added up per edge; none cancels on the kernel's
-        walks, since an edge is used twice only on a lollipop stem or a
-        dumbbell path, both times with the same sign.  Step lengths are
+        Coefficients are added up per edge in a dict; none cancels on the
+        kernel's walks, since an edge is used twice only on a lollipop stem
+        or a dumbbell path, both times with the same sign.  Step lengths are
         counted in half units so that +-2 coefficients stay exact; an odd
         count doubles the scale.  Of the two signs, the one integralising
         more edges wins, ties going to +.  The edges that become integral

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kmajority import parse_colouring, parse_graph, read_graph
+from kmajority import InternalInvariantError, parse_colouring, parse_graph, read_graph, rounding
 from kmajority.cli import SWEEP_COLUMNS, SWEEP_SCHEMA, main
 from kmajority.graphio import format_graph, write_graph
 from kmajority.instances import general_lower_bound
@@ -55,6 +55,20 @@ def test_colour_forced_algorithm_precondition(tmp_path):
          "--output", str(tmp_path / "t.col")]
     )
     assert code == 3
+
+
+def test_internal_invariant_violation_exits_4(tmp_path, c4_file, monkeypatch, capsys):
+    # C4 at k = 2 is coloured by the bipartite scheme, whose rounding is
+    # certified; a failing certification must surface as exit code 4.
+    def broken_certificate(*args):
+        raise InternalInvariantError("certificate refused")
+
+    monkeypatch.setattr(rounding, "_certify_int", broken_certificate)
+    code = main(
+        ["colour", "--k", "2", "--input", str(c4_file), "--output", str(tmp_path / "c4.col")]
+    )
+    assert code == 4
+    assert "internal invariant violation: certificate refused" in capsys.readouterr().err
 
 
 def test_malformed_graph_exits_2(tmp_path, capsys):

@@ -97,6 +97,10 @@ def test_euler_triangle():
     _assert_closed_trail(triangle, circuit)
 
 
+def test_circuit_vertices_of_no_edges_is_empty():
+    assert circuit_vertices(build_graph(2, [(0, 1)]), []) == []
+
+
 def test_euler_bowtie():
     bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
     circuit = eulerian_circuit(bowtie)

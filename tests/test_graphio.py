@@ -108,6 +108,7 @@ def test_colouring_accepts_any_line_order():
         ("colouring 2 2\n0 1\n5 1\n", "outside"),
         ("colouring 2 2\n0 1\n1 7\n", "outside"),
         ("colouring 2 2\n0 1\n1\n", "line 3"),
+        ("colouring 1 2\n0 x\n", "non-integer field"),
         ("colouring -3 2\n", "nonnegative"),
         ("colouring 3 2\n0 1\n# 1 1\n2 1\n", "declares 3 edges but only 2 lines"),
     ],

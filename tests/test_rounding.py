@@ -247,6 +247,11 @@ def test_mixed_cycle_rounds_within_open_interval():
     assert all(value in (0, 1) for value in out)
 
 
+def test_one_edge_cycle_is_an_input_error():
+    with pytest.raises(InputError, match="at least 3 edges"):
+        resolve(build_graph(2, [(0, 1)]), [HALF], [(0,)])
+
+
 # --------------------------------------------------------------------------
 # condition (ii)
 # --------------------------------------------------------------------------
@@ -413,6 +418,73 @@ def test_odd_trail_keeps_an_even_closed_half():
     assert rounding._even_half(g.edges, 0, [0, 3, 4, 5, 6, 1, 2]) == [3, 4, 5, 6]
     # A simple odd cycle has no even closed half.
     assert rounding._even_half(g.edges, 0, [0, 1, 2]) == []
+
+
+@st.composite
+def once_through_moves(draw):
+    """(graph, move, walk path, top): a move that uses each edge once.
+
+    An even cycle closed by a chord from the end of a path, the path between
+    two leaves, or the first trail of an Euler pass over a circulant.  The
+    walk path is the path itself for the first two, empty for a trail.
+    """
+    kind = draw(st.sampled_from(["cycle", "path", "trail"]))
+    top = draw(st.integers(0, 3))
+    if kind == "trail":
+        n = draw(st.integers(5, 20))
+        degree = draw(st.sampled_from([d for d in (4, 6, 8) if d < n]))
+        graph = build_graph(n, strategies.circulant_edges(n, degree))
+        m = graph.edge_count
+        nbr = _Kernel(graph, 2, [1] * m).nbr
+        move = rounding._euler_trails(graph.edges, nbr, list(range(n)), [True] * m, [None] * n)[0]
+        return graph, move, [], top
+    n = draw(st.integers(2 if kind == "path" else 4, 14))
+    pairs = [(v, v + 1) for v in range(n - 1)]
+    path = list(range(n - 1))
+    if kind == "path":
+        return build_graph(n, pairs), path, path, top
+    p = n - 4 - 2 * draw(st.integers(0, (n - 4) // 2))  # the chord closes an even cycle
+    return build_graph(n, pairs + [(p, n - 1)]), path[p:] + [n - 1], path, top
+
+
+@settings(max_examples=600)
+@given(once_through_moves(), st.data())
+def test_sweeps_match_the_dict_step_on_once_through_moves(move_case, data):
+    # The same kernel state pushed along the same move by the coefficient-dict
+    # step and by the sweep: every value, level, live dict (in order) and
+    # the returned cut must agree.  The edges at +1 and those at -1 take
+    # values from two ranges of their own, so either side can set either
+    # direction's least slack, and a value is stored at a random level that
+    # can hold it, so ties and lazy normalisation both occur.
+    graph, move, es, top = move_case
+    rng = data.draw(st.randoms(use_true_random=False))
+    base = rng.randint(2, 5)
+    scale = base << top
+    ranges = [sorted(rng.randint(1, scale - 1) for _ in "lh") for _ in "+-"]
+    side = [0] * graph.edge_count
+    for i, e in enumerate(move):
+        side[e] = i & 1
+    levels, values = [], []
+    for e in range(graph.edge_count):
+        value = rng.randint(*ranges[side[e]])
+        shift = rng.randint(0, min(top, (value & -value).bit_length() - 1))
+        levels.append(top - shift)
+        values.append(value >> shift)
+    pos = [-1] * graph.vertex_count
+    if es:
+        for v in range(len(es) + 1):
+            pos[v] = v
+    kernels = []
+    for _ in range(2):
+        kernel = _Kernel(graph, base, [1] * graph.edge_count)
+        kernel.top, kernel.level, kernel.x = top, levels[:], values[:]
+        kernels.append(kernel)
+    by_dict, by_sweep = kernels
+    assert by_dict._step(move, es, pos) == by_sweep._sweep(move, es, pos)
+    assert by_sweep.x == by_dict.x
+    assert by_sweep.level == by_dict.level
+    assert by_sweep.top == by_dict.top == top
+    assert [list(d.items()) for d in by_sweep.nbr] == [list(d.items()) for d in by_dict.nbr]
 
 
 # --------------------------------------------------------------------------
