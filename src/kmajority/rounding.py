@@ -46,7 +46,7 @@ never straight back, and keeps its walk from one move to the next; a
 vertex-indexed list holds each vertex's position on the walk, ``-1`` off
 it.  At each vertex every live edge back onto the walk closes a cycle;
 failing that, the walk steps on along the lowest fresh edge.  Every move is
-an alternating +1/-1 walk, added up per edge:
+an alternating +1/-1 walk:
 
 * a path between two leaves (support degree 1), or an even cycle (the
   shortest one closed);
@@ -66,12 +66,10 @@ doubled when a move next reads it.  What is left, a component that is
 exactly one odd cycle, goes to :func:`resolve_cycles`, over the final ``D``.
 
 One pass over the numerators sets the kernel up: it builds the live dicts
-and the weight sum of every vertex.  A move that uses each edge once (every
-Euler-pass trail, and every walk move but lollipops and dumbbells) has
-coefficients +-1 alternating along it, so it costs one pass to find both
-directions' least slack and their ties and one to apply the step.  A
-lollipop or a dumbbell costs one more pass first, to add up its coefficients
-per edge.  Applying a step drops each edge it makes integral from the live
+and the weight sum of every vertex.  Every move, Euler-pass trail or walk,
+costs one pass to find both directions' least slack and their ties and one
+to apply the step; a lollipop or a dumbbell counts its stem or path once,
+at +-2.  Applying a step drops each edge it makes integral from the live
 dicts and notes the earliest edge of the walk's path among them; the walk is
 cut back there, and left as it is when no path edge was dropped.
 
@@ -134,25 +132,25 @@ def _as_weight(value, e: int) -> Fraction:
 _MOVE, _TERMINAL = range(2)
 
 
-def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int, int]) -> list[int]:
-    """Even closed walk from two odd closings ``(end, p, chord)``, chord from vs[end] to vs[p].
+def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int, int]) -> tuple:
+    """The move of two odd closings ``(end, p, chord)``, chord from vs[end] to vs[p].
 
     ``first`` ends no later than ``second``.  Overlapping cycles leave one
-    even cycle; otherwise the walk is a figure-eight or a dumbbell.
+    even cycle; otherwise the move is a figure-eight or a dumbbell, whose
+    path ``es[end:p2]`` is listed once, at +-2.
     """
     end, p, c1 = first
     end2, p2, c2 = second
     if p2 < end:
         if p <= p2:
-            return es[p:p2] + [c2] + es[end:end2][::-1] + [c1]
-        return es[p2:p] + [c1] + es[end:end2] + [c2]
-    path = es[end:p2]
-    return [c1] + es[p:end] + path + es[p2:end2] + [c2] + path[::-1]
+            return _MOVE, es[p:p2] + [c2] + es[end:end2][::-1] + [c1], 0, 0
+        return _MOVE, es[p2:p] + [c1] + es[end:end2] + [c2], 0, 0
+    return _MOVE, [c1] + es[p:end2] + [c2], 1 + end - p, 1 + p2 - p
 
 
 def _next_move(
     nbr: Sequence[dict[int, int]], vs: list[int], es: list[int], pos: list[int]
-) -> Optional[tuple[int, list[int]]]:
+) -> Optional[tuple[int, list[int], int, int]]:
     """Extend the walk ``vs``/``es`` (a path of live edges) until it yields a move.
 
     ``pos[v]`` is v's index in ``vs``, ``-1`` for a vertex off the walk; it
@@ -160,10 +158,13 @@ def _next_move(
     every live edge back onto the walk is a closing; the shortest even cycle
     wins.  An odd cycle is held while the walk goes on, until a second odd
     closing or a dead end completes a move with it.
-    Returns ``(_MOVE, walk)`` with an edge walk to alternate (an edge
-    between two leaves is one), ``(_TERMINAL, cycle)`` for a component that
-    is exactly one odd cycle, or ``None`` when the walk's only vertex has no
-    live edge.
+    Returns ``(_MOVE, walk, lo, hi)``: the move's edges, each listed once,
+    +1/-1 alternating along ``walk`` and +-2 on ``walk[lo:hi]`` (an edge
+    between two leaves is a move).  That stretch is empty but on a lollipop,
+    whose stem it is, and on a dumbbell, whose path it is: the move runs
+    along it twice, the odd cycle between the two runs keeping the sign.
+    ``(_TERMINAL, cycle, 0, 0)`` is a component that is exactly one odd
+    cycle, and ``None`` means the walk's only vertex has no live edge.
     """
     held = None  # the held odd closing (end, p, chord)
     end = len(vs) - 1
@@ -188,15 +189,15 @@ def _next_move(
             elif p > odd2_p:
                 odd2_p, odd2_e = p, e
         if even_p >= 0:
-            return _MOVE, es[even_p:] + [even_e]
+            return _MOVE, es[even_p:] + [even_e], 0, 0
         if odd_p >= 0:
             if held is not None:
-                return _MOVE, _join_odd(es, held, (end, odd_p, odd_e))
+                return _join_odd(es, held, (end, odd_p, odd_e))
             if odd2_p >= 0:
-                return _MOVE, _join_odd(es, (end, odd2_p, odd2_e), (end, odd_p, odd_e))
+                return _join_odd(es, (end, odd2_p, odd2_e), (end, odd_p, odd_e))
             p, c = odd_p, odd_e
             if len(nbr[vs[0]]) == 1:  # lollipop from the walk's leaf
-                return _MOVE, es + [c] + es[p - 1::-1]
+                return _MOVE, es + [c], 0, p
             held = (end, p, c)
             if fresh < 0:
                 # The walk cannot go on from x: re-lay it to end at a vertex of
@@ -208,7 +209,7 @@ def _next_move(
                 else:
                     j = next((j for j, v in enumerate(vs) if len(nbr[v]) > 2), None)
                     if j is None:
-                        return _TERMINAL, es + [c]
+                        return _TERMINAL, es + [c], 0, 0
                     chord = es[j]
                     held = (end, 0, chord)
                     vs[:] = vs[j + 1:] + vs[:j + 1]
@@ -220,8 +221,7 @@ def _next_move(
         if fresh < 0:
             if held is not None:  # lollipop from the leaf reached into the held cycle
                 hend, p, c = held
-                stem = es[hend:]
-                return _MOVE, stem[::-1] + [c] + es[p:hend] + stem
+                return _MOVE, es[hend:][::-1] + [c] + es[p:hend], 0, len(es) - hend
             if not es:
                 return None
             if len(nbr[vs[0]]) != 1:  # not from a leaf: walk on from the leaf reached
@@ -231,7 +231,7 @@ def _next_move(
                     pos[v] = i
                 x, back = vs[end], es[-1]
                 continue
-            return _MOVE, es[:]
+            return _MOVE, es[:], 0, 0
         es.append(fresh)
         end += 1
         pos[fresh_u] = end
@@ -336,26 +336,23 @@ class _Kernel:
         es: list[int] = []
         pos = [-1] * len(nbr)
         self._euler_passes(pos)
-        lo = 0
+        start = 0
         while True:
             if not vs:
-                while lo < len(nbr) and not nbr[lo]:
-                    lo += 1
-                if lo == len(nbr):
+                while start < len(nbr) and not nbr[start]:
+                    start += 1
+                if start == len(nbr):
                     return cycles
-                vs.append(lo)
-                pos[lo] = 0
+                vs.append(start)
+                pos[start] = 0
             found = _next_move(nbr, vs, es, pos)
             if found is None:
                 pos[vs[0]] = -1
                 vs.clear()
                 continue
-            kind, walk = found
+            kind, walk, lo, hi = found
             if kind == _MOVE:
-                if len(set(walk)) == len(walk):
-                    cut = self._sweep(walk, es, pos)
-                else:
-                    cut = self._step(walk, es, pos)
+                cut = self._sweep(walk, lo, hi, es, pos)
                 if cut == len(es):
                     continue
             else:
@@ -382,116 +379,67 @@ class _Kernel:
                 used = [True] * len(self.x)
                 cursors = [None] * len(nbr)
             for trail in _euler_trails(self.edges, nbr, live, used, cursors):
-                self._sweep(trail, [], pos)
+                self._sweep(trail, 0, 0, [], pos)
             live = [v for v in live if nbr[v]]
             before, ends = ends, sum(len(nbr[v]) for v in live)
             if _EULER_SHARE * (before - ends) < before:
                 return
 
-    def _sweep(self, walk: list[int], es: list[int], pos: list[int]) -> int:
-        """:meth:`_step` for a walk that repeats no edge, whose coefficients
-        are +-1 along it: one loop finds the step, one applies it."""
+    def _sweep(self, walk: list[int], lo: int, hi: int, es: list[int], pos: list[int]) -> int:
+        """Push the move ``walk``, +1/-1 alternating and +-2 on ``walk[lo:hi]``,
+        until an edge value hits 0 or the scale, in the direction that makes
+        more edges integral (ties go to +).
+
+        One loop finds both directions' least slack and ties, one applies
+        the step.  Slacks count in half units: the least ones over the walk
+        double, then the stretch's edges, whose own slack is less than their
+        doubled one, are counted again.  An odd step doubles the scale.  The
+        edges made integral leave ``nbr`` at once; returns the length of the
+        longest prefix of the walk path ``es`` still live.
+        """
         x, level, top = self.x, self.level, self.top
         scale = self.base << top
-        t_pos = t_neg = scale + 1
+        t_pos = t_neg = scale
         n_pos = n_neg = 0
-        plus = True
-        for e in walk:
-            xe = x[e]
-            if level[e] != top:
-                xe <<= top - level[e]
-                x[e] = xe
-                level[e] = top
-            up = scale - xe if plus else xe
-            down = scale - up
-            plus = not plus
-            if up < t_pos:
-                t_pos, n_pos = up, 1
-            elif up == t_pos:
-                n_pos += 1
-            if down < t_neg:
-                t_neg, n_neg = down, 1
-            elif down == t_neg:
-                n_neg += 1
+        for part, plus in (walk, True), (walk[lo:hi], not lo & 1):
+            t_pos += t_pos  # before the walk this only raises the bound
+            t_neg += t_neg
+            for e in part:
+                xe = x[e]
+                if level[e] != top:
+                    xe <<= top - level[e]
+                    x[e] = xe
+                    level[e] = top
+                up = scale - xe if plus else xe
+                down = scale - up
+                plus = not plus
+                if up < t_pos:
+                    t_pos, n_pos = up, 1
+                elif up == t_pos:
+                    n_pos += 1
+                if down < t_neg:
+                    t_neg, n_neg = down, 1
+                elif down == t_neg:
+                    n_neg += 1
         step = t_pos if n_pos >= n_neg else -t_neg
+        if step & 1:
+            top = self.top = top + 1
+            scale += scale
+            for e in walk:
+                x[e] += x[e]
+                level[e] = top
+        else:
+            step >>= 1
+        twice = -step if lo & 1 else step
+        for e in walk[lo:hi]:  # the stretch's first step of two
+            x[e] += twice
+            twice = -twice
         edges, nbr = self.edges, self.nbr
         cut = len(es)
         dropped = False
         for e in walk:
             value = x[e] + step
             step = -step
-            if not 0 <= value <= scale:
-                raise InternalInvariantError(f"step pushed edge {e} to {value}/{scale}")
-            x[e] = value
-            if value == 0 or value == scale:
-                dropped = True
-                u, v = edges[e]
-                del nbr[u][e]
-                del nbr[v][e]
-                k = min(pos[u], pos[v])
-                if 0 <= k < cut and es[k] == e:
-                    cut = k
-        if not dropped:
-            raise InternalInvariantError("move made no edge integral")
-        return cut
-
-    def _step(self, walk: list[int], es: list[int], pos: list[int]) -> int:
-        """Move along the alternating +1/-1 walk until an edge value hits 0 or the scale.
-
-        Coefficients are added up per edge in a dict; none cancels on the
-        kernel's walks, since an edge is used twice only on a lollipop stem
-        or a dumbbell path, both times with the same sign.  Step lengths are
-        counted in half units so that +-2 coefficients stay exact; an odd
-        count doubles the scale.  Of the two signs, the one integralising
-        more edges wins, ties going to +.  The edges that become integral
-        leave ``nbr`` at once; returns the length of the longest prefix of
-        the walk path ``es`` still live.
-        """
-        direction: dict[int, int] = {}
-        sign = 1
-        for e in walk:
-            direction[e] = direction.get(e, 0) + sign
-            sign = -sign
-        x, level, top = self.x, self.level, self.top
-        scale = self.base << top
-        t_pos = t_neg = 2 * scale + 1
-        n_pos = n_neg = 0
-        for e, a in direction.items():
-            xe = x[e]
-            if level[e] != top:
-                xe <<= top - level[e]
-                x[e] = xe
-                level[e] = top
-            if a > 0:
-                up, down = scale - xe, xe
-            else:
-                up, down = xe, scale - xe
-            if a == 1 or a == -1:
-                up += up
-                down += down
-            if up < t_pos:
-                t_pos, n_pos = up, 1
-            elif up == t_pos:
-                n_pos += 1
-            if down < t_neg:
-                t_neg, n_neg = down, 1
-            elif down == t_neg:
-                n_neg += 1
-        step = t_pos if n_pos >= n_neg else -t_neg
-        grow = step & 1
-        if grow:
-            top += 1
-            scale += scale
-            self.top = top
-            for e in direction:
-                level[e] = top
-        else:
-            step >>= 1
-        edges, nbr = self.edges, self.nbr
-        cut = len(es)
-        dropped = False
-        for e, a in direction.items():
-            value = (x[e] << grow) + a * step
             if not 0 <= value <= scale:
                 raise InternalInvariantError(f"step pushed edge {e} to {value}/{scale}")
             x[e] = value

@@ -4,9 +4,10 @@ Everything here re-derives expected behaviour from first principles
 (enumeration, brute force) without touching the library's own certification
 paths, so tests cross-check two independent routes.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
-tests call: kernel and pendant directions, with the live adjacency, the
-+1/-1 sums along a walk and the edge removal they are built from, the
-condition-(ii) repair on its own, vertex sums and whole-graph Euler circuits.
+tests call: kernel and pendant directions, with the live adjacency, a
+move's coefficients and the edge removal they are built from, an exact push
+of one move, the condition-(ii) repair on its own, vertex sums and
+whole-graph Euler circuits.
 The sections before it check the refined scheme's bucket invariant at each
 Euler split the scheme makes, check each move of the rounding kernel's Euler
 passes, and keep the exhaustive oracle's plain backtracking loop and the
@@ -802,18 +803,35 @@ def _live_adjacency(graph: Graph, live: Iterable[int]) -> list[dict[int, int]]:
     return nbr
 
 
-def _alternating_direction(walk: Sequence[int]) -> dict[int, int]:
-    """Add up +1/-1 along a walk.
-
-    No coefficient cancels on the kernel's walks: an edge is used twice only
-    on a lollipop stem or a dumbbell path, both times with the same sign.
-    """
-    direction: dict[int, int] = {}
-    sign = 1
-    for e in walk:
-        direction[e] = direction.get(e, 0) + sign
-        sign = -sign
+def move_coefficients(walk: Sequence[int], lo: int, hi: int) -> dict[int, int]:
+    """A kernel move's coefficient per edge: +1/-1 alternating along ``walk``,
+    doubled on ``walk[lo:hi]`` (a lollipop stem or a dumbbell path)."""
+    direction = {e: (2 if lo <= i < hi else 1) * (-1) ** i for i, e in enumerate(walk)}
+    assert len(direction) == len(walk), f"move {walk} lists an edge twice"
     return direction
+
+
+def push_move(walk: Sequence[int], lo: int, hi: int, values, base: int, top: int):
+    """One push of the move ``(walk, lo, hi)`` on exact values, as a reference.
+
+    ``values`` maps each edge of the move to a ``Fraction`` in (0, 1).  In
+    each direction, the least step that takes an edge to 0 or 1 is found
+    with the number of edges it takes there; the direction taking more
+    wins, ties going to +.  Returns the pushed values and the top the
+    kernel must reach: ``top`` if the step is a multiple of
+    ``1 / (base << top)``, else ``top + 1``.
+    """
+    coeffs = move_coefficients(walk, lo, hi)
+    least = {}
+    for sign in (1, -1):
+        slacks = [(1 - values[e] if sign * a > 0 else values[e]) / abs(a) for e, a in coeffs.items()]
+        least[sign] = (min(slacks), slacks.count(min(slacks)))
+    sign = 1 if least[1][1] >= least[-1][1] else -1
+    step = sign * least[sign][0]
+    if (step * (base << top)).denominator != 1:
+        top += 1
+    assert (step * (base << top)).denominator == 1
+    return {e: values[e] + a * step for e, a in coeffs.items()}, top
 
 
 def _drop(edges: Sequence[tuple[int, int]], nbr: Sequence[dict[int, int]], e: int) -> None:
@@ -864,10 +882,10 @@ def find_kernel_direction(graph: Graph, support, component):
     start = next((v for v in comp if nbr[v]), None)
     if start is None:
         return None
-    kind, walk = _walk_from(graph, nbr, start)
+    kind, *move = _walk_from(graph, nbr, start)
     if kind == _TERMINAL:
         return None
-    direction = _alternating_direction(walk)
+    direction = move_coefficients(*move)
     _assert_zero_sums(graph, direction)
     return direction
 
@@ -887,8 +905,8 @@ def pendant_direction(graph: Graph, support, component):
     internal = {v for v in comp if len(nbr[v]) >= 2}
     if not leaves or not internal:
         raise InternalInvariantError("pendant direction needs a leaf and an internal vertex")
-    _, walk = _walk_from(graph, nbr, leaves[0])
-    direction: dict = _alternating_direction(walk)
+    _, *move = _walk_from(graph, nbr, leaves[0])
+    direction: dict = move_coefficients(*move)
     if any(abs(c) == 2 for c in direction.values()):
         direction = {e: Fraction(c, 2) for e, c in direction.items()}
     sums = dict.fromkeys(internal, 0)

@@ -1,10 +1,10 @@
 """Scheme outputs stay byte-identical to the pinned digests.
 
 ``scripts/output_digest.py`` hashes every colouring and per-round report of
-the benchmark workloads' instances.  The digests below are its seed-1
-``--reports`` lines; a change that is meant to leave every output as it is
-must keep them, and one that moves an output on purpose updates them and
-says why.
+the benchmark workloads' instances.  The digests below are its ``--reports``
+lines for seed 1 and for seeds 1 2 3 (the script's default); a change that
+is meant to leave every output as it is must keep them, and one that moves
+an output on purpose updates them and says why.
 """
 
 import importlib.util
@@ -21,6 +21,12 @@ SEED_1_REPORTS = {
     "threshold_sweep": "9dedb916812f71bfffbe1fde8ea4106a2637760c221c06725ea57d003ad30c46",
 }
 
+SEEDS_1_2_3_REPORTS = {
+    "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
+    "many_components": "9484fab7dbb68b802b4a7503758676c8625c722818919a631dba6f98010b793f",
+    "threshold_sweep": "57c7171c2c02eac5aedd481474c3f54d7dae1953bfca15f4b3d5c4f8d20dae6e",
+}
+
 
 def load_script():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
@@ -34,3 +40,10 @@ def test_seed_1_output_digest_is_pinned(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))  # the workloads live in perfbench/
     script = load_script()
     assert script.workload_digest(workload, [1], True) == SEED_1_REPORTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(SEEDS_1_2_3_REPORTS))
+def test_seeds_1_2_3_output_digest_is_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    script = load_script()
+    assert script.workload_digest(workload, [1, 2, 3], True) == SEEDS_1_2_3_REPORTS[workload]

@@ -421,14 +421,18 @@ def test_odd_trail_keeps_an_even_closed_half():
 
 
 @st.composite
-def once_through_moves(draw):
-    """(graph, move, walk path, top): a move that uses each edge once.
+def kernel_moves(draw):
+    """(graph, (walk, lo, hi), walk path, top): a move and the walk it came from.
 
     An even cycle closed by a chord from the end of a path, the path between
-    two leaves, or the first trail of an Euler pass over a circulant.  The
-    walk path is the path itself for the first two, empty for a trail.
+    two leaves, the first trail of an Euler pass over a circulant, and the
+    moves with a +-2 stretch ``walk[lo:hi]``: a lollipop from the path's
+    first vertex, one into a cycle held behind the path's end, and a
+    dumbbell; their stems and paths have 1 to 4 edges.  The walk path is
+    the graph's path ``0, 1, ...`` (edge i joins i and i + 1), empty for a
+    trail.
     """
-    kind = draw(st.sampled_from(["cycle", "path", "trail"]))
+    kind = draw(st.sampled_from(["cycle", "path", "trail", "lollipop", "held", "dumbbell"]))
     top = draw(st.integers(0, 3))
     if kind == "trail":
         n = draw(st.integers(5, 20))
@@ -437,36 +441,64 @@ def once_through_moves(draw):
         m = graph.edge_count
         nbr = _Kernel(graph, 2, [1] * m).nbr
         move = rounding._euler_trails(graph.edges, nbr, list(range(n)), [True] * m, [None] * n)[0]
-        return graph, move, [], top
+        return graph, (move, 0, 0), [], top
+    odd_cycle = st.integers(1, 3).map(lambda h: 2 * h + 1)
+    if kind == "dumbbell":
+        p = draw(st.integers(0, 2))
+        end = p + draw(odd_cycle) - 1
+        p2 = end + draw(st.integers(1, 4))
+        n = p2 + draw(odd_cycle)
+        path = list(range(n - 1))
+        graph = build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(end, p), (n - 1, p2)])
+        return graph, ([n - 1] + path[p:] + [n], 1 + end - p, 1 + p2 - p), path, top
+    if kind in ("lollipop", "held"):
+        stem = draw(st.integers(1, 4))
+        cycle = draw(odd_cycle)
+        n = stem + cycle
+        path = list(range(n - 1))
+        if kind == "lollipop":  # stem 0..stem, then the cycle closed back to vertex stem
+            graph = build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, stem)])
+            return graph, (path + [n - 1], 0, stem), path, top
+        p = draw(st.integers(0, 2))  # a cycle p..hend, then the stem on to the leaf n - 1
+        n += p
+        hend = p + cycle - 1
+        path = list(range(n - 1))
+        graph = build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(hend, p)])
+        return graph, (path[hend:][::-1] + [n - 1] + path[p:hend], 0, stem), path, top
     n = draw(st.integers(2 if kind == "path" else 4, 14))
     pairs = [(v, v + 1) for v in range(n - 1)]
     path = list(range(n - 1))
     if kind == "path":
-        return build_graph(n, pairs), path, path, top
+        return build_graph(n, pairs), (path, 0, 0), path, top
     p = n - 4 - 2 * draw(st.integers(0, (n - 4) // 2))  # the chord closes an even cycle
-    return build_graph(n, pairs + [(p, n - 1)]), path[p:] + [n - 1], path, top
+    return build_graph(n, pairs + [(p, n - 1)]), (path[p:] + [n - 1], 0, 0), path, top
 
 
 @settings(max_examples=600)
-@given(once_through_moves(), st.data())
-def test_sweeps_match_the_dict_step_on_once_through_moves(move_case, data):
-    # The same kernel state pushed along the same move by the coefficient-dict
-    # step and by the sweep: every value, level, live dict (in order) and
-    # the returned cut must agree.  The edges at +1 and those at -1 take
-    # values from two ranges of their own, so either side can set either
-    # direction's least slack, and a value is stored at a random level that
-    # can hold it, so ties and lazy normalisation both occur.
-    graph, move, es, top = move_case
+@given(kernel_moves(), st.data())
+def test_sweep_matches_an_exact_push_on_kernel_moves(move_case, data):
+    # A kernel state pushed along a move by the sweep and by the exact
+    # reference push: every value (over a common top), the top, every live
+    # dict (in order) and the returned cut must agree.  The edges at +1 and
+    # those at -1 take values from two ranges of their own, so either side
+    # can set either direction's least slack, and a value is stored at a
+    # random level that can hold it, so ties and lazy normalisation both
+    # occur.  With ``half``, the stretch's first two edges sit one unit from
+    # a bound in opposite directions, so the step is half a unit.
+    graph, (walk, lo, hi), es, top = move_case
     rng = data.draw(st.randoms(use_true_random=False))
     base = rng.randint(2, 5)
     scale = base << top
     ranges = [sorted(rng.randint(1, scale - 1) for _ in "lh") for _ in "+-"]
     side = [0] * graph.edge_count
-    for i, e in enumerate(move):
+    for i, e in enumerate(walk):
         side[e] = i & 1
+    numerators = [rng.randint(*ranges[side[e]]) for e in range(graph.edge_count)]
+    if lo < hi and data.draw(st.booleans(), label="half"):
+        for i, e in enumerate(walk[lo:hi][:2]):
+            numerators[e] = scale - 1 if (side[e] + i) & 1 == 0 else 1
     levels, values = [], []
-    for e in range(graph.edge_count):
-        value = rng.randint(*ranges[side[e]])
+    for value in numerators:
         shift = rng.randint(0, min(top, (value & -value).bit_length() - 1))
         levels.append(top - shift)
         values.append(value >> shift)
@@ -474,17 +506,19 @@ def test_sweeps_match_the_dict_step_on_once_through_moves(move_case, data):
     if es:
         for v in range(len(es) + 1):
             pos[v] = v
-    kernels = []
-    for _ in range(2):
-        kernel = _Kernel(graph, base, [1] * graph.edge_count)
-        kernel.top, kernel.level, kernel.x = top, levels[:], values[:]
-        kernels.append(kernel)
-    by_dict, by_sweep = kernels
-    assert by_dict._step(move, es, pos) == by_sweep._sweep(move, es, pos)
-    assert by_sweep.x == by_dict.x
-    assert by_sweep.level == by_dict.level
-    assert by_sweep.top == by_dict.top == top
-    assert [list(d.items()) for d in by_sweep.nbr] == [list(d.items()) for d in by_dict.nbr]
+    kernel = _Kernel(graph, base, [1] * graph.edge_count)
+    before = [list(d.items()) for d in kernel.nbr]
+    kernel.top, kernel.level, kernel.x = top, levels[:], values[:]
+    exact = {e: Fraction(numerators[e], scale) for e in range(graph.edge_count)}
+    pushed, new_top = oracles.push_move(walk, lo, hi, exact, base, top)
+    exact.update(pushed)
+    cut = kernel._sweep(walk, lo, hi, es, pos)
+    assert kernel.top == new_top
+    new_scale = base << new_top
+    assert [Fraction(kernel.numerator(e), new_scale) for e in range(graph.edge_count)] == list(exact.values())
+    integral = {e for e, value in exact.items() if value.denominator == 1}
+    assert [list(d.items()) for d in kernel.nbr] == [[(e, u) for e, u in d if e not in integral] for d in before]
+    assert cut == next((k for k, e in enumerate(es) if e in integral), len(es))
 
 
 # --------------------------------------------------------------------------
@@ -627,7 +661,7 @@ def test_round_weights_outputs_are_pinned(monkeypatch):
 
     def spy_next_move(nbr, vs, es, pos):
         found = next_move(nbr, vs, es, pos)
-        if found is not None and found[0] == rounding._MOVE and len(set(found[1])) < len(found[1]):
+        if found is not None and found[0] == rounding._MOVE and found[2] < found[3]:
             doubled_walks.append(found[1])
         return found
 
