@@ -61,8 +61,8 @@ def clique_union(size: int, copies: int):
     return build_graph(size * copies, pairs)
 
 
-def six_regular_odd(verts, degs, edge_count):
-    return edge_count % 2 == 1 and all(degs[v] == 6 for v in verts)
+def six_regular(v, d):
+    return d == 6
 
 
 def eulersplit(graph):
@@ -71,8 +71,8 @@ def eulersplit(graph):
 
 def eliminate(graph):
     bic = balanced_bicolouring(graph)
-    _, (_, flips) = eliminate_bad_components(graph, bic, six_regular_odd)
-    return lambda: eliminate_bad_components(graph, bic, six_regular_odd), flips
+    _, (_, flips) = eliminate_bad_components(graph, bic, six_regular)
+    return lambda: eliminate_bad_components(graph, bic, six_regular), flips
 
 
 def certify(graph):

@@ -12,11 +12,11 @@ colours the traversal alternately; the auxiliary edges only consume parity
 slots and are discarded.
 
 A split may cover only a subset of a graph's edges.  Degrees, components and
-bad vertices are then those of the subset, the walk runs on the graph's own
-adjacency with every other edge marked used beforehand, and the sides stay
-indexed by the graph's edge ids, ``-1`` outside the subset.  The result is
-the split of ``edge_subgraph(graph, edges)`` mapped back to the graph's ids,
-without building that subgraph.
+bad vertices are then those of the subset, the walk runs on an adjacency of
+the subset's own edges, built per call in increasing edge id, and the sides
+stay indexed by the graph's edge ids, ``-1`` outside the subset.  The result
+is the split of ``edge_subgraph(graph, edges)`` mapped back to the graph's
+ids, at the cost of the subset's edges, without building that subgraph.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError, SelectorExhaustedError
-from .graph import Graph, components, hierholzer_circuit
+from .graph import Graph, _checked_edge_ids, hierholzer_circuit
+from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
 
 BLUE = 0
 RED = 1
@@ -59,42 +60,54 @@ def balanced_bicolouring(
     """
     m = graph.edge_count
     aux = graph.vertex_count
-    edges = range(m) if edges is None else list(edges)
-    comps = components(graph, edges)
-    # One cursor list (the walk's adjacency, plus an auxiliary vertex) and
-    # one used array serve every component: components share no vertex or
-    # edge, so only the auxiliary vertex's cursor is reset, and auxiliary
-    # edges take fresh ids m, m+1, ... across them.  Being larger than every
-    # edge id of the graph, they come last at each vertex, as they would in
-    # the subgraph of the subset.
-    cursors = [iter(a) for a in graph.adjacency]
+    if edges is None:
+        adjacency = graph.adjacency
+    else:
+        # Each list keeps the graph's increasing edge-id order, so the walk
+        # takes the edges the subgraph of the subset would, in its order.
+        adjacency = [[] for _ in range(aux)]
+        ends = graph.edges
+        last = -1
+        for e in _checked_edge_ids(graph, sorted(edges)):
+            if e == last:
+                raise InputError(f"edge id {e} is listed twice")
+            last = e
+            u, v = ends[e]
+            adjacency[u].append((v, e))
+            adjacency[v].append((u, e))
+    # One cursor list (plus an auxiliary vertex) and one used array serve
+    # every component: components share no vertex or edge, so only the
+    # auxiliary vertex's cursor is reset, and auxiliary edges take fresh ids
+    # m, m+1, ... across them.  Being larger than every edge id of the
+    # graph, they come last at each vertex, as they would in the subgraph.
+    cursors = [iter(a) for a in adjacency]
     cursors.append(iter(()))
-    degree = [0] * aux
-    used = [True] * m + [False] * aux
-    ends = graph.edges
-    for e in edges:
-        if not used[e]:
-            raise InputError(f"edge id {e} is listed twice")
-        used[e] = False
-        u, v = ends[e]
-        degree[u] += 1
-        degree[v] += 1
+    degree = list(map(len, adjacency))
+    used = [False] * (m + aux)
     side: list[int] = [-1] * (m + aux)  # auxiliary edges' entries are cut off at the end
     bad: list[int] = []
     aux_edges = m
-    for comp in comps:
-        degree_sum = sum(degree[v] for v in comp)
-        if not degree_sum:
+    seen = [False] * aux
+    for root in range(aux):
+        if seen[root] or not degree[root]:
             continue
-        odd = [v for v in comp if degree[v] % 2 == 1]
+        seen[root] = True
+        comp = [root]
+        for v in comp:  # grows while it is read: a breadth-first search
+            for u, _ in adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        comp.sort()
+        odd = [v for v in comp if degree[v] % 2]
         if odd:
             joins = [(v, aux_edges + j) for j, v in enumerate(odd)]
             cursors[aux] = iter(joins)
             for v, e in joins:
-                cursors[v] = iter(graph.adjacency[v] + ((aux, e),))
+                cursors[v] = iter([*adjacency[v], (aux, e)])
             aux_edges += len(odd)
             start = aux
-        elif degree_sum // 2 % 2 == 1:
+        elif sum(degree[v] for v in comp) // 2 % 2 == 1:
             u = next((v for v in comp if admissible is None or admissible(v, degree[v])), None)
             if u is None:
                 raise SelectorExhaustedError(

@@ -9,7 +9,7 @@ incident edges in increasing edge-index order, so all derived structures
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BuildError, InputError
 
@@ -95,24 +95,10 @@ def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
     return edges
 
 
-def components(
-    graph: Graph, edges: Optional[Iterable[int]] = None
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least vertex.
-
-    With ``edges``, the components of the spanning subgraph that keeps only
-    those edge ids: the same blocks as ``components(edge_subgraph(graph,
-    edges)[0])``, a vertex none of them touches being a block of its own,
-    without building the subgraph.
-    """
+def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by least vertex."""
     n = graph.vertex_count
     adjacency = graph.adjacency
-    if edges is None:
-        keep = [True] * graph.edge_count
-    else:
-        keep = [False] * graph.edge_count
-        for e in _checked_edge_ids(graph, edges):
-            keep[e] = True
     seen = [False] * n
     out: list[tuple[int, ...]] = []
     for root in range(n):
@@ -121,8 +107,8 @@ def components(
         seen[root] = True
         block = [root]
         for v in block:  # grows while it is read: a breadth-first search
-            for u, e in adjacency[v]:
-                if not seen[u] and keep[e]:
+            for u, _ in adjacency[v]:
+                if not seen[u]:
                     seen[u] = True
                     block.append(u)
         block.sort()

@@ -63,7 +63,9 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
         return graph, SplitTrace(tuple(range(graph.vertex_count)))
     origin: list[int] = []
     first_part: list[int] = [0] * graph.vertex_count
-    part_of_edge: dict[tuple[int, int], int] = {}  # (vertex, edge) -> part offset
+    # Part offsets of each edge's first and second end; part 0 is the default.
+    part_u = [0] * graph.edge_count
+    part_v = [0] * graph.edge_count
     for v in range(graph.vertex_count):
         first_part[v] = len(origin)
         d_v = graph.degree(v)
@@ -73,13 +75,16 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
         parts = (d_v - ksq) // ksq  # degree = parts*k^2 + head with k^2 <= head < 2k^2
         head = d_v - parts * ksq
         origin.extend([v] * (parts + 1))
-        for rank, (_, e) in enumerate(sorted(graph.adjacency[v], key=lambda item: item[0])):
-            part_of_edge[(v, e)] = 0 if rank < head else 1 + (rank - head) // ksq
-    new_edges = []
-    for e, (u, v) in enumerate(graph.edges):
-        nu = first_part[u] + part_of_edge.get((u, e), 0)
-        nv = first_part[v] + part_of_edge.get((v, e), 0)
-        new_edges.append((nu, nv))
+        # Neighbours are distinct, so the pairs sort by neighbour.
+        for rank, (_, e) in enumerate(sorted(graph.adjacency[v])[head:]):
+            if graph.edges[e][0] == v:
+                part_u[e] = 1 + rank // ksq
+            else:
+                part_v[e] = 1 + rank // ksq
+    new_edges = [
+        (first_part[u] + pu, first_part[v] + pv)
+        for (u, v), pu, pv in zip(graph.edges, part_u, part_v)
+    ]
     # Parts of one vertex are distinct new vertices, so no loop or parallel
     # edge can appear: the renamed edges skip re-validation.
     out = _assemble(len(origin), new_edges)

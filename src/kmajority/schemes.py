@@ -332,7 +332,7 @@ def _assert_refined_claim(
 # Bad-component elimination (shared by the small-k schemes)
 # ---------------------------------------------------------------------------
 
-BadComponentPredicate = Callable[[tuple[int, ...], dict[int, int], int], bool]
+BadVertexPredicate = Callable[[int, int], bool]
 FlipVertexPicker = Callable[[tuple[int, ...], dict[int, int]], Optional[int]]
 
 
@@ -368,39 +368,36 @@ def _has_colour(graph: Graph, side: Sequence[int], colour: int, v: int) -> bool:
     return any(side[e] == colour for _, e in graph.adjacency[v])
 
 
-def _mono_components(graph: Graph, side: Sequence[int], colour: int) -> list[MonoComponent]:
-    """Components of one colour class, ordered by least vertex."""
-    seen = [False] * graph.vertex_count
-    return [
-        _mono_component(graph, side, colour, root, seen)
-        for root in range(graph.vertex_count)
-        if not seen[root] and _has_colour(graph, side, colour, root)
-    ]
-
-
 def eliminate_bad_components(
     graph: Graph,
     bicolouring: Bicolouring,
-    is_bad: BadComponentPredicate,
+    bad_vertex: BadVertexPredicate,
     pick_vertex: Optional[FlipVertexPicker] = None,
 ) -> tuple[Bicolouring, tuple[int, int]]:
     """Recolour single edges until no monochromatic component is "bad".
 
-    In the chosen bad component, a vertex v and two of its neighbours u1, u2
-    are located; the edge to whichever u_i lies outside v's other-colour
-    component is flipped (v-u1 when both lie inside).  Each flip must strictly
-    decrease the number of bad components over both colours, else an
-    :class:`InternalInvariantError` signals a hypothesis breach.  Bad
+    A monochromatic component is bad when its edge count is odd and
+    ``bad_vertex(v, d)`` holds at every vertex v of it, d being v's degree
+    in the component's colour.  Edges of side ``-1`` belong to neither
+    colour.  In the chosen bad component, a vertex v and two of its
+    neighbours u1, u2 are located; the edge to whichever u_i lies outside v's
+    other-colour component is flipped (v-u1 when both lie inside).  Each flip
+    must strictly decrease the number of bad components over both colours,
+    else an :class:`InternalInvariantError` signals a hypothesis breach.  Bad
     components are taken blue before red, then by least vertex.
 
-    A flip only touches the components of its two endpoints, so only those
-    are traversed again: the time is linear in the size of the components
+    The first scan searches each colour only from vertices where
+    ``bad_vertex`` holds and leaves a search at the first vertex where it
+    fails, so a component is built only when it can be bad.  A flip only
+    touches the components of its two endpoints, so only those are traversed
+    again: the time is linear in the graph plus the size of the components
     flipped in, not in the number of bad components times the graph.
 
     Returns the repaired bicolouring and (initial bad count, flips done).
     """
     side = list(bicolouring.side)
-    seen = [False] * graph.vertex_count
+    n = graph.vertex_count
+    seen = [False] * n
 
     def component(colour: int, root: int) -> Optional[MonoComponent]:
         """Root's component in ``colour`` (None without such an edge); resets ``seen``."""
@@ -411,12 +408,40 @@ def eliminate_bad_components(
             seen[v] = False
         return info
 
+    def is_bad(info: MonoComponent) -> bool:
+        verts, degs, edge_count = info
+        return edge_count % 2 == 1 and all(bad_vertex(v, degs[v]) for v in verts)
+
+    def only_bad_vertices(colour: int, degree: list[int], root: int, label: list[int]):
+        """Root's component in ``colour`` if ``bad_vertex`` holds at all its
+        vertices, else None.  ``label[u]`` is the root of the search that
+        reached u; an earlier one left u's component, so this one stops."""
+        label[root] = root
+        block = [root]
+        for v in block:  # grows while it is read: a breadth-first search
+            for u, e in graph.adjacency[v]:
+                if side[e] == colour and label[u] != root:
+                    if label[u] >= 0 or not bad_vertex(u, degree[u]):
+                        return None
+                    label[u] = root
+                    block.append(u)
+        return block
+
+    # Both colours' degrees in one pass; the last list takes side -1.
+    degrees = ([0] * n, [0] * n, [0] * n)
+    for (u, v), s in zip(graph.edges, side):
+        degrees[s][u] += 1
+        degrees[s][v] += 1
     # (colour, least vertex) -> component, for every bad component.
     bads: dict[tuple[int, int], MonoComponent] = {}
     for colour in (BLUE, RED):
-        for info in _mono_components(graph, side, colour):
-            if is_bad(*info):
-                bads[(colour, info[0][0])] = info
+        degree = degrees[colour]
+        label = [-1] * n
+        for root in range(n):
+            if label[root] < 0 and degree[root] and bad_vertex(root, degree[root]):
+                block = only_bad_vertices(colour, degree, root, label)
+                if block is not None and sum(degree[v] for v in block) // 2 % 2 == 1:
+                    bads[(colour, root)] = component(colour, root)
     queue = list(bads)
     heapq.heapify(queue)
     initial = len(bads)
@@ -458,7 +483,7 @@ def eliminate_bad_components(
         split_v = component(colour, v)
         split_target = None if target in split_v[0] else component(colour, target)
         for c, info in ((other, component(other, v)), (colour, split_v), (colour, split_target)):
-            if info is not None and is_bad(*info):
+            if info is not None and is_bad(info):
                 bads[(c, info[0][0])] = info
                 heapq.heappush(queue, (c, info[0][0]))
         if len(bads) >= count:
@@ -515,10 +540,6 @@ def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
     return colours, {"alphas": (Fraction(1, 3),), "elimination": None}
 
 
-def _six_regular_odd(verts: tuple[int, ...], degs: dict[int, int], edge_count: int) -> bool:
-    return edge_count % 2 == 1 and all(degs[v] == 6 for v in verts)
-
-
 def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     """1/3-majority 4-edge-colouring for degrees in S_3 = {11, 14, 17}.
 
@@ -533,7 +554,7 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     components holds a vertex of half-degree 7, so none of them is bad.
     """
     bic = balanced_bicolouring(graph)
-    bic, elimination = eliminate_bad_components(graph, bic, _six_regular_odd)
+    bic, elimination = eliminate_bad_components(graph, bic, lambda v, d: d == 6)
     colours = [0] * graph.edge_count
     _split_halves(graph, bic.side, ((1, 2), (3, 4)), colours, lambda v, d: d == 8)
     return colours, {"alphas": (), "elimination": elimination}
@@ -549,13 +570,8 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     d_h = _degree_in(graph, rest)
     bic = balanced_bicolouring(graph, lambda v, d: d in (18, 22), rest)
 
-    def is_bad(verts: tuple[int, ...], degs: dict[int, int], edge_count: int) -> bool:
-        if edge_count % 2 == 0:
-            return False
-        return all(
-            (degs[v] == 10 and degrees[v] == 23) or (degs[v] == 8 and degrees[v] == 19)
-            for v in verts
-        )
+    def bad_vertex(v: int, d: int) -> bool:
+        return (d == 10 and degrees[v] == 23) or (d == 8 and degrees[v] == 19)
 
     def pick(verts: tuple[int, ...], degs: dict[int, int]) -> Optional[int]:
         # Prefer a degree-10 vertex of degree 19 among the split edges: never a
@@ -564,7 +580,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
         tens = [v for v in verts if degs[v] == 10]
         return next((v for v in tens if d_h[v] == 19), tens[0] if tens else None)
 
-    bic, elimination = eliminate_bad_components(graph, bic, is_bad, pick)
+    bic, elimination = eliminate_bad_components(graph, bic, bad_vertex, pick)
 
     def second_split_bad(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)

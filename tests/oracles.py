@@ -37,7 +37,7 @@ from kmajority import (
     rounding,
     schemes,
 )
-from kmajority.graph import hierholzer_circuit
+from kmajority.graph import edge_subgraph, hierholzer_circuit
 from kmajority.graphio import _check_vertex_bound, _read_header
 from kmajority.rounding import (
     _TERMINAL,
@@ -496,6 +496,35 @@ def doubling_lift(graph: Graph, k: int) -> Graph:
     return current
 
 
+def split_high_degree_reference(graph: Graph, k: int) -> tuple[int, Edges, tuple[int, ...]]:
+    """Reference vertex splitting through a (vertex, edge) -> part dict.
+
+    A vertex of degree at least 2k^2 becomes parts: the first takes its
+    first ``head`` edges in neighbour order, each later part the next k^2,
+    head being what leaves the rest a multiple of k^2 with k^2 <= head <
+    2k^2.  Returns the vertex count, the renamed edges by edge id, and each
+    new vertex's origin.
+    """
+    ksq = k * k
+    origin: list[int] = []
+    first_part: list[int] = []
+    part_of_edge: dict[tuple[int, int], int] = {}
+    for v in range(graph.vertex_count):
+        first_part.append(len(origin))
+        d = graph.degree(v)
+        parts = 0 if d < 2 * ksq else (d - ksq) // ksq
+        head = d - parts * ksq
+        origin.extend([v] * (parts + 1))
+        by_neighbour = sorted(graph.adjacency[v], key=lambda item: item[0])
+        for rank, (_, e) in enumerate(by_neighbour):
+            part_of_edge[(v, e)] = 0 if rank < head else 1 + (rank - head) // ksq
+    edges = tuple(
+        (first_part[u] + part_of_edge[(u, e)], first_part[v] + part_of_edge[(v, e)])
+        for e, (u, v) in enumerate(graph.edges)
+    )
+    return len(origin), edges, tuple(origin)
+
+
 def _colour_components(graph: Graph, side, colour: int):
     """Components of one colour class by least vertex: (vertices, degrees, edges)."""
     label = [-1] * graph.vertex_count
@@ -518,17 +547,21 @@ def _colour_components(graph: Graph, side, colour: int):
     return out
 
 
-def eliminate_by_full_recompute(graph: Graph, bicolouring: Bicolouring, is_bad, pick_vertex=None):
+def eliminate_by_full_recompute(
+    graph: Graph, bicolouring: Bicolouring, bad_vertex, pick_vertex=None
+):
     """Reference bad-component elimination that recomputes every
-    monochromatic component of both colours after each flip."""
+    monochromatic component of both colours after each flip.  A component
+    is bad when its edge count is odd and ``bad_vertex(v, d)`` holds at each
+    of its vertices, d being v's degree in the component."""
     side = list(bicolouring.side)
 
     def bad_list():
         return [
-            (colour, info)
+            (colour, (verts, degs, edge_count))
             for colour in (0, 1)
-            for info in _colour_components(graph, side, colour)
-            if is_bad(*info)
+            for verts, degs, edge_count in _colour_components(graph, side, colour)
+            if edge_count % 2 == 1 and all(bad_vertex(v, degs[v]) for v in verts)
         ]
 
     bads = bad_list()
@@ -847,7 +880,7 @@ def _component_adjacency(graph: Graph, support, component):
     live = [e for e in sorted(set(support)) if inside.issuperset(graph.edges[e])]
     nbr = _live_adjacency(graph, live)
     connected = bool(comp) and bool(nbr[comp[0]]) and (
-        tuple(comp) in components(graph, live)
+        tuple(comp) in components(edge_subgraph(graph, live)[0])
     )
     return comp, nbr if connected else None
 

@@ -46,6 +46,9 @@ def test_selector_controls_bad_vertex():
     bic = balanced_bicolouring(triangle, lambda v, d: v == 2)
     assert bic.bad_vertices == (2,)
     assert side_counts(triangle, bic)[2] == [0, 2]
+    # The least admissible vertex, not the first one a search from 0 reaches.
+    c5 = build_graph(5, [(0, 4), (4, 1), (1, 3), (3, 2), (2, 0)])
+    assert balanced_bicolouring(c5, lambda v, d: v in (1, 4)).bad_vertices == (1,)
 
 
 def test_selector_exhaustion_raises():
@@ -160,3 +163,17 @@ def test_subset_split_is_the_split_of_the_edge_subgraph(g, admissible, data):
     for j, s in enumerate(alone.side):
         side[emap[j]] = s
     assert whole == Bicolouring(tuple(side), alone.bad_vertices)
+
+
+@given(
+    st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()),
+    st.sampled_from([None, _odd_vertices, _high_degree]),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_subset_split_ignores_the_order_and_type_of_edges(g, admissible, data):
+    subset = sorted(data.draw(strategies.edge_subsets(g)))
+    shuffled = data.draw(st.permutations(subset))
+    expected = _split_outcome(g, admissible, subset)
+    assert _split_outcome(g, admissible, tuple(shuffled)) == expected
+    assert _split_outcome(g, admissible, (e for e in shuffled)) == expected

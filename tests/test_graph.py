@@ -174,21 +174,6 @@ def test_components_partition(g):
     assert all(block == tuple(sorted(block)) for block in blocks)
 
 
-@given(st.one_of(strategies.graphs(), strategies.disjoint_unions()), st.data())
-def test_components_of_edge_subset_are_those_of_the_edge_subgraph(g, data):
-    subset = data.draw(strategies.edge_subsets(g))
-    edges = data.draw(st.permutations(sorted(subset)))
-    assert components(g, edges) == components(edge_subgraph(g, subset)[0])
-    assert components(g, range(g.edge_count)) == components(g)
-
-
-@pytest.mark.parametrize("edges", [[-1], [0, 6]])
-def test_components_reject_out_of_range_edges(edges):
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-    with pytest.raises(InputError, match="edge indices"):
-        components(g, edges)
-
-
 def _eulerian_components(g, subset):
     """Adjacency of the ``subset`` edges' components made Eulerian.
 
@@ -203,7 +188,7 @@ def _eulerian_components(g, subset):
     adjacency = [list(a) for a in g.adjacency]
     used = [e not in subset for e in range(g.edge_count)]
     blocks = []
-    for comp in components(g, subset):
+    for comp in components(edge_subgraph(g, subset)[0]):
         if not any(degree[v] for v in comp):
             continue
         blocks.append([v for v in comp if degree[v]])

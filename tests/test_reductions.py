@@ -20,7 +20,7 @@ from kmajority import (
     sk_degrees,
     split_high_degree,
 )
-from oracles import doubling_lift
+from oracles import doubling_lift, split_high_degree_reference
 
 
 def complete_graph(n):
@@ -89,6 +89,15 @@ def test_split_and_colour_graphs_with_hubs(k, data):
     colouring, report = colour_small_k(g, k)
     assert report.verdict.passed
     assert check_majority(g, colouring, k).passed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_split_matches_the_dict_reference(k, data):
+    g = data.draw(strategies.hub_unions(k))
+    out, trace = split_high_degree(g, k)
+    assert (out.vertex_count, out.edges, trace.origin) == split_high_degree_reference(g, k)
 
 
 def test_split_requires_min_degree():

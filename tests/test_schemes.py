@@ -33,7 +33,7 @@ from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
 from kmajority.graphio import format_colouring
 from kmajority.schemes import _split_half_into
-from oracles import eliminate_by_full_recompute, refined_bucket_checks
+from oracles import _colour_components, eliminate_by_full_recompute, refined_bucket_checks
 
 
 def complete_bipartite(a, b):
@@ -264,24 +264,22 @@ def test_half_split_puts_a_forced_surplus_on_the_least_admissible_vertex():
 # --------------------------------------------------------------------------
 
 
-def six_regular_odd(verts, degs, edge_count):
-    return edge_count % 2 == 1 and all(degs[v] == 6 for v in verts)
+def six_regular(v, d):
+    return d == 6
 
 
 def count_bad(graph, side):
-    from kmajority.schemes import _mono_components
-
     return sum(
-        six_regular_odd(*info)
+        edge_count % 2 == 1 and all(degs[v] == 6 for v in verts)
         for colour in (BLUE, RED)
-        for info in _mono_components(graph, side, colour)
+        for verts, degs, edge_count in _colour_components(graph, side, colour)
     )
 
 
 def test_eliminate_keeps_clean_colouring_unchanged():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     bic = balanced_bicolouring(c4)
-    out, (initial, flips) = eliminate_bad_components(c4, bic, six_regular_odd)
+    out, (initial, flips) = eliminate_bad_components(c4, bic, six_regular)
     assert out == bic
     assert (initial, flips) == (0, 0)
 
@@ -291,7 +289,7 @@ def test_eliminate_removes_forced_bad_components():
     g = complete_graph(13)
     bic = balanced_bicolouring(g)
     assert count_bad(g, bic.side) > 0
-    out, (initial, flips) = eliminate_bad_components(g, bic, six_regular_odd)
+    out, (initial, flips) = eliminate_bad_components(g, bic, six_regular)
     assert initial > 0
     assert 1 <= flips <= initial
     assert count_bad(g, out.side) == 0
@@ -315,26 +313,26 @@ def k13_union(copies, seed):
 def test_eliminate_matches_full_recompute_on_k13_unions(copies, seed):
     g = k13_union(copies, seed)
     bic = balanced_bicolouring(g)
-    out = eliminate_bad_components(g, bic, six_regular_odd)
-    assert out == eliminate_by_full_recompute(g, bic, six_regular_odd)
+    out = eliminate_bad_components(g, bic, six_regular)
+    assert out == eliminate_by_full_recompute(g, bic, six_regular)
     assert out[1][1] >= copies
 
 
-def odd_eulerian(verts, degs, edge_count):
-    return edge_count % 2 == 1 and all(d % 2 == 0 for d in degs.values())
+def even_degree(v, d):
+    return d % 2 == 0
 
 
-def odd_size(verts, degs, edge_count):
-    return edge_count % 2 == 1
+def any_degree(v, d):
+    return True
 
 
 def highest_degree(verts, degs):
     return max(verts, key=lambda v: (degs[v], -v))
 
 
-def _outcome(eliminate, graph, bic, is_bad, pick):
+def _outcome(eliminate, graph, bic, bad_vertex, pick):
     try:
-        return eliminate(graph, bic, is_bad, pick)
+        return eliminate(graph, bic, bad_vertex, pick)
     except InternalInvariantError as exc:
         return str(exc)
 
@@ -342,29 +340,29 @@ def _outcome(eliminate, graph, bic, is_bad, pick):
 @settings(max_examples=120)
 @given(
     strategies.disjoint_unions(),
-    st.sampled_from([odd_eulerian, odd_size]),
+    st.sampled_from([even_degree, any_degree]),
     st.sampled_from([None, highest_degree]),
     st.data(),
 )
-def test_eliminate_matches_full_recompute_on_unions(g, is_bad, pick, data):
+def test_eliminate_matches_full_recompute_on_unions(g, bad_vertex, pick, data):
     # Drawn sides, not an Euler split, so that monochromatic odd cycles and
     # the failure paths (too few neighbours, no decrease) occur as well.
     m = g.edge_count
     sides = data.draw(st.lists(st.integers(BLUE, RED), min_size=m, max_size=m))
     bic = Bicolouring(tuple(sides), ())
-    assert _outcome(eliminate_bad_components, g, bic, is_bad, pick) == _outcome(
-        eliminate_by_full_recompute, g, bic, is_bad, pick
+    assert _outcome(eliminate_bad_components, g, bic, bad_vertex, pick) == _outcome(
+        eliminate_by_full_recompute, g, bic, bad_vertex, pick
     )
 
 
 @settings(max_examples=120)
 @given(
     strategies.disjoint_unions(),
-    st.sampled_from([odd_eulerian, odd_size]),
+    st.sampled_from([even_degree, any_degree]),
     st.sampled_from([None, highest_degree]),
     st.data(),
 )
-def test_eliminate_on_edge_subset_matches_the_edge_subgraph(g, is_bad, pick, data):
+def test_eliminate_on_edge_subset_matches_the_edge_subgraph(g, bad_vertex, pick, data):
     # Sides of -1 mark edges outside the subset: elimination on the whole
     # graph must act as on the subgraph of the subset.
     m = g.edge_count
@@ -372,9 +370,9 @@ def test_eliminate_on_edge_subset_matches_the_edge_subgraph(g, is_bad, pick, dat
     sub, emap = edge_subgraph(g, [e for e in range(m) if sides[e] >= 0])
     alone = _outcome(
         eliminate_bad_components, sub, Bicolouring(tuple(sides[e] for e in emap), ()),
-        is_bad, pick,
+        bad_vertex, pick,
     )
-    whole = _outcome(eliminate_bad_components, g, Bicolouring(tuple(sides), ()), is_bad, pick)
+    whole = _outcome(eliminate_bad_components, g, Bicolouring(tuple(sides), ()), bad_vertex, pick)
     if isinstance(alone, str):
         assert whole == alone
         return
@@ -390,8 +388,8 @@ def test_eliminate_forgets_the_other_colour_component_a_flip_merges():
     # red component {1, 3} must be dropped although vertex 0 had no red edge.
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (1, 3)])
     bic = Bicolouring((BLUE, BLUE, BLUE, RED), ())
-    out = eliminate_bad_components(g, bic, odd_size)
-    assert out == eliminate_by_full_recompute(g, bic, odd_size)
+    out = eliminate_bad_components(g, bic, any_degree)
+    assert out == eliminate_by_full_recompute(g, bic, any_degree)
     assert out == (Bicolouring((RED, BLUE, BLUE, RED), ()), (2, 1))
 
 
