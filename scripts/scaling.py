@@ -29,8 +29,10 @@
 
 The first three layers time disjoint unions of a clique as the copy count
 doubles, the last three a random graph as n doubles.  A linear layer grows
-about x2 per doubling; the script prints the best-of-N time per size, with
-the garbage collector off, and the ratio to the previous size.
+about x2 per doubling.  Each of the N repeats times every size once, in
+turn, with the garbage collector off, so a swing in the host's speed hits
+all sizes of a repeat alike; the script prints each size's best time and
+its ratio to the previous size's.
 """
 
 import argparse
@@ -147,16 +149,20 @@ def main() -> int:
         return f"{first:>7} {m:>7}{count_cell} {best:>9} {ratio:>6}"
 
     print(row(label, "m", counted, "best_s", "ratio"))
+    sizes = args.sizes or default_sizes
+    graphs = [make_graph(size) for size in sizes]
+    setups = [setup(graph) for graph in graphs]
+    best = [float("inf")] * len(sizes)
+    for _ in range(args.repeats):
+        for i, (run, _) in enumerate(setups):
+            # timeit switches the cyclic garbage collector off while timing, so
+            # a collection over the whole graph does not land in one sample.
+            best[i] = min(best[i], timeit.timeit(run, number=1))
     previous = None
-    for size in args.sizes or default_sizes:
-        graph = make_graph(size)
-        run, count = setup(graph)
-        # timeit switches the cyclic garbage collector off while timing, so a
-        # collection over the whole graph does not land in one size's samples.
-        best = min(timeit.repeat(run, repeat=args.repeats, number=1))
-        ratio = f"{best / previous:.2f}" if previous else "-"
-        print(row(size, graph.edge_count, count, f"{best:.4f}", ratio))
-        previous = best
+    for size, graph, (_, count), time in zip(sizes, graphs, setups, best):
+        ratio = f"{time / previous:.2f}" if previous else "-"
+        print(row(size, graph.edge_count, count, f"{time:.4f}", ratio))
+        previous = time
     return 0
 
 

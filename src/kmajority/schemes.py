@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 from .colouring import EdgeColouring, MajorityVerdict, check_majority
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
-from .graph import Graph, edge_subgraph, is_bipartite
-from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
+from .graph import Graph, is_bipartite
+from .graph import components, edge_subgraph  # noqa: F401 - unused here, but perfbench/tracer.py wraps them
 from .reductions import pull_back_colouring, raise_to_sk, sk_degrees, split_high_degree
 from .rounding import round_weights
 
@@ -254,7 +254,9 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
 
     After m weighted rounds, the leftover graph H is coloured with binary
     vectors of length n, one coordinate per level: each level splits every
-    prefix bucket with one balanced Euler split.  A forced bad vertex becomes
+    prefix bucket with one balanced Euler split of that subset of the graph's
+    edges, so degrees, components and bad vertices are the bucket's own, in
+    the graph's vertex and edge ids.  A forced bad vertex becomes
     "special" for its extended prefix and is never chosen again along that
     chain.  Every bucket component with an edge holds a vertex that is not
     special, so the bad-vertex rule always admits one:
@@ -289,12 +291,9 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
         for e in leftover:
             buckets.setdefault(colours[e], []).append(e)
         for prefix in sorted(buckets):
-            # The bucket's own subgraph keeps each bucket's cost in its size,
-            # not the whole graph's.
-            sub, emap = edge_subgraph(graph, buckets[prefix])
-            bic = balanced_bicolouring(sub, admissible)
-            for j, e in enumerate(emap):
-                colours[e] = prefix << 1 | bic.side[j]  # blue -> 0, red -> 1
+            bic = balanced_bicolouring(graph, admissible, buckets[prefix])
+            for e in buckets[prefix]:
+                colours[e] = prefix << 1 | bic.side[e]  # blue -> 0, red -> 1
             for u in bic.bad_vertices:
                 special.setdefault(u, set()).add((level, prefix << 1 | 1))
 
@@ -333,39 +332,7 @@ def _assert_refined_claim(
 # ---------------------------------------------------------------------------
 
 BadVertexPredicate = Callable[[int, int], bool]
-FlipVertexPicker = Callable[[tuple[int, ...], dict[int, int]], Optional[int]]
-
-
-MonoComponent = tuple[tuple[int, ...], dict[int, int], int]
-
-
-def _mono_component(
-    graph: Graph, side: Sequence[int], colour: int, root: int, seen: list[bool]
-) -> MonoComponent:
-    """The component of ``root`` in one colour class: (sorted vertices,
-    degrees within, edge count).  Marks its vertices in ``seen``."""
-    seen[root] = True
-    block = [root]
-    degree: dict[int, int] = {}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        d = 0
-        for u, e in graph.adjacency[v]:
-            if side[e] == colour:
-                d += 1
-                if not seen[u]:
-                    seen[u] = True
-                    block.append(u)
-                    queue.append(u)
-        degree[v] = d
-    block.sort()
-    degs = {v: degree[v] for v in block}
-    return tuple(block), degs, sum(degs.values()) // 2
-
-
-def _has_colour(graph: Graph, side: Sequence[int], colour: int, v: int) -> bool:
-    return any(side[e] == colour for _, e in graph.adjacency[v])
+FlipVertexPicker = Callable[[Sequence[int], Sequence[int]], Optional[int]]
 
 
 def eliminate_bad_components(
@@ -381,9 +348,11 @@ def eliminate_bad_components(
     in the component's colour.  Edges of side ``-1`` belong to neither
     colour.  In the chosen bad component, a vertex v and two of its
     neighbours u1, u2 are located; the edge to whichever u_i lies outside v's
-    other-colour component is flipped (v-u1 when both lie inside).  Each flip
-    must strictly decrease the number of bad components over both colours,
-    else an :class:`InternalInvariantError` signals a hypothesis breach.  Bad
+    other-colour component is flipped (v-u1 when both lie inside).  The flip
+    vertex is the component's least, or ``pick_vertex(verts, degree)`` given
+    its sorted vertices and the colour's degree list.  Each flip must
+    strictly decrease the number of bad components over both colours, else
+    an :class:`InternalInvariantError` signals a hypothesis breach.  Bad
     components are taken blue before red, then by least vertex.
 
     The first scan searches each colour only from vertices where
@@ -397,51 +366,49 @@ def eliminate_bad_components(
     """
     side = list(bicolouring.side)
     n = graph.vertex_count
-    seen = [False] * n
-
-    def component(colour: int, root: int) -> Optional[MonoComponent]:
-        """Root's component in ``colour`` (None without such an edge); resets ``seen``."""
-        if not _has_colour(graph, side, colour, root):
-            return None
-        info = _mono_component(graph, side, colour, root, seen)
-        for v in info[0]:
-            seen[v] = False
-        return info
-
-    def is_bad(info: MonoComponent) -> bool:
-        verts, degs, edge_count = info
-        return edge_count % 2 == 1 and all(bad_vertex(v, degs[v]) for v in verts)
-
-    def only_bad_vertices(colour: int, degree: list[int], root: int, label: list[int]):
-        """Root's component in ``colour`` if ``bad_vertex`` holds at all its
-        vertices, else None.  ``label[u]`` is the root of the search that
-        reached u; an earlier one left u's component, so this one stops."""
-        label[root] = root
-        block = [root]
-        for v in block:  # grows while it is read: a breadth-first search
-            for u, e in graph.adjacency[v]:
-                if side[e] == colour and label[u] != root:
-                    if label[u] >= 0 or not bad_vertex(u, degree[u]):
-                        return None
-                    label[u] = root
-                    block.append(u)
-        return block
-
-    # Both colours' degrees in one pass; the last list takes side -1.
+    # Both colours' degrees in one pass, kept current by every flip; the
+    # last list takes side -1.
     degrees = ([0] * n, [0] * n, [0] * n)
     for (u, v), s in zip(graph.edges, side):
         degrees[s][u] += 1
         degrees[s][v] += 1
-    # (colour, least vertex) -> component, for every bad component.
-    bads: dict[tuple[int, int], MonoComponent] = {}
-    for colour in (BLUE, RED):
+    stamp = [-1] * n  # the number of the last search that reached each vertex
+    searches = 0
+
+    def component(colour: int, root: int, since: int = -1) -> Optional[list[int]]:
+        """Root's component in ``colour``, sorted.  With ``since`` >= 0, the
+        number of a scan's first search, None at a vertex where ``bad_vertex``
+        fails or that an earlier search of the scan reached."""
+        nonlocal searches
+        searches += 1
+        stamp[root] = searches
         degree = degrees[colour]
-        label = [-1] * n
+        block = [root]
+        for v in block:  # grows while it is read: a breadth-first search
+            for u, e in graph.adjacency[v]:
+                if side[e] == colour and stamp[u] != searches:
+                    if since >= 0 and (stamp[u] >= since or not bad_vertex(u, degree[u])):
+                        return None
+                    stamp[u] = searches
+                    block.append(u)
+        block.sort()
+        return block
+
+    def is_bad(colour: int, verts: list[int]) -> bool:
+        degree = degrees[colour]
+        return sum(degree[v] for v in verts) // 2 % 2 == 1 and all(
+            bad_vertex(v, degree[v]) for v in verts
+        )
+
+    # (colour, least vertex) -> sorted vertices, for every bad component.
+    bads: dict[tuple[int, int], list[int]] = {}
+    for colour in (BLUE, RED):
+        degree, since = degrees[colour], searches + 1
         for root in range(n):
-            if label[root] < 0 and degree[root] and bad_vertex(root, degree[root]):
-                block = only_bad_vertices(colour, degree, root, label)
+            if stamp[root] < since and degree[root] and bad_vertex(root, degree[root]):
+                block = component(colour, root, since)
                 if block is not None and sum(degree[v] for v in block) // 2 % 2 == 1:
-                    bads[(colour, root)] = component(colour, root)
+                    bads[(colour, root)] = block
     queue = list(bads)
     heapq.heapify(queue)
     initial = len(bads)
@@ -450,8 +417,8 @@ def eliminate_bad_components(
         while queue[0] not in bads:
             heapq.heappop(queue)
         colour, least = queue[0]
-        verts, degs, _ = bads[(colour, least)]
-        v = verts[0] if pick_vertex is None else pick_vertex(verts, degs)
+        verts = bads[(colour, least)]
+        v = verts[0] if pick_vertex is None else pick_vertex(verts, degrees[colour])
         if v is None:
             raise InternalInvariantError("no admissible flip vertex in a bad component")
         neighbours = sorted(u for u, e in graph.adjacency[v] if side[e] == colour)
@@ -460,32 +427,27 @@ def eliminate_bad_components(
         u1, u2 = neighbours[0], neighbours[1]
         other = 1 - colour
         around_v = component(other, v)
-        inside = set(around_v[0]) if around_v else {v}
-        if u1 not in inside:
-            target = u1
-        elif u2 not in inside:
-            target = u2
-        else:
-            target = u1
+        inside = set(around_v)
+        target = u1 if u1 not in inside else u2 if u2 not in inside else u1
         # The flip splits at most the bad component in its colour and merges
         # at most the components of v and target in the other colour.
         count = len(bads)
         del bads[(colour, least)]
-        if around_v:
-            bads.pop((other, around_v[0][0]), None)
+        bads.pop((other, around_v[0]), None)
         if target not in inside:
-            around_target = component(other, target)
-            if around_target:
-                bads.pop((other, around_target[0][0]), None)
+            bads.pop((other, component(other, target)[0]), None)
         edge = next(e for u, e in graph.adjacency[v] if u == target and side[e] == colour)
         side[edge] = other
         flips += 1
+        for w in (v, target):
+            degrees[colour][w] -= 1
+            degrees[other][w] += 1
         split_v = component(colour, v)
-        split_target = None if target in split_v[0] else component(colour, target)
-        for c, info in ((other, component(other, v)), (colour, split_v), (colour, split_target)):
-            if info is not None and is_bad(info):
-                bads[(c, info[0][0])] = info
-                heapq.heappush(queue, (c, info[0][0]))
+        split_target = [] if target in split_v else component(colour, target)
+        for c, block in ((other, component(other, v)), (colour, split_v), (colour, split_target)):
+            if block and is_bad(c, block):
+                bads[(c, block[0])] = block
+                heapq.heappush(queue, (c, block[0]))
         if len(bads) >= count:
             raise InternalInvariantError("bad-component count failed to decrease")
     return Bicolouring(tuple(side), bicolouring.bad_vertices), (initial, flips)
@@ -573,7 +535,7 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     def bad_vertex(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 23) or (d == 8 and degrees[v] == 19)
 
-    def pick(verts: tuple[int, ...], degs: dict[int, int]) -> Optional[int]:
+    def pick(verts: Sequence[int], degs: Sequence[int]) -> Optional[int]:
         # Prefer a degree-10 vertex of degree 19 among the split edges: never a
         # first-split bad vertex (those have 18 or 22).  This passes over every
         # vertex of degree 18 there too, designated or not.

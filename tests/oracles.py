@@ -602,22 +602,26 @@ def refined_bucket_checks(levels: int) -> Iterator[list[int]]:
 
     The scheme's docstring proves that every bucket component with an edge
     holds a vertex that is not special.  ``schemes.balanced_bicolouring`` is
-    replaced by a wrapper that asserts, for each component of the split graph
-    that has an edge, that it has more than ``levels`` vertices and that the
-    scheme's bad-vertex rule admits one of them.  Yields the sizes of the
-    components checked, so a caller can see that the checks ran.
+    replaced by a wrapper that asserts, for each component of the bucket's
+    split (a subset of the graph's edges) that has an edge, that it has more
+    than ``levels`` vertices and that the scheme's bad-vertex rule admits one
+    of them.  The components and degrees are read from
+    ``edge_subgraph(graph, edges)``, which shares the graph's vertex ids.
+    Yields the sizes of the components checked, so a caller can see that the
+    checks ran.
     """
     original = schemes.balanced_bicolouring
     sizes: list[int] = []
 
     def checked(graph: Graph, admissible=None, edges=None) -> Bicolouring:
-        assert edges is None and admissible is not None
-        for comp in components(graph):
+        assert edges is not None and admissible is not None
+        bucket, _ = edge_subgraph(graph, edges)
+        for comp in components(bucket):
             if len(comp) == 1:  # a lone vertex has no edge
                 continue
             where = f"the component of vertex {comp[0]} ({len(comp)} vertices)"
             assert len(comp) > levels, f"{where} has at most {levels} vertices"
-            admitted = any(admissible(v, graph.degree(v)) for v in comp)
+            admitted = any(admissible(v, bucket.degree(v)) for v in comp)
             assert admitted, f"every vertex of {where} is special"
             sizes.append(len(comp))
         return original(graph, admissible, edges)

@@ -393,6 +393,31 @@ def test_eliminate_forgets_the_other_colour_component_a_flip_merges():
     assert out == (Bicolouring((RED, BLUE, BLUE, RED), ()), (2, 1))
 
 
+def test_eliminate_scan_stops_where_an_earlier_search_went():
+    # A blue tree: 20 arms of 10 edges from tips 0..19 to a centre, and a
+    # 9-edge tail from the centre to a vertex where the predicate fails.  The
+    # search from tip 0 covers nearly all of it; each later tip's search must
+    # stop at the first vertex that one reached, not cross the tree again.
+    arms, length = 20, 10
+    centre = arms * length
+    edges = []
+    for i in range(arms):
+        path = [i, *range(arms + i * (length - 1), arms + (i + 1) * (length - 1)), centre]
+        edges += zip(path, path[1:])
+    fails = centre + length - 1
+    edges += zip(range(centre, fails), range(centre + 1, fails + 1))
+    g = build_graph(fails + 1, edges)
+    calls = []
+
+    def bad_vertex(v, d):
+        calls.append(v)
+        return v != fails
+
+    out = eliminate_bad_components(g, Bicolouring((BLUE,) * g.edge_count, ()), bad_vertex)
+    assert out[1] == (0, 0)
+    assert len(calls) <= 2 * g.vertex_count
+
+
 # --------------------------------------------------------------------------
 # dispatch
 # --------------------------------------------------------------------------
