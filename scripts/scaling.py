@@ -26,9 +26,16 @@
   that ``colour_sk_graph`` colours.
 * ``parse``: ``parse_graph`` of ``format_graph(random_min_degree_graph(n, 18,
   seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
+* ``lift``: ``raise_to_sk(split_high_degree(g, 3)[0], 3)``, the S_3
+  reductions of the k=3 small-k scheme, on unions of K10 and K20 (one of
+  each per copy, 235 edges).  K10 is 9-regular and needs 2 more edges per
+  vertex, which no non-edge supplies, so it is lifted with 2 fresh copies
+  (x3); K20's degree-19 vertices are hubs, split into parts of degree 10
+  and 9 before the lift.  The column ``lifted`` counts the lifted graph's
+  edges.
 
-The first three layers time disjoint unions of a clique as the copy count
-doubles, the last three a random graph as n doubles.  A linear layer grows
+The first three layers and ``lift`` time disjoint unions of cliques as the
+copy count doubles, the other three a random graph as n doubles.  A linear layer grows
 about x2 per doubling.  Each of the N repeats times every size once, in
 turn, with the garbage collector off, so a swing in the host's speed hits
 all sizes of a repeat alike; the script prints each size's best time and
@@ -53,14 +60,15 @@ from kmajority import (
 )
 
 
-def clique_union(size: int, copies: int):
-    pairs = [
-        (size * c + i, size * c + j)
-        for c in range(copies)
-        for i in range(size)
-        for j in range(i + 1, size)
-    ]
-    return build_graph(size * copies, pairs)
+def clique_union(sizes, copies: int):
+    """``copies`` disjoint copies of one K_s for each s in ``sizes``."""
+    pairs = []
+    base = 0
+    for _ in range(copies):
+        for size in sizes:
+            pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
+            base += size
+    return build_graph(base, pairs)
 
 
 def six_regular(v, d):
@@ -99,8 +107,13 @@ def parse(graph):
     return lambda: parse_graph(text), None
 
 
-def cliques(size):
-    return lambda copies: clique_union(size, copies)
+def lift(graph):
+    lifted, _ = raise_to_sk(split_high_degree(graph, 3)[0], 3)
+    return lambda: raise_to_sk(split_high_degree(graph, 3)[0], 3), lifted.edge_count
+
+
+def cliques(*sizes):
+    return lambda copies: clique_union(sizes, copies)
 
 
 # layer -> (graph of a size, default sizes, size column, counted column, setup)
@@ -129,6 +142,7 @@ LAYERS = {
         None,
         parse,
     ),
+    "lift": (cliques(10, 20), [25, 50, 100, 200], "copies", "lifted", lift),
 }
 
 

@@ -12,11 +12,13 @@ colours the traversal alternately; the auxiliary edges only consume parity
 slots and are discarded.
 
 A split may cover only a subset of a graph's edges.  Degrees, components and
-bad vertices are then those of the subset, the walk runs on an adjacency of
-the subset's own edges, built per call in increasing edge id, and the sides
-stay indexed by the graph's edge ids, ``-1`` outside the subset.  The result
-is the split of ``edge_subgraph(graph, edges)`` mapped back to the graph's
-ids, at the cost of the subset's edges, without building that subgraph.
+bad vertices are then those of the subset, the walk runs on incidence lists
+of the subset's own edge ids, one int list per vertex built per call in
+increasing edge id, with the graph's ``xor_ends`` for the far ends, and the
+sides stay indexed by the graph's edge ids, ``-1`` outside the subset.  The
+result is the split of ``edge_subgraph(graph, edges)`` mapped back to the
+graph's ids, at the cost of the subset's edges, without building that
+subgraph.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ def balanced_bicolouring(
     m = graph.edge_count
     aux = graph.vertex_count
     if edges is None:
-        adjacency = graph.adjacency
+        incident = graph.incident
     else:
         # Each list keeps the graph's increasing edge-id order, so the walk
         # takes the edges the subgraph of the subset would, in its order.
-        adjacency = [[] for _ in range(aux)]
+        incident = [[] for _ in range(aux)]
         ends = graph.edges
         last = -1
         for e in _checked_edge_ids(graph, sorted(edges)):
@@ -73,16 +75,18 @@ def balanced_bicolouring(
                 raise InputError(f"edge id {e} is listed twice")
             last = e
             u, v = ends[e]
-            adjacency[u].append((v, e))
-            adjacency[v].append((u, e))
-    # One cursor list (plus an auxiliary vertex) and one used array serve
-    # every component: components share no vertex or edge, so only the
-    # auxiliary vertex's cursor is reset, and auxiliary edges take fresh ids
-    # m, m+1, ... across them.  Being larger than every edge id of the
-    # graph, they come last at each vertex, as they would in the subgraph.
-    cursors = [iter(a) for a in adjacency]
+            incident[u].append(e)
+            incident[v].append(e)
+    # One cursor list (plus an auxiliary vertex), one far-end list and one
+    # used array serve every component: components share no vertex or edge,
+    # so only the auxiliary vertex's cursor is reset, and auxiliary edges
+    # take fresh ids m, m+1, ... across them, their far ends appended to
+    # ``xor_ends``.  Being larger than every edge id of the graph, they come
+    # last at each vertex, as they would in the subgraph.
+    xor_ends = list(graph.xor_ends)
+    cursors = [iter(a) for a in incident]
     cursors.append(iter(()))
-    degree = list(map(len, adjacency))
+    degree = list(map(len, incident))
     used = [False] * (m + aux)
     side: list[int] = [-1] * (m + aux)  # auxiliary edges' entries are cut off at the end
     bad: list[int] = []
@@ -94,18 +98,19 @@ def balanced_bicolouring(
         seen[root] = True
         comp = [root]
         for v in comp:  # grows while it is read: a breadth-first search
-            for u, _ in adjacency[v]:
+            for e in incident[v]:
+                u = xor_ends[e] ^ v
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
         comp.sort()
         odd = [v for v in comp if degree[v] % 2]
         if odd:
-            joins = [(v, aux_edges + j) for j, v in enumerate(odd)]
-            cursors[aux] = iter(joins)
-            for v, e in joins:
-                cursors[v] = iter([*adjacency[v], (aux, e)])
-            aux_edges += len(odd)
+            cursors[aux] = iter(range(aux_edges, aux_edges + len(odd)))
+            for v in odd:
+                cursors[v] = iter((*incident[v], aux_edges))
+                xor_ends.append(aux ^ v)
+                aux_edges += 1
             start = aux
         elif sum(degree[v] for v in comp) // 2 % 2 == 1:
             u = next((v for v in comp if admissible is None or admissible(v, degree[v])), None)
@@ -117,7 +122,7 @@ def balanced_bicolouring(
             start = u
         else:
             start = comp[0]
-        circuit = hierholzer_circuit(start, cursors, used)
+        circuit = hierholzer_circuit(start, cursors, xor_ends, used)
         for e in circuit[0::2]:
             side[e] = RED
         for e in circuit[1::2]:

@@ -9,6 +9,8 @@ incident edges in increasing edge-index order, so all derived structures
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BuildError, InputError
@@ -20,26 +22,30 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple undirected graph.
 
-    ``adjacency[v]`` holds ``(neighbour, edge_index)`` pairs in increasing
-    edge-index order.  Instances are safe to share between concurrent tasks;
-    all operations in this package treat them as read-only.  The degree
-    sequence is computed once, when the graph is built.
+    ``incident[v]`` holds v's edge ids in increasing order, and
+    ``xor_ends[e]`` is ``u ^ v`` for edge e = (u, v), so the far end of e
+    from v is ``xor_ends[e] ^ v``.  Instances are safe to share between
+    concurrent tasks; all operations in this package treat them as
+    read-only.  ``xor_ends`` and the degrees are computed once, when the
+    graph is built.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    incident: tuple[tuple[int, ...], ...]
+    xor_ends: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_degrees", tuple(map(len, self.adjacency)))
+        object.__setattr__(self, "xor_ends", tuple(starmap(xor, self.edges)))
+        object.__setattr__(self, "_degrees", tuple(map(len, self.incident)))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.incident[v])
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
@@ -75,16 +81,16 @@ def build_graph(vertex_count: int, edge_pairs: Iterable[Edge]) -> Graph:
 
 
 def _assemble(vertex_count: int, edges: Sequence[Edge]) -> Graph:
-    """The one place adjacency is built; callers guarantee a simple graph.
+    """The one place incidence lists are built; callers guarantee a simple graph.
 
     Derived graphs whose edges are simple by construction (subsets, disjoint
     copies, renamings into disjoint parts) come here without re-validation.
     """
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    incident: list[list[int]] = [[] for _ in range(vertex_count)]
     for e, (u, v) in enumerate(edges):
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    return Graph(vertex_count, tuple(edges), tuple(map(tuple, adjacency)))
+        incident[u].append(e)
+        incident[v].append(e)
+    return Graph(vertex_count, tuple(edges), tuple(map(tuple, incident)))
 
 
 def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
@@ -98,7 +104,7 @@ def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
 def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
     n = graph.vertex_count
-    adjacency = graph.adjacency
+    incident, ends = graph.incident, graph.xor_ends
     seen = [False] * n
     out: list[tuple[int, ...]] = []
     for root in range(n):
@@ -107,7 +113,8 @@ def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
         seen[root] = True
         block = [root]
         for v in block:  # grows while it is read: a breadth-first search
-            for u, _ in adjacency[v]:
+            for e in incident[v]:
+                u = ends[e] ^ v
                 if not seen[u]:
                     seen[u] = True
                     block.append(u)
@@ -118,6 +125,7 @@ def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
 def is_bipartite(graph: Graph) -> bool:
     """Whether a breadth-first 2-colouring of every component succeeds."""
+    incident, ends = graph.incident, graph.xor_ends
     side = [-1] * graph.vertex_count
     for root in range(graph.vertex_count):
         if side[root] >= 0:
@@ -125,7 +133,8 @@ def is_bipartite(graph: Graph) -> bool:
         side[root] = 0
         block = [root]
         for v in block:  # grows while it is read: a breadth-first search
-            for u, _ in graph.adjacency[v]:
+            for e in incident[v]:
+                u = ends[e] ^ v
                 if side[u] < 0:
                     side[u] = 1 - side[v]
                     block.append(u)
@@ -135,20 +144,21 @@ def is_bipartite(graph: Graph) -> bool:
 
 
 def hierholzer_circuit(
-    start: int, cursors: list[Iterator[tuple[int, int]]], used: list[bool]
+    start: int, cursors: list[Iterator[int]], xor_ends: Sequence[int], used: list[bool]
 ) -> list[int]:
-    """Eulerian circuit over per-vertex adjacency cursors.
+    """Eulerian circuit over per-vertex edge-id cursors.
 
-    ``cursors[v]`` iterates over v's ``(neighbour, edge id)`` pairs in
-    increasing edge-id order, and yields only the pairs not tried yet.
-    Returns the edge ids in traversal order starting (and ending) at
-    ``start``, always taking the unused incident edge with the least id.
-    ``cursors`` and ``used[e]`` are caller-owned, so one pair can serve many
-    disjoint components: the walk only advances the cursors and marks the
-    edges it reaches.  An edge already marked used is never walked, so a
-    caller can restrict the walk to a subset of the edges.  The caller
-    guarantees the even-degree and connectivity preconditions for the edges
-    left unused.
+    ``cursors[v]`` iterates over v's edge ids in increasing order, and
+    yields only the ids not tried yet; ``xor_ends[e] ^ v`` is the far end
+    of edge e from v.  Returns the edge ids in traversal order starting
+    (and ending) at ``start``, always taking the unused incident edge with
+    the least id.  ``cursors``, ``xor_ends`` and ``used[e]`` are
+    caller-owned, so one set can serve many disjoint components, and may
+    cover auxiliary edge ids past the graph's: the walk only advances the
+    cursors and marks the edges it reaches.  An edge already marked used
+    is never walked, so a caller can restrict the walk to a subset of the
+    edges.  The caller guarantees the even-degree and connectivity
+    preconditions for the edges left unused.
     """
     vertex_stack = [start]
     edge_stack: list[int] = []
@@ -158,15 +168,15 @@ def hierholzer_circuit(
         # the stuck vertex closes a sub-circuit, so its edge is emitted.
         v = vertex_stack[-1]
         while True:
-            for u, e in cursors[v]:
+            for e in cursors[v]:
                 if not used[e]:
                     break
             else:
                 break
             used[e] = True
-            vertex_stack.append(u)
+            v ^= xor_ends[e]
+            vertex_stack.append(v)
             edge_stack.append(e)
-            v = u
         vertex_stack.pop()
         if edge_stack:
             out.append(edge_stack.pop())

@@ -73,7 +73,7 @@ def parse_graph(text: str) -> Graph:
     raw_lines = text.splitlines()
     lines = _content_lines(raw_lines)
     header_no, n, m = _read_header(lines, "graph <n> <m>")
-    # Bound n by the file before one adjacency list per vertex is allocated.
+    # Bound n by the file before one incidence list per vertex is allocated.
     if n < 0:
         raise FormatError(f"line {header_no}: vertex count must be nonnegative, got {n}")
     _check_vertex_bound(n, m, len(text), f"line {header_no}: declares")

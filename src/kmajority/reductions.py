@@ -61,6 +61,7 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
         raise PreconditionError(f"minimum degree {graph.min_degree()} below k^2 = {ksq}")
     if graph.max_degree() < 2 * ksq:
         return graph, SplitTrace(tuple(range(graph.vertex_count)))
+    incident, ends = graph.incident, graph.xor_ends
     origin: list[int] = []
     first_part: list[int] = [0] * graph.vertex_count
     # Part offsets of each edge's first and second end; part 0 is the default.
@@ -75,8 +76,8 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
         parts = (d_v - ksq) // ksq  # degree = parts*k^2 + head with k^2 <= head < 2k^2
         head = d_v - parts * ksq
         origin.extend([v] * (parts + 1))
-        # Neighbours are distinct, so the pairs sort by neighbour.
-        for rank, (_, e) in enumerate(sorted(graph.adjacency[v])[head:]):
+        # Neighbours are distinct: the edges in neighbour order.
+        for rank, e in enumerate(sorted(incident[v], key=lambda e: ends[e] ^ v)[head:]):
             if graph.edges[e][0] == v:
                 part_u[e] = 1 + rank // ksq
             else:
@@ -102,7 +103,7 @@ def _copy_count(needs: list[int]) -> int:
     return c
 
 
-def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) -> list[Edge]:
+def _fill(comp: tuple[int, ...], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
     """The edges joining non-adjacent vertices of ``comp`` that both need degree.
 
     Each vertex in turn takes the lowest later vertices of its component that
@@ -112,6 +113,7 @@ def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) 
     component's copy count, so the lift never grows; else none is returned.
     ``marked`` is one mark per vertex, shared by all components.
     """
+    incident, ends = graph.incident, graph.xor_ends
     order = [v for v in comp if need[v]]
     before = [need[v] for v in order]
     new: list[Edge] = []
@@ -119,8 +121,8 @@ def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) 
     for i, v in enumerate(order):
         if not need[v]:  # met by earlier vertices, and off the list
             continue
-        for u, _ in adjacency[v]:
-            marked[u] = v
+        for e in incident[v]:
+            marked[ends[e] ^ v] = v
         prev, j = i, after[i]
         while need[v] and j < len(order):
             w = order[j]
@@ -134,7 +136,7 @@ def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) 
             prev, j = j, after[j]
     short = [v for v in order if need[v]]
     for v, u in product(short, repeat=2):
-        while new and need[v] and need[u] > (u == v) and _swap_in(new, adjacency, v, u):
+        while new and need[v] and need[u] > (u == v) and _swap_in(new, graph, v, u):
             need[v] -= 1
             need[u] -= 1
     if new and _copy_count([need[v] for v in order]) < _copy_count(before):
@@ -144,10 +146,11 @@ def _fill(comp: tuple[int, ...], need: list[int], adjacency, marked: list[int]) 
     return []
 
 
-def _swap_in(new: list[Edge], adjacency, v: int, u: int) -> bool:
+def _swap_in(new: list[Edge], graph: Graph, v: int, u: int) -> bool:
     """Trade a new edge ab, a not next to v and b not next to u, for va and ub
     (a linear scan); whether one was found."""
-    near = {x: {x, *(y for y, _ in adjacency[x])} for x in (v, u)}
+    incident, ends = graph.incident, graph.xor_ends
+    near = {x: {x, *(ends[e] ^ x for e in incident[x])} for x in (v, u)}
     for x, y in chain(new, (ab[::-1] for ab in new)):
         if x in near:
             near[x].add(y)
@@ -187,7 +190,7 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
         return graph, LiftTrace(0)
     comps = components(graph)
     marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
-    fills = [_fill(comp, need, graph.adjacency, marked) for comp in comps]
+    fills = [_fill(comp, need, graph, marked) for comp in comps]
     edges = list(chain(graph.edges, *fills))
     if not any(need):  # in S_k once filled
         return _assemble(graph.vertex_count, edges), LiftTrace(0)

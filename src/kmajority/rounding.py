@@ -243,10 +243,12 @@ _EULER_DEGREE = 8  # the least mean live degree for an Euler pass
 _EULER_SHARE = 4  # a pass must make 1/4 of the live edges integral to repeat
 
 
-def _euler_trails(edges, nbr: Sequence[dict[int, int]], live: list[int], used, cursors) -> list:
+def _euler_trails(graph: Graph, nbr: Sequence[dict[int, int]], live: list[int], used, cursors) -> list:
     """One Euler pass: edge-disjoint even closed trails of live edges, walked
     from each vertex of ``live`` (those with a live edge, ascending) in turn.
-    ``used`` (all True, and left so) and ``cursors`` are the walk's scratch."""
+    ``used`` (all True, and left so) and ``cursors`` are the walk's scratch;
+    a vertex's cursor runs over its live-edge dict, whose keys ascend."""
+    ends = graph.xor_ends
     up = [-1] * len(nbr)  # v's forest edge, -1 at a root
     odd = [-1] * len(nbr)  # -1 off the forest; v's degree parity, then its subtree's
     for root in live:
@@ -255,7 +257,7 @@ def _euler_trails(edges, nbr: Sequence[dict[int, int]], live: list[int], used, c
             block = [root]
             for v in block:  # grows while it is read: a breadth-first search
                 d = nbr[v]
-                cursors[v] = zip(d.values(), d.keys())
+                cursors[v] = iter(d)
                 for e, u in d.items():
                     used[e] = False
                     if odd[u] < 0:
@@ -266,19 +268,18 @@ def _euler_trails(edges, nbr: Sequence[dict[int, int]], live: list[int], used, c
                 if odd[v]:
                     e = up[v]
                     used[e] = True  # into F
-                    a, b = edges[e]
-                    odd[a + b - v] ^= 1
+                    odd[ends[e] ^ v] ^= 1
     trails = []
     for start in live:
-        trail = hierholzer_circuit(start, cursors, used)
+        trail = hierholzer_circuit(start, cursors, ends, used)
         if len(trail) & 1:
-            trail = _even_half(edges, start, trail)
+            trail = _even_half(ends, start, trail)
         if trail:
             trails.append(trail)
     return trails
 
 
-def _even_half(edges, start: int, trail: list[int]) -> list[int]:
+def _even_half(xor_ends: Sequence[int], start: int, trail: list[int]) -> list[int]:
     """All of the odd closed trail from ``start`` but the first odd stretch
     between two visits of a vertex, else the first even one, else []."""
     seen: dict[int, int] = {}
@@ -291,8 +292,7 @@ def _even_half(edges, start: int, trail: list[int]) -> list[int]:
                 return trail[j:] + trail[:i]
             segment = segment or trail[i:j]
         seen[w] = j
-        a, b = edges[e]
-        w = a + b - w
+        w ^= xor_ends[e]
     return segment
 
 
@@ -308,6 +308,7 @@ class _Kernel:
     """
 
     def __init__(self, graph: Graph, scale: int, x: list[int]):
+        self.graph = graph
         self.edges = edges = graph.edges
         self.base = scale
         self.top = 0
@@ -378,7 +379,7 @@ class _Kernel:
             if used is None:
                 used = [True] * len(self.x)
                 cursors = [None] * len(nbr)
-            for trail in _euler_trails(self.edges, nbr, live, used, cursors):
+            for trail in _euler_trails(self.graph, nbr, live, used, cursors):
                 self._sweep(trail, 0, 0, [], pos)
             live = [v for v in live if nbr[v]]
             before, ends = ends, sum(len(nbr[v]) for v in live)
@@ -513,11 +514,12 @@ def resolve_cycles(
         i for i, (_, eseq) in enumerate(cycs) if all(2 * x[e] == scale for e in eseq)
     }
     owner = {v: i for i in bad for v in cycs[i][0]}
+    incident, ends = graph.incident, graph.xor_ends
     joining = sorted(
         e0
         for v, i in owner.items()
-        for u, e0 in graph.adjacency[v]
-        if u < v and x[e0] >= 0 and owner.get(u, i) != i
+        for e0 in incident[v]
+        if (u := ends[e0] ^ v) < v and x[e0] >= 0 and owner.get(u, i) != i
     )
     half = scale // 2
     retired: set[int] = set()
@@ -592,20 +594,26 @@ def _scaled_weights(weights: Sequence, ids: Sequence[int]) -> tuple[int, list[in
     listed; an id listed twice is an :class:`InputError`.  Each distinct
     weight object is validated and converted once, since the schemes pass
     one constant weight for every edge.  Keying by ``id`` is sound because
-    ``weights`` keeps every object alive meanwhile.
+    ``weights`` keeps every object alive meanwhile.  Each listed weight is
+    read once, and a run of one object takes one ``id`` lookup.
     """
+    listed = list(map(weights.__getitem__, ids))
     exact: dict[int, Fraction] = {}
-    for e in ids:
-        w = weights[e]
-        if id(w) not in exact:
+    last = fresh = object()  # no weight is this object
+    for w, e in zip(listed, ids):
+        if w is not last and id(w) not in exact:
             exact[id(w)] = _as_weight(w, e)
+        last = w
     scale = lcm(*(w.denominator for w in exact.values()))
     numerators = {key: w.numerator * (scale // w.denominator) for key, w in exact.items()}
     zl = [-1] * len(weights)
-    for e in ids:
+    last = fresh
+    for w, e in zip(listed, ids):
         if zl[e] >= 0:
             raise InputError(f"edge id {e} is listed twice")
-        zl[e] = numerators[id(weights[e])]
+        if w is not last:
+            last, z = w, numerators[id(w)]
+        zl[e] = z
     return scale, zl
 
 

@@ -372,6 +372,7 @@ def eliminate_bad_components(
     for (u, v), s in zip(graph.edges, side):
         degrees[s][u] += 1
         degrees[s][v] += 1
+    incident, ends = graph.incident, graph.xor_ends
     stamp = [-1] * n  # the number of the last search that reached each vertex
     searches = 0
 
@@ -385,8 +386,8 @@ def eliminate_bad_components(
         degree = degrees[colour]
         block = [root]
         for v in block:  # grows while it is read: a breadth-first search
-            for u, e in graph.adjacency[v]:
-                if side[e] == colour and stamp[u] != searches:
+            for e in incident[v]:
+                if side[e] == colour and stamp[u := ends[e] ^ v] != searches:
                     if since >= 0 and (stamp[u] >= since or not bad_vertex(u, degree[u])):
                         return None
                     stamp[u] = searches
@@ -421,7 +422,7 @@ def eliminate_bad_components(
         v = verts[0] if pick_vertex is None else pick_vertex(verts, degrees[colour])
         if v is None:
             raise InternalInvariantError("no admissible flip vertex in a bad component")
-        neighbours = sorted(u for u, e in graph.adjacency[v] if side[e] == colour)
+        neighbours = sorted(ends[e] ^ v for e in incident[v] if side[e] == colour)
         if len(neighbours) < 2:
             raise InternalInvariantError(f"flip vertex {v} has fewer than two neighbours")
         u1, u2 = neighbours[0], neighbours[1]
@@ -436,7 +437,7 @@ def eliminate_bad_components(
         bads.pop((other, around_v[0]), None)
         if target not in inside:
             bads.pop((other, component(other, target)[0]), None)
-        edge = next(e for u, e in graph.adjacency[v] if u == target and side[e] == colour)
+        edge = next(e for e in incident[v] if ends[e] ^ v == target and side[e] == colour)
         side[edge] = other
         flips += 1
         for w in (v, target):

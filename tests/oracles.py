@@ -51,6 +51,19 @@ from kmajority.rounding import (
 Edges = tuple[tuple[int, int], ...]
 
 
+def neighbour_pairs(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its ``(neighbour, edge id)`` pairs in increasing edge id.
+
+    Built from ``graph.edges`` alone, so the references below stay
+    independent of the library's incidence layout.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    for e, (u, v) in enumerate(graph.edges):
+        pairs[u].append((v, e))
+        pairs[v].append((u, e))
+    return pairs
+
+
 def _canonical(n: int, edges: Edges) -> tuple[int, Edges]:
     """Least edge tuple over degree-preserving relabellings (iso-invariant)."""
     degree = [0] * n
@@ -128,6 +141,7 @@ def weight_maps(m: int, max_denominator: int):
 def simple_cycles(graph: Graph) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """All simple cycles as (vertex set, edge tuple); edge-subset brute force."""
     out = []
+    adjacency = neighbour_pairs(graph)
     for size in range(3, graph.edge_count + 1):
         for subset in combinations(range(graph.edge_count), size):
             degree: dict[int, int] = {}
@@ -143,7 +157,7 @@ def simple_cycles(graph: Graph) -> list[tuple[frozenset[int], tuple[int, ...]]]:
             stack = [start]
             while stack:
                 v = stack.pop()
-                for u, e in graph.adjacency[v]:
+                for u, e in adjacency[v]:
                     if e in subset and u not in seen:
                         seen.add(u)
                         stack.append(u)
@@ -407,6 +421,7 @@ class BipartiteCheck:
 def bipartite_check(graph: Graph) -> BipartiteCheck:
     """Reference BFS 2-colouring with a witness either way: the sides, or an
     odd cycle through the conflict edge.  ``graph.is_bipartite`` must agree."""
+    adjacency = neighbour_pairs(graph)
     side = [-1] * graph.vertex_count
     parent_edge: list[int] = [-1] * graph.vertex_count
     parent: list[int] = [-1] * graph.vertex_count
@@ -418,7 +433,7 @@ def bipartite_check(graph: Graph) -> BipartiteCheck:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for u, e in graph.adjacency[v]:
+            for u, e in adjacency[v]:
                 if side[u] < 0:
                     side[u] = 1 - side[v]
                     parent[u] = v
@@ -506,6 +521,7 @@ def split_high_degree_reference(graph: Graph, k: int) -> tuple[int, Edges, tuple
     new vertex's origin.
     """
     ksq = k * k
+    adjacency = neighbour_pairs(graph)
     origin: list[int] = []
     first_part: list[int] = []
     part_of_edge: dict[tuple[int, int], int] = {}
@@ -515,7 +531,7 @@ def split_high_degree_reference(graph: Graph, k: int) -> tuple[int, Edges, tuple
         parts = 0 if d < 2 * ksq else (d - ksq) // ksq
         head = d - parts * ksq
         origin.extend([v] * (parts + 1))
-        by_neighbour = sorted(graph.adjacency[v], key=lambda item: item[0])
+        by_neighbour = sorted(adjacency[v], key=lambda item: item[0])
         for rank, (_, e) in enumerate(by_neighbour):
             part_of_edge[(v, e)] = 0 if rank < head else 1 + (rank - head) // ksq
     edges = tuple(
@@ -527,22 +543,23 @@ def split_high_degree_reference(graph: Graph, k: int) -> tuple[int, Edges, tuple
 
 def _colour_components(graph: Graph, side, colour: int):
     """Components of one colour class by least vertex: (vertices, degrees, edges)."""
+    adjacency = neighbour_pairs(graph)
     label = [-1] * graph.vertex_count
     out = []
     for root in range(graph.vertex_count):
-        if label[root] >= 0 or all(side[e] != colour for _, e in graph.adjacency[root]):
+        if label[root] >= 0 or all(side[e] != colour for _, e in adjacency[root]):
             continue
         label[root] = root
         block, stack = [root], [root]
         while stack:
             v = stack.pop()
-            for u, e in graph.adjacency[v]:
+            for u, e in adjacency[v]:
                 if side[e] == colour and label[u] < 0:
                     label[u] = root
                     block.append(u)
                     stack.append(u)
         block.sort()
-        degs = {v: sum(side[e] == colour for _, e in graph.adjacency[v]) for v in block}
+        degs = {v: sum(side[e] == colour for _, e in adjacency[v]) for v in block}
         out.append((tuple(block), degs, sum(degs.values()) // 2))
     return out
 
@@ -555,6 +572,7 @@ def eliminate_by_full_recompute(
     is bad when its edge count is odd and ``bad_vertex(v, d)`` holds at each
     of its vertices, d being v's degree in the component."""
     side = list(bicolouring.side)
+    adjacency = neighbour_pairs(graph)
 
     def bad_list():
         return [
@@ -571,7 +589,7 @@ def eliminate_by_full_recompute(
         v = verts[0] if pick_vertex is None else pick_vertex(verts, degs)
         if v is None:
             raise InternalInvariantError("no admissible flip vertex in a bad component")
-        neighbours = sorted(u for u, e in graph.adjacency[v] if side[e] == colour)
+        neighbours = sorted(u for u, e in adjacency[v] if side[e] == colour)
         if len(neighbours) < 2:
             raise InternalInvariantError(f"flip vertex {v} has fewer than two neighbours")
         u1, u2 = neighbours[:2]
@@ -581,7 +599,7 @@ def eliminate_by_full_recompute(
             if v in info[0]:
                 inside = set(info[0])
         target = u1 if u1 not in inside else u2 if u2 not in inside else u1
-        edge = next(e for u, e in graph.adjacency[v] if u == target and side[e] == colour)
+        edge = next(e for u, e in adjacency[v] if u == target and side[e] == colour)
         side[edge] = other
         flips += 1
         remaining = bad_list()
@@ -653,8 +671,9 @@ def euler_move_checks() -> Iterator[list[list[int]]]:
     original = rounding._euler_trails
     checked_trails: list[list[int]] = []
 
-    def checked(edges, nbr, live, used, cursors):
-        trails = original(edges, nbr, live, used, cursors)
+    def checked(graph, nbr, live, used, cursors):
+        trails = original(graph, nbr, live, used, cursors)
+        edges = graph.edges
         taken: set[int] = set()
         for trail in trails:
             assert len(trail) >= 4 and len(trail) % 2 == 0, f"trail {trail} is not even"
@@ -773,7 +792,7 @@ def parse_graph_reference(text: str) -> Graph:
     if len(pairs) != m:
         raise FormatError(f"declared {m} edges but found {len(pairs)}")
     seen = set()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]
     for e, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge ({u}, {v}) has a vertex index outside 0..{n - 1}")
@@ -783,9 +802,9 @@ def parse_graph_reference(text: str) -> Graph:
         if key in seen:
             raise FormatError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    return Graph(n, tuple(pairs), tuple(map(tuple, adjacency)))
+        incident[u].append(e)
+        incident[v].append(e)
+    return Graph(n, tuple(pairs), tuple(map(tuple, incident)))
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +842,7 @@ def eulerian_circuit(graph: Graph, start=None) -> tuple[int, ...]:
     elif graph.degree(start) == 0:
         raise InputError(f"start vertex {start} has no incident edges")
     circuit = hierholzer_circuit(
-        start, [iter(a) for a in graph.adjacency], [False] * graph.edge_count
+        start, [iter(a) for a in graph.incident], graph.xor_ends, [False] * graph.edge_count
     )
     assert len(circuit) == graph.edge_count
     return tuple(circuit)

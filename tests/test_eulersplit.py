@@ -80,7 +80,7 @@ def test_split_invariants(g):
         assert counts[v][BLUE] + counts[v][RED] == g.degree(v)
     # bad vertices arise only in all-even components with oddly many edges
     for comp in components(g):
-        comp_edges = {e for v in comp for _, e in g.adjacency[v]}
+        comp_edges = {e for v in comp for e in g.incident[v]}
         forced = all(g.degree(v) % 2 == 0 for v in comp) and len(comp_edges) % 2 == 1
         chosen = [v for v in bic.bad_vertices if v in comp]
         assert len(chosen) == (1 if comp_edges and forced else 0)
@@ -98,7 +98,7 @@ def test_union_split_is_the_split_of_each_component(g):
     bad = []
     for comp in components(g):
         rank = {v: i for i, v in enumerate(comp)}
-        comp_edges = sorted({e for v in comp for _, e in g.adjacency[v]})
+        comp_edges = sorted({e for v in comp for e in g.incident[v]})
         relabelled = [(rank[g.edges[e][0]], rank[g.edges[e][1]]) for e in comp_edges]
         alone = balanced_bicolouring(build_graph(len(comp), relabelled))
         assert [bic.side[e] for e in comp_edges] == list(alone.side)

@@ -15,15 +15,18 @@ from kmajority import (
     is_bipartite,
 )
 from kmajority.graph import circuit_vertices, edge_subgraph, hierholzer_circuit
-from oracles import bipartite_check, eulerian_circuit, hierholzer_reference
+from kmajority.graphio import format_graph, parse_graph
+from kmajority.reductions import raise_to_sk, split_high_degree
+from oracles import bipartite_check, eulerian_circuit, hierholzer_reference, neighbour_pairs
 
 
 def test_cycle_construction():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.degrees() == (2, 2, 2, 2)
     assert g.edge_count == 4
-    # adjacency lists carry (neighbour, edge index) in edge order
-    assert g.adjacency[0] == ((1, 0), (3, 3))
+    # incidence lists carry edge ids in increasing order; xor gives the far end
+    assert g.incident[0] == (0, 3)
+    assert [g.xor_ends[e] ^ 0 for e in g.incident[0]] == [1, 3]
 
 
 def test_forbidden_inputs():
@@ -134,7 +137,7 @@ def test_majority_star_always_fails():
 def test_majority_witness_is_lexicographic():
     g = general_lower_bound(2)
     colours = [10] * g.edge_count
-    first, second = [e for _, e in g.adjacency[0]][:2]
+    first, second = g.incident[0][:2]
     colours[first] = colours[second] = 1
     verdict = check_majority(g, EdgeColouring(tuple(colours), 10), 2)
     assert verdict.witness == (0, 1, 2, 1)
@@ -155,15 +158,42 @@ def test_majority_check_refuses_zero_colours():
         check_majority(build_graph(3, []), EdgeColouring((), 0), 2)
 
 
-@given(strategies.graphs())
-def test_adjacency_consistency(g):
-    appearances = [0] * g.edge_count
-    for v in range(g.vertex_count):
-        for u, e in g.adjacency[v]:
-            assert g.edges[e] in ((u, v), (v, u))
-            appearances[e] += 1
-    assert all(count == 2 for count in appearances)
-    assert sum(g.degrees()) == 2 * g.edge_count
+def assert_incidence_layout(g):
+    """``incident`` and ``xor_ends`` agree with ``edges`` and hold only ints."""
+    assert type(g.incident) is tuple and len(g.incident) == g.vertex_count
+    assert type(g.xor_ends) is tuple and len(g.xor_ends) == g.edge_count
+    # No container per edge or edge end: one tuple of ints per vertex.
+    assert all(type(ids) is tuple for ids in g.incident)
+    assert all(type(e) is int for ids in g.incident for e in ids)
+    assert all(type(x) is int for x in g.xor_ends)
+    at: list[list[int]] = [[] for _ in range(g.edge_count)]
+    for v, ids in enumerate(g.incident):
+        assert all(a < b for a, b in zip(ids, ids[1:])), f"incident[{v}] is not increasing"
+        for e in ids:
+            at[e].append(v)
+            assert g.edges[e] in ((v, g.xor_ends[e] ^ v), (g.xor_ends[e] ^ v, v))
+    assert all(sorted(at[e]) == sorted(g.edges[e]) for e in range(g.edge_count))
+    assert g.degrees() == tuple(map(len, g.incident))
+
+
+@given(strategies.graphs(), st.data())
+def test_adjacency_consistency(g, data):
+    # Every builder of a graph lays out its incidence the same way.
+    sub, _ = edge_subgraph(g, data.draw(strategies.edge_subsets(g)))
+    for h in (g, build_graph(g.vertex_count, g.edges), parse_graph(format_graph(g)), sub):
+        assert_incidence_layout(h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_incidence_of_split_and_lifted_graphs(k, data):
+    g = data.draw(strategies.hub_unions(k))
+    split, _ = split_high_degree(g, k)
+    lifted, _ = raise_to_sk(split, k)
+    sub, _ = edge_subgraph(lifted, data.draw(strategies.edge_subsets(lifted)))
+    for h in (g, parse_graph(format_graph(g)), split, lifted, sub):
+        assert_incidence_layout(h)
 
 
 @given(strategies.graphs())
@@ -178,14 +208,15 @@ def _eulerian_components(g, subset):
     """Adjacency of the ``subset`` edges' components made Eulerian.
 
     Each component with an edge gets its own auxiliary vertex joined to its
-    odd vertices.  Returns the adjacency, the used array (the edges outside
-    ``subset`` start out used) and, per component, its vertices with edges.
+    odd vertices.  Returns the ``(neighbour, edge id)`` adjacency, the used
+    array (the edges outside ``subset`` start out used) and, per component,
+    its vertices with edges.
     """
     degree = [0] * g.vertex_count
     for e in subset:
         for v in g.edges[e]:
             degree[v] += 1
-    adjacency = [list(a) for a in g.adjacency]
+    adjacency = neighbour_pairs(g)
     used = [e not in subset for e in range(g.edge_count)]
     blocks = []
     for comp in components(edge_subgraph(g, subset)[0]):
@@ -209,13 +240,18 @@ def _eulerian_components(g, subset):
 def test_greedy_trail_walk_matches_reference(g, data):
     # Every component is walked from a drawn start, in order of least vertex,
     # with one cursor (or pointer) list and one used array shared by all.
+    # The walk gets edge-id cursors and far ends read off the reference's pairs.
     subset = data.draw(strategies.edge_subsets(g))
     adjacency, used, blocks = _eulerian_components(g, subset)
     starts = [data.draw(st.sampled_from(block)) for block in blocks]
-    cursors, used_now = [iter(a) for a in adjacency], list(used)
+    xor_ends = [0] * len(used)
+    for v, pairs in enumerate(adjacency):
+        for u, e in pairs:
+            xor_ends[e] = u ^ v
+    cursors, used_now = [iter([e for _, e in pairs]) for pairs in adjacency], list(used)
     pointer, used_before = [0] * len(adjacency), list(used)
     for start in starts:
-        assert hierholzer_circuit(start, cursors, used_now) == hierholzer_reference(
+        assert hierholzer_circuit(start, cursors, xor_ends, used_now) == hierholzer_reference(
             adjacency, start, pointer, used_before
         )
     assert all(used_now) and used_now == used_before

@@ -65,7 +65,7 @@ def test_graph_header_may_declare_isolated_vertices():
 
 
 def test_graph_header_is_bounded_before_allocation():
-    # One adjacency list per declared vertex would take about 1.5 GB here.
+    # One incidence list per declared vertex would take about 1.5 GB here.
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="declares 20000000 vertices"):

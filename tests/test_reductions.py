@@ -20,7 +20,7 @@ from kmajority import (
     sk_degrees,
     split_high_degree,
 )
-from oracles import doubling_lift, split_high_degree_reference
+from oracles import doubling_lift, neighbour_pairs, split_high_degree_reference
 
 
 def complete_graph(n):
@@ -173,7 +173,8 @@ def test_lift_takes_fewest_copies_per_component(k, data):
     copies = _copies_per_component(g, out)
     n = g.vertex_count
     # The need left after the fill: a vertex's edges to fresh copies.
-    needs = [sum(u >= n for u, _ in out.adjacency[v]) for v in range(n)]
+    pairs = neighbour_pairs(out)
+    needs = [sum(u >= n for u, _ in pairs[v]) for v in range(n)]
     assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(g)]
     assert trace.copies == max(copies) - 1
     assert out.edge_count <= doubling_lift(g, k).edge_count

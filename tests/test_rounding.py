@@ -413,11 +413,11 @@ def test_odd_trail_keeps_an_even_closed_half():
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 5), (5, 1)])
     # From 3, vertex 1 repeats 3 edges after its first visit: the triangle
     # is cut off and the rest kept.
-    assert rounding._even_half(g.edges, 3, [4, 5, 6, 1, 2, 0, 3]) == [3, 4, 5, 6]
+    assert rounding._even_half(g.xor_ends, 3, [4, 5, 6, 1, 2, 0, 3]) == [3, 4, 5, 6]
     # From 0, the one repeat (vertex 1) is 4 edges on: its segment is kept.
-    assert rounding._even_half(g.edges, 0, [0, 3, 4, 5, 6, 1, 2]) == [3, 4, 5, 6]
+    assert rounding._even_half(g.xor_ends, 0, [0, 3, 4, 5, 6, 1, 2]) == [3, 4, 5, 6]
     # A simple odd cycle has no even closed half.
-    assert rounding._even_half(g.edges, 0, [0, 1, 2]) == []
+    assert rounding._even_half(g.xor_ends, 0, [0, 1, 2]) == []
 
 
 @st.composite
@@ -440,7 +440,7 @@ def kernel_moves(draw):
         graph = build_graph(n, strategies.circulant_edges(n, degree))
         m = graph.edge_count
         nbr = _Kernel(graph, 2, [1] * m).nbr
-        move = rounding._euler_trails(graph.edges, nbr, list(range(n)), [True] * m, [None] * n)[0]
+        move = rounding._euler_trails(graph, nbr, list(range(n)), [True] * m, [None] * n)[0]
         return graph, (move, 0, 0), [], top
     odd_cycle = st.integers(1, 3).map(lambda h: 2 * h + 1)
     if kind == "dumbbell":

@@ -12,7 +12,7 @@ SCRIPT = ROOT / "scripts" / "scaling.py"
 
 
 @pytest.mark.parametrize(
-    "layer", ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse"]
+    "layer", ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift"]
 )
 def test_scaling_script_prints_one_row_per_size(layer):
     # kernel, smallk and parse sizes are vertex counts, and minimum degree 18
