@@ -66,7 +66,6 @@ def _report_json(
     scheme: Optional[SchemeReport] = None,
     verdict: Optional[MajorityVerdict] = None,
     oracle: Optional[dict] = None,
-    seed: Optional[int] = None,
     duration_ms: float = 0.0,
     inputs: Optional[dict] = None,
 ) -> dict:
@@ -78,7 +77,7 @@ def _report_json(
         "rounds": scheme.rounds_json() if scheme else [],
         "verdict": _verdict_json(verdict if verdict is not None else (scheme.verdict if scheme else None)),
         "oracle": oracle,
-        "seed": seed,
+        "seed": None,
         "duration_ms": round(duration_ms, 3),
         "inputs": inputs or {},
     }

@@ -11,14 +11,15 @@ component, walks an Euler circuit from it (or from the bad vertex), and
 colours the traversal alternately; the auxiliary edges only consume parity
 slots and are discarded.
 
-A split may cover only a subset of a graph's edges.  Degrees, components and
-bad vertices are then those of the subset, the walk runs on incidence lists
-of the subset's own edge ids, one int list per vertex built per call in
-increasing edge id, with the graph's ``xor_ends`` for the far ends, and the
-sides stay indexed by the graph's edge ids, ``-1`` outside the subset.  The
-result is the split of ``edge_subgraph(graph, edges)`` mapped back to the
-graph's ids, at the cost of the subset's edges, without building that
-subgraph.
+A split may cover only a subset of a graph's edges, whose ids go through
+the graph module's one subset check.  Degrees, components and bad vertices
+are then those of the subset: one int list per vertex, built per call, holds
+the subset's own edge ids in increasing order, and both the graph module's
+one component search and the walk run on these lists, with the graph's
+``xor_ends`` for the far ends.  The sides stay indexed by the graph's edge
+ids, ``-1`` outside the subset.  The result is the split of
+``edge_subgraph(graph, edges)`` mapped back to the graph's ids, at the cost
+of the subset's edges, without building that subgraph.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import InputError, SelectorExhaustedError
-from .graph import Graph, _checked_edge_ids, hierholzer_circuit
+from .errors import SelectorExhaustedError
+from .graph import Graph, _checked_edge_ids, _components, hierholzer_circuit
 from .graph import components  # noqa: F401 - unused here, but perfbench/tracer.py wraps it
 
 BLUE = 0
@@ -69,11 +70,7 @@ def balanced_bicolouring(
         # takes the edges the subgraph of the subset would, in its order.
         incident = [[] for _ in range(aux)]
         ends = graph.edges
-        last = -1
-        for e in _checked_edge_ids(graph, sorted(edges)):
-            if e == last:
-                raise InputError(f"edge id {e} is listed twice")
-            last = e
+        for e in _checked_edge_ids(graph, edges):
             u, v = ends[e]
             incident[u].append(e)
             incident[v].append(e)
@@ -91,19 +88,9 @@ def balanced_bicolouring(
     side: list[int] = [-1] * (m + aux)  # auxiliary edges' entries are cut off at the end
     bad: list[int] = []
     aux_edges = m
-    seen = [False] * aux
-    for root in range(aux):
-        if seen[root] or not degree[root]:
+    for comp in _components(incident, graph.xor_ends):
+        if not degree[comp[0]]:  # a vertex no split edge touches
             continue
-        seen[root] = True
-        comp = [root]
-        for v in comp:  # grows while it is read: a breadth-first search
-            for e in incident[v]:
-                u = xor_ends[e] ^ v
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        comp.sort()
         odd = [v for v in comp if degree[v] % 2]
         if odd:
             cursors[aux] = iter(range(aux_edges, aux_edges + len(odd)))

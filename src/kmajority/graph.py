@@ -94,20 +94,30 @@ def _assemble(vertex_count: int, edges: Sequence[Edge]) -> Graph:
 
 
 def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
-    """``edges`` as a list, after an :class:`InputError` for an id outside the graph."""
-    edges = list(edges)
-    if edges and not (0 <= min(edges) and max(edges) < graph.edge_count):
+    """``edges`` sorted, after an :class:`InputError` for an id outside the
+    graph or listed twice; the one check of every edge subset."""
+    edges = sorted(edges)
+    if edges and not (0 <= edges[0] and edges[-1] < graph.edge_count):
         raise InputError(f"edge indices must lie in 0..{graph.edge_count - 1}")
+    for e, after in zip(edges, edges[1:]):
+        if e == after:
+            raise InputError(f"edge id {e} is listed twice")
     return edges
 
 
 def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    n = graph.vertex_count
-    incident, ends = graph.incident, graph.xor_ends
-    seen = [False] * n
-    out: list[tuple[int, ...]] = []
-    for root in range(n):
+    return tuple(_components(graph.incident, graph.xor_ends))
+
+
+def _components(
+    incident: Sequence[Sequence[int]], ends: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """:func:`components` of the edges in ``incident[v]``, the graph's own or a
+    subset's ids at v; ``ends[e] ^ v`` is e's far end, and an untouched vertex
+    is a block of its own."""
+    seen = [False] * len(incident)
+    for root in range(len(incident)):
         if seen[root]:
             continue
         seen[root] = True
@@ -119,8 +129,7 @@ def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
                     seen[u] = True
                     block.append(u)
         block.sort()
-        out.append(tuple(block))
-    return tuple(out)
+        yield tuple(block)
 
 
 def is_bipartite(graph: Graph) -> bool:
@@ -189,9 +198,10 @@ def edge_subgraph(graph: Graph, edge_indices: Iterable[int]) -> tuple[Graph, tup
 
     Returns the subgraph and the map new edge index -> original edge index
     (edges kept in increasing original order).  A subset of a simple graph's
-    edges is simple, so only the indices are checked (:class:`InputError`).
+    edges is simple, so only the indices are checked (:class:`InputError`);
+    an index listed more than once is kept once.
     """
-    kept = _checked_edge_ids(graph, sorted(set(edge_indices)))
+    kept = _checked_edge_ids(graph, set(edge_indices))
     sub = _assemble(graph.vertex_count, [graph.edges[e] for e in kept])
     return sub, tuple(kept)
 

@@ -591,7 +591,7 @@ def _scaled_weights(weights: Sequence, ids: Sequence[int]) -> tuple[int, list[in
     """Validate the listed weights; common denominator and numerators.
 
     ``zl[e] / scale`` is edge e's weight, ``zl[e] = -1`` for an edge not
-    listed; an id listed twice is an :class:`InputError`.  Each distinct
+    listed; ``_checked_edge_ids`` has made the ids distinct.  Each distinct
     weight object is validated and converted once, since the schemes pass
     one constant weight for every edge.  Keying by ``id`` is sound because
     ``weights`` keeps every object alive meanwhile.  Each listed weight is
@@ -609,8 +609,6 @@ def _scaled_weights(weights: Sequence, ids: Sequence[int]) -> tuple[int, list[in
     zl = [-1] * len(weights)
     last = fresh
     for w, e in zip(listed, ids):
-        if zl[e] >= 0:
-            raise InputError(f"edge id {e} is listed twice")
         if w is not last:
             last, z = w, numerators[id(w)]
         zl[e] = z
@@ -680,7 +678,7 @@ def round_weights(
     if edges is None:
         ids: Sequence[int] = range(graph.edge_count)
     else:
-        ids = sorted(_checked_edge_ids(graph, edges))
+        ids = _checked_edge_ids(graph, edges)
     scale, zl = _scaled_weights(weights, ids)
     kernel = _Kernel(graph, scale, zl)
     sums_z = kernel.sums

@@ -477,20 +477,6 @@ def _split_half_into(
         colours[e] = blue if side[e] == BLUE else red
 
 
-def _split_halves(
-    graph: Graph,
-    side: Sequence[int],
-    pairs: tuple[tuple[int, int], tuple[int, int]],
-    colours: list[int],
-    admissible: Callable[[int, int], bool],
-) -> None:
-    """Split the blue and the red edges of ``side`` as :func:`_split_half_into`
-    does, writing ``pairs[0]`` on the blue half and ``pairs[1]`` on the red."""
-    for colour_side, pair in zip((BLUE, RED), pairs):
-        half_ids = [e for e, s in enumerate(side) if s == colour_side]
-        _split_half_into(graph, half_ids, pair, colours, admissible)
-
-
 def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
     """Majority 3-edge-colouring for degrees in S_2 = {5, 7}."""
     chosen, rest, _ = _strip_round(graph, list(range(graph.edge_count)), Fraction(1, 3))
@@ -519,7 +505,9 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     bic = balanced_bicolouring(graph)
     bic, elimination = eliminate_bad_components(graph, bic, lambda v, d: d == 6)
     colours = [0] * graph.edge_count
-    _split_halves(graph, bic.side, ((1, 2), (3, 4)), colours, lambda v, d: d == 8)
+    for half, pair in zip((BLUE, RED), ((1, 2), (3, 4))):
+        ids = [e for e, s in enumerate(bic.side) if s == half]
+        _split_half_into(graph, ids, pair, colours, lambda v, d: d == 8)
     return colours, {"alphas": (), "elimination": elimination}
 
 
@@ -548,7 +536,9 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     def second_split_bad(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)
 
-    _split_halves(graph, bic.side, ((2, 3), (4, 5)), colours, second_split_bad)
+    for half, pair in zip((BLUE, RED), ((2, 3), (4, 5))):
+        ids = [e for e, s in enumerate(bic.side) if s == half]
+        _split_half_into(graph, ids, pair, colours, second_split_bad)
     return colours, {"alphas": (Fraction(1, 5),), "elimination": elimination}
 
 

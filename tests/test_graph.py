@@ -321,6 +321,8 @@ def test_edge_subgraph_keeps_vertices_and_maps_edges():
     assert sub.vertex_count == 5
     assert emap == (1, 3, 5)
     assert [sub.edges[j] for j in range(3)] == [g.edges[e] for e in emap]
+    # A repeated index is kept once, not rejected as in a split or rounding.
+    assert edge_subgraph(g, [5, 1, 1, 3]) == (sub, emap)
 
 
 @pytest.mark.parametrize("indices", [[-1], [0, 6]])

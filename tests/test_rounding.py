@@ -126,6 +126,9 @@ def test_weight_validation():
         round_weights(g, [0.5])
     with pytest.raises(InputError):
         round_weights(g, [])
+    for weight in ("x", object()):
+        with pytest.raises(InputError, match="not rational"):
+            round_weights(g, [weight])
 
 
 # --------------------------------------------------------------------------
@@ -586,9 +589,15 @@ def test_subset_rounding_ignores_an_outside_edge_joining_bad_cycles():
     assert result.x[6] == -1
 
 
-@pytest.mark.parametrize("ids", [[4], [-1], [0, 2, 0]], ids=["past-end", "negative", "repeated"])
-def test_subset_rounding_rejects_bad_edge_ids(ids):
-    with pytest.raises(InputError):
+@pytest.mark.parametrize(
+    "ids, message",
+    [([4], "edge indices must lie"), ([-1], "edge indices must lie"),
+     ([0, 2, 0], "edge id 0 is listed twice")],
+    ids=["past-end", "negative", "repeated"],
+)
+def test_subset_rounding_rejects_bad_edge_ids(ids, message):
+    # The messages balanced_bicolouring gives: both check ids in graph.py.
+    with pytest.raises(InputError, match=message):
         round_weights(c4(), [HALF] * 4, ids)
 
 

@@ -295,6 +295,14 @@ def test_eliminate_removes_forced_bad_components():
     assert count_bad(g, out.side) == 0
 
 
+def test_eliminate_rejects_a_bad_component_with_no_admissible_flip_vertex():
+    g = complete_graph(13)
+    with pytest.raises(InternalInvariantError, match="no admissible flip vertex"):
+        eliminate_bad_components(
+            g, balanced_bicolouring(g), six_regular, pick_vertex=lambda verts, deg: None
+        )
+
+
 def k13_union(copies, seed):
     rng = random.Random(seed)
     labels = list(range(13 * copies))
