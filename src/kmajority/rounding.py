@@ -457,19 +457,6 @@ class _Kernel:
         return cut
 
 
-def _assert_zero_sums(graph: Graph, direction: dict) -> None:
-    sums: dict = {}
-    for e, coeff in direction.items():
-        u, v = graph.edges[e]
-        sums[u] = sums.get(u, 0) + coeff
-        sums[v] = sums.get(v, 0) + coeff
-    broken = {v: s for v, s in sums.items() if s}
-    if broken:
-        raise InternalInvariantError(f"direction does not cancel at vertices {broken}")
-    if not direction:
-        raise InternalInvariantError("direction has empty support")
-
-
 # ---------------------------------------------------------------------------
 # Odd-cycle resolution
 # ---------------------------------------------------------------------------
@@ -484,6 +471,13 @@ def _rotate_cycle(vseq: Sequence[int], eseq: Sequence[int], start: int) -> list[
     return forward if forward[0] <= backward[0] else backward
 
 
+def _alternate(x: list[int], walk: Iterable[int], first: int, scale: int) -> None:
+    """Write ``first, scale - first, first, ...`` along ``walk``."""
+    for e in walk:
+        x[e] = first
+        first = scale - first
+
+
 def resolve_cycles(
     graph: Graph, scale: int, x: list[int], cycles: Iterable[Sequence[int]]
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -492,13 +486,14 @@ def resolve_cycles(
     ``x[e]`` is edge e's numerator over ``scale``, or ``-1`` for an edge
     outside the rounded subset; every rounded edge off the cycles is
     integral (0 or ``scale``).  First merges pairs of bad cycles (every edge
-    exactly 1/2) that are joined by a rounded edge - flipping that edge and
-    shifting both cycles by alternating halves keeps all vertex sums intact.
-    Joining edges are taken in ascending order, skipping cycles already
-    merged.  The surviving cycles are then rounded to nearest with the
-    per-vertex tie rule; each remaining bad cycle contributes one designated
-    vertex, rounded up on both sides, to the returned ledger.  Every cycle
-    edge ends at 0 or ``scale``.
+    exactly 1/2) that are joined by a rounded edge: each cycle, walked from
+    its end of that edge, alternates 0/``scale`` starting at the edge's value,
+    and the edge flips.  An odd cycle's two edges at the start take the same
+    value, so every vertex sum stays intact.  Joining edges are taken in
+    ascending order, skipping cycles already merged.  The surviving cycles
+    are then rounded to nearest with the per-vertex tie rule; each remaining
+    bad cycle contributes one designated vertex, rounded up on both sides, to
+    the returned ledger.  Every cycle edge ends at 0 or ``scale``.
     """
     if not cycles:
         return []
@@ -521,7 +516,6 @@ def resolve_cycles(
         for e0 in incident[v]
         if (u := ends[e0] ^ v) < v and x[e0] >= 0 and owner.get(u, i) != i
     )
-    half = scale // 2
     retired: set[int] = set()
     for e0 in joining:
         u, v = graph.edges[e0]
@@ -530,18 +524,9 @@ def resolve_cycles(
             continue
         if x[e0] != 0 and x[e0] != scale:
             raise InternalInvariantError(f"joining edge {e0} is not integral")
-        direction = {e0: 2}
-        for cyc_index, anchor in ((iu, u), (iv, v)):
-            vseq, eseq = cycs[cyc_index]
-            walk_e = _rotate_cycle(vseq, eseq, anchor)
-            for i, e in enumerate(walk_e):
-                direction[e] = -1 if i % 2 == 0 else 1
-        _assert_zero_sums(graph, direction)
-        c = half if x[e0] == 0 else -half
-        for e, a in direction.items():
-            x[e] += c * a
-            if x[e] != 0 and x[e] != scale:
-                raise InternalInvariantError("bad-cycle merge left a fractional edge")
+        for i, anchor in ((iu, u), (iv, v)):
+            _alternate(x, _rotate_cycle(*cycs[i], anchor), x[e0], scale)
+        x[e0] = scale - x[e0]
         retired.update((iu, iv))
 
     ledger: list[tuple[int, tuple[int, ...]]] = []
@@ -551,8 +536,7 @@ def resolve_cycles(
         if i in bad:
             anchor = min(vseq)
             walk_e = _rotate_cycle(vseq, eseq, anchor)
-            for j, e in enumerate(walk_e):
-                x[e] = scale if j % 2 == 0 else 0
+            _alternate(x, walk_e, scale, scale)
             ledger.append((anchor, tuple(walk_e)))
         else:
             _round_mixed_cycle(scale, x, eseq)
@@ -575,11 +559,9 @@ def _round_mixed_cycle(scale: int, x: list[int], eseq: Sequence[int]) -> None:
         run = []
         p = start
         while halves[p]:
-            run.append(p)
+            run.append(eseq[p])
             p = (p + 1) % length
-        anchor = min(range(len(run)), key=lambda idx: eseq[run[idx]])
-        for idx, p in enumerate(run):
-            x[eseq[p]] = scale if (idx - anchor) % 2 == 0 else 0
+        _alternate(x, run, 0 if run.index(min(run)) & 1 else scale, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +610,12 @@ def _int_sums(graph: Graph, values: Sequence[int], ids: Sequence[int]) -> list[i
 
 def _enforce_ii_int(
     graph: Graph, ids: Sequence[int], scale: int, sums_z: Sequence[int], xi: list[int]
-) -> list[int]:
+) -> None:
     """In-place condition (ii) repair of the 0/1 values of the listed edges.
 
     Weight sums are ``sums_z / scale``.  A flip only clears deficiency, so an
     edge passed once never violates (ii) later: one ascending pass flips the
-    same edges as rescanning from the first.  Returns the x-sums.
+    same edges as rescanning from the first.
     """
     sums_x = _int_sums(graph, xi, ids)
     deficient = [sx * scale < sz for sx, sz in zip(sums_x, sums_z)]
@@ -646,7 +628,6 @@ def _enforce_ii_int(
                 for w in (u, v):
                     sums_x[w] += 1
                     deficient[w] = sums_x[w] * scale < sums_z[w]
-    return sums_x
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +676,8 @@ def round_weights(
             if x[e] != 0 and x[e] != full:
                 raise InternalInvariantError(f"edge {e} left fractional at {Fraction(x[e], full)}")
     xi = [1 if value == full else value for value in x]
-    sums_x = _enforce_ii_int(graph, ids, scale, sums_z, xi)
-    _certify_int(graph, ids, scale, sums_z, xi, ledger, sums_x)
+    _enforce_ii_int(graph, ids, scale, sums_z, xi)
+    _certify_int(graph, ids, scale, sums_z, xi, ledger)
     return RoundingResult(tuple(xi), tuple(ledger))
 
 
@@ -707,14 +688,18 @@ def _certify_int(
     sums_z: Sequence[int],
     xi: Sequence[int],
     ledger: Sequence[tuple[int, Sequence[int]]],
-    sums_x: Sequence[int],
 ) -> None:
     """Conditions (i)-(iii) over integers, in O(n + m).
 
-    Weight sums are ``sums_z / scale`` and x is 0/1 on the listed edges.
-    One owner array over the ledger's cycle vertices checks both that the
-    cycles are disjoint and that no listed edge joins two of them.
+    Weight sums are ``sums_z / scale``; x is 0/1 on the listed edges, and
+    its sums are counted here again, not taken from the repair.  Each
+    ledger cycle is walked: every edge must continue from the vertex
+    reached, no vertex may repeat, and the walk must close.  One owner
+    array over the cycles' vertices checks that each cycle passes through
+    its vertex, that the cycles are disjoint and that no listed edge joins
+    two of them.
     """
+    sums_x = _int_sums(graph, xi, ids)
     for e in ids:
         if xi[e] != 0 and xi[e] != 1:
             raise InternalInvariantError(f"edge {e} rounded to {xi[e]}")
@@ -739,22 +724,27 @@ def _certify_int(
             f"(iii) ledger vertices {sorted(listed)} != excess vertices {sorted(excess)}"
         )
     owner = [-1] * graph.vertex_count
+    ends = graph.xor_ends
     for i, (v, eseq) in enumerate(ledger):
         if len(eseq) % 2 == 0 or len(eseq) < 3:
             raise InternalInvariantError(f"(iii) ledger cycle for {v} is not odd")
         if any(xi[e] < 0 for e in eseq):
             raise InternalInvariantError(f"(iii) ledger cycle for {v} leaves the rounded edges")
-        vseq = circuit_vertices(graph, eseq)[:-1]
-        if v not in vseq:
-            raise InternalInvariantError(f"(iii) cycle for {v} does not pass through it")
-        for u in vseq:
-            if sums_z[u] % scale:
-                raise InternalInvariantError(
-                    f"(iii) cycle vertex {u} has non-integral z-sum"
-                )
-            if owner[u] >= 0 and owner[u] != i:
+        a, b = edges[eseq[0]]
+        u = start = b if a in edges[eseq[1]] else a
+        for e in eseq:
+            if u not in edges[e] or owner[u] == i:
+                raise InternalInvariantError(f"(iii) ledger entry for {v} is not a cycle")
+            if owner[u] >= 0:
                 raise InternalInvariantError("(iii) ledger cycles share a vertex")
+            if sums_z[u] % scale:
+                raise InternalInvariantError(f"(iii) cycle vertex {u} has non-integral z-sum")
             owner[u] = i
+            u ^= ends[e]
+        if u != start:
+            raise InternalInvariantError(f"(iii) ledger entry for {v} is not a cycle")
+        if owner[v] != i:
+            raise InternalInvariantError(f"(iii) cycle for {v} does not pass through it")
     if len(ledger) > 1:
         for e in ids:
             u, v = edges[e]

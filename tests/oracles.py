@@ -5,8 +5,9 @@ Everything here re-derives expected behaviour from first principles
 paths, so tests cross-check two independent routes.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, a
-move's coefficients and the edge removal they are built from, an exact push
-of one move, the condition-(ii) repair on its own, vertex sums and
+move's coefficients and the edge removal they are built from and the
+zero-sum check ``_assert_zero_sums`` that a kernel direction passes, an
+exact push of one move, the condition-(ii) repair on its own, vertex sums and
 whole-graph Euler circuits.
 The sections before it check the refined scheme's bucket invariant at each
 Euler split the scheme makes, check each move of the rounding kernel's Euler
@@ -41,7 +42,6 @@ from kmajority.graph import edge_subgraph, hierholzer_circuit
 from kmajority.graphio import _check_vertex_bound, _read_header
 from kmajority.rounding import (
     _TERMINAL,
-    _assert_zero_sums,
     _enforce_ii_int,
     _int_sums,
     _next_move,
@@ -912,6 +912,19 @@ def _walk_from(graph: Graph, nbr, start: int):
     pos = [-1] * graph.vertex_count
     pos[start] = 0
     return _next_move(nbr, [start], [], pos)
+
+
+def _assert_zero_sums(graph: Graph, direction: dict) -> None:
+    sums: dict = {}
+    for e, coeff in direction.items():
+        u, v = graph.edges[e]
+        sums[u] = sums.get(u, 0) + coeff
+        sums[v] = sums.get(v, 0) + coeff
+    broken = {v: s for v, s in sums.items() if s}
+    if broken:
+        raise InternalInvariantError(f"direction does not cancel at vertices {broken}")
+    if not direction:
+        raise InternalInvariantError("direction has empty support")
 
 
 def find_kernel_direction(graph: Graph, support, component):

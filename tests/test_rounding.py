@@ -213,16 +213,17 @@ def resolve(graph, values, cycles):
     return [Fraction(value, scale) for value in x], ledger
 
 
-def test_merge_of_adjacent_bad_cycles():
+@pytest.mark.parametrize("joining", [0, 1])
+def test_merge_of_adjacent_bad_cycles(joining):
     g = build_graph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
     )
-    x = [HALF] * 6 + [Fraction(0)]
+    x = [HALF] * 6 + [Fraction(joining)]
     before = vertex_sums(g, x)
     out, ledger = resolve(g, x, [(0, 1, 2), (3, 4, 5)])
     assert ledger == []
     assert all(value.denominator == 1 for value in out)
-    assert out[6] == 1  # the joining edge flipped to absorb both cycles
+    assert out[6] == 1 - joining  # the joining edge flipped to absorb both cycles
     assert vertex_sums(g, out) == before
 
 
@@ -248,6 +249,17 @@ def test_mixed_cycle_rounds_within_open_interval():
     for v in range(7):
         assert abs(after[v] - before[v]) < 1
     assert all(value in (0, 1) for value in out)
+
+
+def test_mixed_cycle_half_run_starts_from_its_least_edge():
+    # The run of halves is edges 6, 0, 1; its least edge, 0, sits at an odd
+    # index of the run, so the run reads 0, 1, 0 rather than 1, 0, 1.
+    g = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
+    quarter = Fraction(1, 4)
+    values = [HALF, HALF, quarter, 3 * quarter, quarter, 3 * quarter, HALF]
+    out, ledger = resolve(g, values, [tuple(range(7))])
+    assert out == [1, 0, 0, 1, 0, 1, 0]
+    assert ledger == []
 
 
 def test_one_edge_cycle_is_an_input_error():
@@ -609,9 +621,7 @@ def test_subset_rounding_rejects_bad_edge_ids(ids, message):
 def _certify(graph, ids, weights, x, ledger):
     scale = lcm(*(w.denominator for w in weights))
     zl = [int(w * scale) for w in weights]
-    _certify_int(
-        graph, ids, scale, _int_sums(graph, zl, ids), x, ledger, _int_sums(graph, x, ids)
-    )
+    _certify_int(graph, ids, scale, _int_sums(graph, zl, ids), x, ledger)
 
 
 def test_certificate_rejects_ledger_cycles_sharing_a_vertex():
@@ -620,6 +630,36 @@ def test_certificate_rejects_ledger_cycles_sharing_a_vertex():
     ledger = [(0, (0, 1, 2)), (3, (3, 4, 5))]
     with pytest.raises(InternalInvariantError, match="share a vertex"):
         _certify(g, range(6), [HALF] * 6, [1, 0, 1, 1, 1, 0], ledger)
+
+
+def test_certificate_rejects_a_ledger_entry_that_is_not_a_cycle():
+    # C5 at weight 1/2 with vertex 0 rounded up, and a pendant edge 4-5 at
+    # weight 0.  Listed out of order, the C5's edge 2 does not continue from
+    # vertex 1, where edge 0 ends; the path 0, 1, 2, 3, 4, 5 does not close.
+    g = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(4, 5)])
+    weights = [HALF] * 5 + [Fraction(0)]
+    x = [1, 0, 1, 0, 1, 0]
+    for walk in (0, 2, 1, 3, 4), (0, 1, 2, 3, 5):
+        with pytest.raises(InternalInvariantError, match="is not a cycle"):
+            _certify(g, range(6), weights, x, [(0, walk)])
+    for cycle in (0, 1, 2, 3, 4), (1, 2, 3, 4, 0), (4, 3, 2, 1, 0):
+        _certify(g, range(6), weights, x, [(0, cycle)])
+
+
+def test_certificate_recounts_the_repaired_sums(monkeypatch):
+    # A repair that sets one more edge to 1 than it counts: C4 at weight 1/2
+    # would be certified as (1, 1, 1, 0), two vertices above their weight
+    # sums with an empty ledger, were the repair's own sums trusted.
+    enforce = rounding._enforce_ii_int
+
+    def miscounting_repair(graph, ids, scale, sums_z, xi):
+        sums = enforce(graph, ids, scale, sums_z, xi)
+        xi[xi.index(0)] = 1
+        return sums
+
+    monkeypatch.setattr(rounding, "_enforce_ii_int", miscounting_repair)
+    with pytest.raises(InternalInvariantError, match=r"\(iii\)"):
+        round_weights(c4(), [HALF] * 4)
 
 
 def test_certificate_rejects_an_edge_joining_ledger_cycles():
