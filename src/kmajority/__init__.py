@@ -50,11 +50,7 @@ from .reductions import (
     sk_degrees,
     split_high_degree,
 )
-from .rounding import (
-    RoundingResult,
-    resolve_cycles,
-    round_weights,
-)
+from .rounding import RoundingResult, round_weights
 from .schemes import (
     SCHEMES,
     RoundStat,

@@ -18,8 +18,11 @@ the subset's own edge ids in increasing order, and both the graph module's
 one component search and the walk run on these lists, with the graph's
 ``xor_ends`` for the far ends.  The sides stay indexed by the graph's edge
 ids, ``-1`` outside the subset.  The result is the split of
-``edge_subgraph(graph, edges)`` mapped back to the graph's ids, at the cost
-of the subset's edges, without building that subgraph.
+``edge_subgraph(graph, edges)`` mapped back to the graph's ids, without
+building that subgraph.  A call still costs O(n + m) whatever the subset's
+size: it copies ``xor_ends`` and allocates ``used`` and ``side`` over the m
+edge ids plus n auxiliary ones, keeps n incidence lists, cursors and
+degrees, and the component search scans every vertex with a ``seen`` list.
 """
 
 from __future__ import annotations

@@ -204,20 +204,3 @@ def edge_subgraph(graph: Graph, edge_indices: Iterable[int]) -> tuple[Graph, tup
     kept = _checked_edge_ids(graph, set(edge_indices))
     sub = _assemble(graph.vertex_count, [graph.edges[e] for e in kept])
     return sub, tuple(kept)
-
-
-def circuit_vertices(graph: Graph, circuit: Sequence[int]) -> list[int]:
-    """Vertex sequence visited by an edge circuit (first vertex repeated last)."""
-    if not circuit:
-        return []
-    if len(circuit) == 1:
-        raise InputError("a closed trail in a simple graph has at least 3 edges")
-    a = set(graph.edges[circuit[0]])
-    b = set(graph.edges[circuit[1]])
-    shared = a & b
-    first = (a - shared).pop() if a - shared else shared.pop()
-    order = [first]
-    for e in circuit:
-        u, v = graph.edges[e]
-        order.append(v if order[-1] == u else u)
-    return order

@@ -63,7 +63,8 @@ Each move is pushed until an edge becomes integral, in whichever direction
 makes more edges integral (ties go to the walk's own orientation).  A +-2
 step can need half a unit; then ``D`` doubles, exactly, and each numerator is
 doubled when a move next reads it.  What is left, a component that is
-exactly one odd cycle, goes to :func:`resolve_cycles`, over the final ``D``.
+exactly one odd cycle, is handed over with the vertex order the walk holds
+for it and finished by ``_resolve_cycles``, over the final ``D``.
 
 One pass over the numerators sets the kernel up: it builds the live dicts
 and the weight sum of every vertex.  Every move, Euler-pass trail or walk,
@@ -96,7 +97,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .graph import Graph, _checked_edge_ids, circuit_vertices, hierholzer_circuit
+from .graph import Graph, _checked_edge_ids, hierholzer_circuit
 
 
 @dataclass(frozen=True)
@@ -329,10 +330,11 @@ class _Kernel:
         """``x[e]`` over the common scale ``base << top``."""
         return self.x[e] << (self.top - self.level[e])
 
-    def run(self) -> list[list[int]]:
-        """Move until no edge is live; returns the terminal odd cycles."""
+    def run(self) -> list[tuple[list[int], list[int]]]:
+        """Move until no edge is live; returns each terminal odd cycle as
+        ``(vertices, edges)`` in walk order, ``edges[i]`` leaving ``vertices[i]``."""
         edges, nbr = self.edges, self.nbr
-        cycles: list[list[int]] = []
+        cycles: list[tuple[list[int], list[int]]] = []
         vs: list[int] = []
         es: list[int] = []
         pos = [-1] * len(nbr)
@@ -357,12 +359,12 @@ class _Kernel:
                 if cut == len(es):
                     continue
             else:
-                # The whole walk goes: a terminal cycle runs from its first vertex.
+                # The whole walk goes: a terminal cycle runs around vs from vs[0].
                 for e in walk:
                     u, v = edges[e]
                     del nbr[u][e]
                     del nbr[v][e]
-                cycles.append(walk)
+                cycles.append((vs[:], walk))
                 cut = 0
             for v in vs[cut + 1:]:
                 pos[v] = -1
@@ -478,32 +480,29 @@ def _alternate(x: list[int], walk: Iterable[int], first: int, scale: int) -> Non
         first = scale - first
 
 
-def resolve_cycles(
-    graph: Graph, scale: int, x: list[int], cycles: Iterable[Sequence[int]]
+def _resolve_cycles(
+    graph: Graph, scale: int, x: list[int], cycles: Sequence[tuple[list[int], list[int]]]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Finish the rounding on disjoint odd support cycles, in place.
+    """Finish the rounding on the kernel's terminal odd cycles, in place.
 
-    ``x[e]`` is edge e's numerator over ``scale``, or ``-1`` for an edge
-    outside the rounded subset; every rounded edge off the cycles is
-    integral (0 or ``scale``).  First merges pairs of bad cycles (every edge
-    exactly 1/2) that are joined by a rounded edge: each cycle, walked from
-    its end of that edge, alternates 0/``scale`` starting at the edge's value,
-    and the edge flips.  An odd cycle's two edges at the start take the same
-    value, so every vertex sum stays intact.  Joining edges are taken in
-    ascending order, skipping cycles already merged.  The surviving cycles
-    are then rounded to nearest with the per-vertex tie rule; each remaining
-    bad cycle contributes one designated vertex, rounded up on both sides, to
+    ``cycles`` holds them as ``(vertices, edges)`` in walk order, as
+    ``_Kernel.run`` returns them; an even one is a kernel fault.  ``x[e]`` is
+    edge e's numerator over ``scale``, or ``-1`` for an edge outside the
+    rounded subset; every rounded edge off the cycles is integral (0 or
+    ``scale``).  First merges pairs of bad cycles (every edge exactly 1/2)
+    that are joined by a rounded edge: each cycle, walked from its end of
+    that edge, alternates 0/``scale`` starting at the edge's value, and the
+    edge flips.  An odd cycle's two edges at the start take the same value,
+    so every vertex sum stays intact.  Joining edges are taken in ascending
+    order, skipping cycles already merged.  The surviving cycles are then
+    rounded to nearest with the per-vertex tie rule; each remaining bad
+    cycle contributes one designated vertex, rounded up on both sides, to
     the returned ledger.  Every cycle edge ends at 0 or ``scale``.
     """
-    if not cycles:
-        return []
-    cycs: list[tuple[list[int], list[int]]] = []
-    for eseq in cycles:
-        eseq = list(eseq)
+    for _, eseq in cycles:
         if len(eseq) % 2 == 0:
             raise InternalInvariantError(f"cycle {eseq} has even length")
-        cycs.append((circuit_vertices(graph, eseq)[:-1], eseq))
-    cycs.sort(key=lambda c: min(c[0]))
+    cycs = sorted(cycles, key=lambda c: min(c[0]))
 
     bad = {
         i for i, (_, eseq) in enumerate(cycs) if all(2 * x[e] == scale for e in eseq)
@@ -667,11 +666,11 @@ def round_weights(
     full = scale << kernel.top
     # Off the terminal cycles every rounded edge is integral: 0 or its own scale.
     x = [full if value > 0 else value for value in kernel.x]
-    for cycle in cycles:
+    for _, cycle in cycles:
         for e in cycle:
             x[e] = kernel.numerator(e)
-    ledger = resolve_cycles(graph, full, x, cycles)
-    for cycle in cycles:
+    ledger = _resolve_cycles(graph, full, x, cycles)
+    for _, cycle in cycles:
         for e in cycle:
             if x[e] != 0 and x[e] != full:
                 raise InternalInvariantError(f"edge {e} left fractional at {Fraction(x[e], full)}")

@@ -463,6 +463,24 @@ def _odd_cycle(v: int, u: int, conflict_edge: int, parent, parent_edge, depth) -
     return tuple(left + right[::-1] + [conflict_edge])
 
 
+def walk_vertices(graph: Graph, walk: Sequence[int]) -> list[int]:
+    """The vertices of the closed walk ``walk`` (edge ids), one per edge:
+    ``walk[i]`` joins vertex i to vertex i + 1, and the last edge returns to
+    the first vertex.  Asserts that each edge continues from the vertex
+    reached and that the walk closes, from one end of its first edge."""
+    for start in graph.edges[walk[0]]:
+        order = [start]
+        for e in walk:
+            u, v = graph.edges[e]
+            if order[-1] not in (u, v):
+                break
+            order.append(u + v - order[-1])
+        else:
+            if order[-1] == start:
+                return order[:-1]
+    raise AssertionError(f"edges {list(walk)} are not a closed walk")
+
+
 def hierholzer_reference(adjacency, start: int, pointer: list[int], used: list[bool]) -> list[int]:
     """Reference Hierholzer walk: one stack step per loop turn.
 

@@ -24,17 +24,18 @@ def edge_subsets(graph: Graph):
 
 @st.composite
 def graphs_with_weights(draw, max_vertices=7, max_denominator=6):
+    """A graph with a weight p/q in [0, 1] per edge, q at most ``max_denominator``.
+
+    The weights come from one drawn ``Random``, which keeps them varied under
+    the derandomized ``ci`` profile, where per-edge ``st.integers`` draws
+    tend to repeat a few simple values.
+    """
     graph = draw(graphs(min_vertices=2, max_vertices=max_vertices))
-    weights = [
-        draw(
-            st.integers(0, max_denominator).flatmap(
-                lambda q: st.builds(
-                    Fraction, st.integers(0, max(q, 1)), st.just(max(q, 1))
-                )
-            )
-        )
-        for _ in range(graph.edge_count)
-    ]
+    rng = draw(st.randoms(use_true_random=False))
+    weights = []
+    for _ in range(graph.edge_count):
+        q = max(rng.randint(0, max_denominator), 1)
+        weights.append(Fraction(rng.randint(0, q), q))
     return graph, weights
 
 

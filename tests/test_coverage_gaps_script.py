@@ -5,7 +5,7 @@ import pathlib
 import subprocess
 import sys
 
-from kmajority.graph import circuit_vertices
+from kmajority.graph import is_bipartite
 from kmajority.rounding import _Kernel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -33,9 +33,9 @@ def not_reached(selection: list[str]) -> tuple[subprocess.CompletedProcess, dict
 
 
 def test_coverage_gaps_lists_the_lines_a_selection_misses():
-    proc, missed = not_reached(["tests/test_graph.py", "-k", "circuit_vertices"])
+    proc, missed = not_reached(["tests/test_graph.py", "-k", "is_bipartite"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert body_lines(circuit_vertices) - missed["graph.py"]
+    assert body_lines(is_bipartite) - missed["graph.py"]
     assert body_lines(_Kernel._sweep) <= missed["rounding.py"]
 
 

@@ -17,12 +17,17 @@ from kmajority import (
     edge_subgraph,
     is_bipartite,
     random_min_degree_graph,
-    resolve_cycles,
     round_weights,
     rounding,
 )
 from kmajority.rounding import _certify_int, _int_sums, _Kernel
-from oracles import enforce_condition_ii, find_kernel_direction, pendant_direction, vertex_sums
+from oracles import (
+    enforce_condition_ii,
+    find_kernel_direction,
+    pendant_direction,
+    vertex_sums,
+    walk_vertices,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -206,10 +211,12 @@ def test_pendant_direction_star():
 
 
 def resolve(graph, values, cycles):
-    """``resolve_cycles`` on rational values, through numerators over their lcm."""
+    """``_resolve_cycles`` on rational values, through numerators over their
+    lcm, with each cycle's vertices walked from its edge list."""
     scale = lcm(*(value.denominator for value in values))
     x = [int(value * scale) for value in values]
-    ledger = resolve_cycles(graph, scale, x, cycles)
+    pairs = [(walk_vertices(graph, cycle), list(cycle)) for cycle in cycles]
+    ledger = rounding._resolve_cycles(graph, scale, x, pairs)
     return [Fraction(value, scale) for value in x], ledger
 
 
@@ -239,6 +246,15 @@ def test_isolated_bad_triangle_designates_one_vertex():
     assert len(cycle) == 3
 
 
+def test_bad_cycle_designates_its_least_vertex():
+    # Handed over from vertex 2, the 5-cycle still designates vertex 0 and
+    # lists its edges from there, in the direction of the lower first edge.
+    g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    out, ledger = resolve(g, [HALF] * 5, [(2, 3, 4, 0, 1)])
+    assert ledger == [(0, (0, 1, 2, 3, 4))]
+    assert out == [1, 0, 1, 0, 1]
+
+
 def test_mixed_cycle_rounds_within_open_interval():
     g = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
     values = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4), HALF, HALF, HALF]
@@ -262,9 +278,9 @@ def test_mixed_cycle_half_run_starts_from_its_least_edge():
     assert ledger == []
 
 
-def test_one_edge_cycle_is_an_input_error():
-    with pytest.raises(InputError, match="at least 3 edges"):
-        resolve(build_graph(2, [(0, 1)]), [HALF], [(0,)])
+def test_an_even_terminal_cycle_is_a_kernel_fault():
+    with pytest.raises(InternalInvariantError, match="even length"):
+        resolve(c4(), [HALF] * 4, [(0, 1, 2, 3)])
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +382,23 @@ def test_many_odd_cycles_certified(gw):
     result = round_weights(graph, weights)
     x = [Fraction(b) for b in result.x]
     assert oracles.check_certificate(graph, weights, x, result.exceptional)
+
+
+@given(st.one_of(strategies.odd_cycle_shapes(), strategies.many_odd_cycles()))
+@settings(max_examples=120)
+def test_kernel_hands_over_each_terminal_cycle_with_its_vertex_order(gw):
+    graph, weights = gw
+    scale, zl = rounding._scaled_weights(weights, range(graph.edge_count))
+    seen: set[int] = set()
+    for vertices, edges in _Kernel(graph, scale, zl).run():
+        length = len(edges)
+        assert length % 2 == 1 and length >= 3
+        assert len(vertices) == length
+        for i, e in enumerate(edges):
+            assert {vertices[i], vertices[(i + 1) % length]} == set(graph.edges[e])
+        assert len(set(vertices)) == length
+        assert seen.isdisjoint(vertices)
+        seen.update(vertices)
 
 
 # --------------------------------------------------------------------------
