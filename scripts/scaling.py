@@ -28,10 +28,12 @@
   seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
 * ``lift``: ``raise_to_sk(split_high_degree(g, 3)[0], 3)``, the S_3
   reductions of the k=3 small-k scheme, on unions of K10 and K20 (one of
-  each per copy, 235 edges).  K10 is 9-regular and needs 2 more edges per
-  vertex, which no non-edge supplies, so it is lifted with 2 fresh copies
-  (x3); K20's degree-19 vertices are hubs, split into parts of degree 10
-  and 9 before the lift.  The column ``lifted`` counts the lifted graph's
+  each per copy, 235 edges).  K20's degree-19 vertices are hubs, split into
+  parts of degree 10 and 9 before the lift.  K10 is 9-regular and needs 2
+  more edges per vertex, which no non-edge of its own supplies; the need of
+  the K10s and the split K20s (80 per copy) is met by joins between
+  different components, so no copy is lifted and each copy of the union
+  lifts to 275 edges.  The column ``lifted`` counts the lifted graph's
   edges.
 
 The first three layers and ``lift`` time disjoint unions of cliques as the

@@ -7,9 +7,9 @@ The small-k colouring schemes may assume every degree lies in
 A vertex of degree d in [k^2, 2k^2) needs t = (k-1-d) mod k more edges to
 reach S_k, and keeps its majority cap: floor((d+t)/k) = floor(d/k).
 :func:`split_high_degree` splits each vertex of degree >= 2k^2 into parts of
-degree in [k^2, 2k^2); :func:`raise_to_sk` joins non-adjacent vertices of one
-component that both need degree, then meets the rest of the need with fresh
-copies of each component (at most 3 for k <= 4).  Each step keeps its
+degree in [k^2, 2k^2); :func:`raise_to_sk` joins non-adjacent vertices that
+both need degree, of one component or of two, then meets what is left with
+fresh copies of a component (at most 3 for k <= 4).  Each step keeps its
 input's edge ids and appends its new edges, so
 :func:`pull_back_colouring` keeps the first m colours.  They stay valid: a
 colour's count at v in G is at most its count in the supergraph, which is at
@@ -24,7 +24,7 @@ from itertools import chain, product
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .graph import Edge, Graph, _assemble, components
+from .graph import Edge, Graph, _assemble, _components, components
 
 
 def sk_degrees(k: int) -> tuple[int, ...]:
@@ -103,19 +103,15 @@ def _copy_count(needs: list[int]) -> int:
     return c
 
 
-def _fill(comp: tuple[int, ...], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
-    """The edges joining non-adjacent vertices of ``comp`` that both need degree.
-
-    Each vertex in turn takes the lowest later vertices of its component that
-    still need degree and are not its neighbours (a linked list: O(n + m +
-    nk)); the few left short, pairwise adjacent, then trade for new edges.
-    The edges are kept, and taken off ``need``, only if they lower the
-    component's copy count, so the lift never grows; else none is returned.
-    ``marked`` is one mark per vertex, shared by all components.
+def _fill(order: list[int], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
+    """The edges joining non-adjacent vertices of ``order`` that both need
+    degree, each taken off ``need``: each vertex in turn takes the lowest
+    later listed vertices still in need and not its neighbours (a linked
+    list: O(n + m + nk)); those left short, pairwise adjacent and so fewer
+    than 2k^2, trade new edges for two (:func:`_swap_in`).  ``marked`` is
+    one mark per vertex.
     """
     incident, ends = graph.incident, graph.xor_ends
-    order = [v for v in comp if need[v]]
-    before = [need[v] for v in order]
     new: list[Edge] = []
     after = list(range(1, len(order) + 1))  # after[i]: next listed position
     for i, v in enumerate(order):
@@ -135,46 +131,61 @@ def _fill(comp: tuple[int, ...], need: list[int], graph: Graph, marked: list[int
                     continue
             prev, j = j, after[j]
     short = [v for v in order if need[v]]
-    for v, u in product(short, repeat=2):
-        while new and need[v] and need[u] > (u == v) and _swap_in(new, graph, v, u):
-            need[v] -= 1
-            need[u] -= 1
-    if new and _copy_count([need[v] for v in order]) < _copy_count(before):
+    if not short:
         return new
-    for v, t in zip(order, before):
-        need[v] = t
-    return []
-
-
-def _swap_in(new: list[Edge], graph: Graph, v: int, u: int) -> bool:
-    """Trade a new edge ab, a not next to v and b not next to u, for va and ub
-    (a linear scan); whether one was found."""
-    incident, ends = graph.incident, graph.xor_ends
-    near = {x: {x, *(ends[e] ^ x for e in incident[x])} for x in (v, u)}
+    # Each short vertex's closed neighbourhood, new edges included.
+    near = {x: {x, *(ends[e] ^ x for e in incident[x])} for x in short}
     for x, y in chain(new, (ab[::-1] for ab in new)):
         if x in near:
             near[x].add(y)
+    for v, u in product(short, repeat=2):
+        while need[v] and need[u] > (u == v) and _swap_in(new, near, v, u):
+            need[v] -= 1
+            need[u] -= 1
+    return new
+
+
+def _swap_in(new: list[Edge], near: dict[int, set[int]], v: int, u: int) -> bool:
+    """Trade a new edge ab, a not near v and b not near u, for va and ub; whether
+    one was found.  Only edges at vertices near v or u, < k each, can fail."""
     for i, ab in enumerate(new):
         for a, b in (ab, ab[::-1]):
             if a not in near[v] and b not in near[u] and a != u and b != v:
                 new[i] = (v, a)
                 new.append((u, b))
+                near[v].add(a)
+                near[u].add(b)
                 return True
     return False
 
 
-def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
-    """Lift every degree into S_k: fill within each component, then join
-    fresh copies of it.
+def _own_fill(comp: tuple[int, ...], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
+    """:func:`_fill` within one component, kept only if it lowers the
+    component's copy count, so its lift never grows; else undone."""
+    before = [need[v] for v in comp]
+    new = _fill([v for v in comp if need[v]], need, graph, marked)
+    if new and _copy_count([need[v] for v in comp]) < _copy_count(before):
+        return new
+    for v, t in zip(comp, before):
+        need[v] = t
+    return []
 
-    A component first gains the edges :func:`_fill` keeps among its own
-    non-edges.  One whose needs t are then all 0 is left as it is.  Any
-    other gets c = :func:`_copy_count` copies, and the c copies of each
-    vertex v are joined by the t_v-regular circulant on Z_c with steps
-    1..floor(t_v/2), plus c/2 when t_v is odd.  The input keeps all its
-    vertex and edge indices; the kept fill edges follow in component order,
-    then fresh copies and their joining edges in order of each component's
-    least vertex.  Restricted to k <= 4, so c <= 4.
+
+def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
+    """Lift every degree into S_k: join needy vertices across components,
+    then copy the components left short.
+
+    With two components or more, one :func:`_fill` joins needy vertices of
+    all but, when the total need is odd, the smallest of odd need.  A filled
+    component whose needs are all met keeps its joins: its m + T/2 edges
+    are no more than its parts lifted apart (c copies of m edges and need T
+    lift to c(m + T/2)).  At most one is left short (short vertices are
+    pairwise adjacent); it drops its joins, and each of its input
+    components, like the one set aside or a lone one, keeps its
+    :func:`_own_fill`, then gets c = :func:`_copy_count` copies, those of v
+    joined by the t_v-regular circulant on Z_c (steps 1..t_v/2, and c/2 if
+    t_v is odd).  The input keeps its ids; joins, own fills, then copies
+    follow by least vertex.  Restricted to k <= 4, so c <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -189,27 +200,42 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     if not any(need):  # in S_k as it came
         return graph, LiftTrace(0)
     comps = components(graph)
+    owner = [0] * graph.vertex_count  # component 0 is the default
+    for i in range(1, len(comps)):
+        for v in comps[i]:
+            owner[v] = i
+    alone, order = {0}, []  # a graph of one component has nothing to join
+    if len(comps) > 1:
+        odd = [i for i, comp in enumerate(comps) if sum(need[v] for v in comp) % 2]
+        alone = {min(odd, key=lambda i: len(comps[i]))} if len(odd) % 2 else set()
+        order = [v for v, t in enumerate(need) if t and owner[v] not in alone]
+    before = need[:]
     marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
-    fills = [_fill(comp, need, graph, marked) for comp in comps]
-    edges = list(chain(graph.edges, *fills))
+    joins = _fill(order, need, graph, marked) if order else []
+    if any(need[v] for v in order):  # the one filled component left short drops its joins
+        links: list[list[int]] = [[] for _ in comps]  # joins, as edges between input components
+        for e, (u, v) in enumerate(joins):
+            links[owner[u]].append(e)
+            links[owner[v]].append(e)
+        ends, short = [owner[u] ^ owner[v] for u, v in joins], {owner[v] for v in order if need[v]}
+        alone.update(*(block for block in _components(links, ends) if short.intersection(block)))
+        joins = [(u, v) for u, v in joins if owner[u] not in alone]
+        need = [before[v] if owner[v] in alone else t for v, t in enumerate(need)]
+    lone = sorted(alone)
+    edges = list(chain(graph.edges, joins, *(_own_fill(comps[i], need, graph, marked) for i in lone)))
     if not any(need):  # in S_k once filled
         return _assemble(graph.vertex_count, edges), LiftTrace(0)
-    owner = [0] * graph.vertex_count
+    lifts = {i: c for i in lone if (c := _copy_count([need[v] for v in comps[i]])) > 1}
     rank = [0] * graph.vertex_count  # position of a vertex within its component
-    for i, comp in enumerate(comps):
-        for r, v in enumerate(comp):
-            owner[v] = i
-            rank[v] = r
-    comp_edges: list[list[Edge]] = [[] for _ in comps]
+    for r, v in chain.from_iterable(enumerate(comps[i]) for i in lifts):
+        rank[v] = r
+    comp_edges: dict[int, list[Edge]] = {i: [] for i in lifts}
     for u, v in edges:
-        comp_edges[owner[u]].append((rank[u], rank[v]))
+        if owner[u] in comp_edges:
+            comp_edges[owner[u]].append((rank[u], rank[v]))
     vertex_count = graph.vertex_count
-    copies = 0
-    for comp, local_edges in zip(comps, comp_edges):
-        c = _copy_count([need[v] for v in comp])
-        if c == 1:
-            continue
-        copies = max(copies, c - 1)
+    for i, c in lifts.items():
+        comp, local_edges = comps[i], comp_edges[i]
         # The t-regular circulant on Z_c, for each t: steps 1..t/2 and c/2.
         circulant = [
             [(i, (i + step) % c) for step in range(1, t // 2 + 1) for i in range(c)]
@@ -225,13 +251,12 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
             if need[v]:
                 ring = [v, *range(bases[0] + r, vertex_count, len(comp))]  # the c copies of v
                 edges.extend([(ring[i], ring[j]) for i, j in circulant[need[v]]])
-    # Fill edges join non-adjacent vertices once each, copies are disjoint
-    # and each circulant joins copies of one vertex by distinct steps, so the
-    # lifted graph is simple by construction.
+    # Joins and fills join non-adjacent vertices once each, copies are disjoint and
+    # each circulant joins copies of one vertex by distinct steps: simple by construction.
     lifted = _assemble(vertex_count, edges)
     if not set(sk_degrees(k)).issuperset(lifted.degrees()):
         raise InternalInvariantError(f"lift left a degree outside S_{k}")
-    return lifted, LiftTrace(copies)
+    return lifted, LiftTrace(max(lifts.values()) - 1)
 
 
 def pull_back_colouring(colouring: EdgeColouring, graph: Graph) -> EdgeColouring:

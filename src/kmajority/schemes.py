@@ -556,9 +556,9 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
-    Reduces to degrees in S_k (vertex splitting, then a fill within each
-    component and a per-component lift), colours the reduced graph, and
-    pulls the colouring back by edge id.
+    Reduces to degrees in S_k (vertex splitting, then joins of needy
+    vertices across components and copies of any component left short),
+    colours the reduced graph, and pulls the colouring back by edge id.
     """
     _require("small-k", graph, k)
     split_graph, _ = split_high_degree(graph, k)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from kmajority import Graph, build_graph
+from kmajority import Graph, build_graph, is_bipartite
 
 
 @st.composite
@@ -123,6 +123,36 @@ def many_odd_cycles(draw, max_cycles=12):
 
 
 @st.composite
+def simple_weights(draw):
+    """A graph with an odd cycle and simple weights: each edge 0, 1/2 or 1,
+    or one weight p/q (q <= 6) on every edge, as the schemes' stripping
+    rounds use.
+
+    Halves on whole cycles reach bad-cycle resolution; one weight such as
+    1/3 or 2/3 everywhere reaches the exact-sum cases of the condition-(ii)
+    repair, and odd cycles that are all 1/2 or more without being bad.
+    :func:`graphs_with_weights` rarely draws either.  Graphs are
+    non-bipartite :func:`graphs`, :func:`odd_cycle_shapes` and
+    :func:`many_odd_cycles`, which may also keep their own weights (halves,
+    joined by 0, 1/2 or 1); the rest come from one ``Random``.
+    """
+    kind = draw(st.sampled_from(["graph", "shapes", "cycles"]))
+    if kind == "graph":
+        graph = draw(graphs(min_vertices=3).filter(lambda g: not is_bipartite(g)))
+    else:
+        graph, weights = draw(odd_cycle_shapes() if kind == "shapes" else many_odd_cycles())
+    rng = draw(st.randoms(use_true_random=False))
+    style = rng.choice(["own", "halves", "uniform"] if kind == "cycles" else ["halves", "uniform"])
+    if style == "own":
+        return graph, weights
+    if style == "halves":
+        half = Fraction(1, 2)
+        return graph, [rng.choice((Fraction(0), half, half, Fraction(1))) for _ in graph.edges]
+    q = rng.randint(2, 6)
+    return graph, [Fraction(rng.randint(1, q - 1), q)] * graph.edge_count
+
+
+@st.composite
 def disjoint_unions(draw, max_parts=12) -> Graph:
     """Many small components under shuffled vertex labels and edge order.
 
@@ -155,16 +185,39 @@ def degree_window_unions(draw, k: int, max_parts=3) -> Graph:
     parts: list[tuple[int, list[tuple[int, int]]]] = []
     for _ in range(draw(st.integers(1, max_parts))):
         n = draw(st.integers(ksq + 1, min(2 * ksq, ksq + 8)))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        degree = [n - 1] * n
-        kept = set(pairs)
-        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)):
-            if (u, v) in kept and degree[u] > ksq and degree[v] > ksq:
-                kept.remove((u, v))
-                degree[u] -= 1
-                degree[v] -= 1
-        parts.append((n, sorted(kept)))
+        parts.append((n, _near_clique(draw, n, ksq, 2 * n)))
     return _shuffled_union(draw, parts)
+
+
+@st.composite
+def needy_clique_unions(draw, k: int, max_parts=4) -> Graph:
+    """Disjoint unions of two or more parts, K_n and K_n minus at most two
+    edges, k^2 < n <= k^2 + 3, each degree kept at least k^2.
+
+    These parts are left short by fills of their own: a clique has no
+    non-edge, and a near-clique too few.  So ``raise_to_sk`` either joins
+    vertices of different parts or lifts copies of them.
+    """
+    ksq = k * k
+    parts = []
+    for _ in range(draw(st.integers(2, max_parts))):
+        n = draw(st.integers(ksq + 1, ksq + 3))
+        parts.append((n, _near_clique(draw, n, ksq, 2)))
+    return _shuffled_union(draw, parts)
+
+
+def _near_clique(draw, n: int, ksq: int, removals: int) -> list[tuple[int, int]]:
+    """K_n minus up to ``removals`` drawn edges, each removed only while both
+    ends keep degree at least k^2."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    degree = [n - 1] * n
+    kept = set(pairs)
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=removals)):
+        if (u, v) in kept and degree[u] > ksq and degree[v] > ksq:
+            kept.remove((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+    return sorted(kept)
 
 
 @st.composite

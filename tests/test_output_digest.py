@@ -17,13 +17,13 @@ SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
     "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
-    "many_components": "c839ef15b560a8f77c42292b7201c17e3cc869076c7f761e5ca7ee5595870e60",
+    "many_components": "44cd811cc586ce42dc2f682cb584562b06973acdcca6dfcfebdbcf9e3a0de23a",
     "threshold_sweep": "9dedb916812f71bfffbe1fde8ea4106a2637760c221c06725ea57d003ad30c46",
 }
 
 SEEDS_1_2_3_REPORTS = {
     "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
-    "many_components": "9484fab7dbb68b802b4a7503758676c8625c722818919a631dba6f98010b793f",
+    "many_components": "fb75e35e9519594a3c0c52b9abb07aa4def63a64009e62a3c3115910a15cc9b6",
     "threshold_sweep": "57c7171c2c02eac5aedd481474c3f54d7dae1953bfca15f4b3d5c4f8d20dae6e",
 }
 

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from itertools import chain
 
 import hypothesis.strategies as st
 import pytest
@@ -163,7 +165,7 @@ def _copies_per_component(graph, lifted):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_lift_takes_fewest_copies_per_component(k, data):
-    g = data.draw(strategies.degree_window_unions(k))
+    g = data.draw(strategies.degree_window_unions(k) | strategies.needy_clique_unions(k))
     out, trace = raise_to_sk(g, k)
     assert build_graph(out.vertex_count, out.edges) == out
     allowed = set(sk_degrees(k))
@@ -175,25 +177,114 @@ def test_lift_takes_fewest_copies_per_component(k, data):
     # The need left after the fill: a vertex's edges to fresh copies.
     pairs = neighbour_pairs(out)
     needs = [sum(u >= n for u, _ in pairs[v]) for v in range(n)]
-    assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(g)]
+    filled = build_graph(n, g.edges + tuple(_fill_edges(g, out)))
+    assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(filled)]
     assert trace.copies == max(copies) - 1
     assert out.edge_count <= doubling_lift(g, k).edge_count
 
 
+def _lifted_apart(graph, k):
+    """The vertex and edge counts of ``raise_to_sk`` on each component of
+    ``graph`` as a graph of its own, summed."""
+    vertices = edges = 0
+    for comp in components(graph):
+        index = {v: i for i, v in enumerate(comp)}
+        part = build_graph(len(comp), [(index[u], index[v]) for u, v in graph.edges if u in index])
+        lifted, _ = raise_to_sk(part, k)
+        vertices += lifted.vertex_count
+        edges += lifted.edge_count
+    return vertices, edges
+
+
 def test_lift_copies_per_clique_of_a_union():
-    # At k=3: K10 is 9-regular (t=2: 3 copies), K12 and K15 are 11- and
-    # 14-regular (in S_3: left alone).  Split K20 falls into a 10-regular
-    # part (t=1: 2 copies), a part with degrees 10 and 9 (t=1 and 2: a
-    # 1-regular circulant needs an even count, so 4 copies, until the fill
-    # leaves needs of 1 only: 2 copies) and a 9-regular part (3 copies).
+    # At k=3: K10 is 9-regular (t=2 each, 20 in all), K12 and K15 are 11-
+    # and 14-regular (in S_3: left alone).  Split K20 falls into a 10-regular
+    # part of 11 vertices (t=1: 11), a part of 19 with degrees 10 and 9 (t=1
+    # and 2: 29) and a 9-regular part of 10 (t=2: 20).  The total need, 80,
+    # is even, so no part is set aside, and every needy vertex misses all
+    # needy vertices of the other three parts: 40 joins meet every need, and
+    # those four parts become one component with no copy (lifted apart they
+    # took 3, 2, 2 and 3 copies).
     pairs, base = [], 0
     for size in (10, 12, 15, 20):
         pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
         base += size
     split, _ = split_high_degree(build_graph(base, pairs), 3)
     out, trace = raise_to_sk(split, 3)
-    assert _copies_per_component(split, out) == [3, 1, 1, 2, 2, 3]
+    assert _copies_per_component(split, out) == [1, 1, 1]
+    assert trace.copies == 0
+    assert (out.vertex_count, out.edge_count) == (split.vertex_count, split.edge_count + 40)
+
+
+@pytest.mark.parametrize(
+    "size, t, added",
+    [(10, 1, (20, 120, 2)), (10, 2, (0, 20, 0)), (10, 3, (0, 30, 0)), (10, 400, (0, 4000, 0)),
+     (11, 3, (11, 77, 1))],
+)
+def test_lift_of_disjoint_cliques(size, t, added):
+    # At k=3, K10 is 9-regular: each vertex needs 2, and K10 has no non-edge.
+    # Alone it is lifted as before: 3 copies with 2-regular circulants, +20
+    # vertices and 2*45 + 10*3 = 120 edges.  Two or more are joined to one
+    # another: 10t edges meet the need of 20t, with no fresh vertex.  K11 is
+    # 10-regular, each vertex needing 1: three of them need 33 in all, an
+    # odd total, so one is set aside and lifted with 1 copy (+11 vertices,
+    # 55 + 11 edges), and 11 joins meet the other two.
+    labels = list(range(size * t))
+    random.Random(t).shuffle(labels)
+    g = build_graph(size * t, [(labels[size * c + i], labels[size * c + j])
+                               for c in range(t) for i in range(size) for j in range(i + 1, size)])
+    out, trace = raise_to_sk(g, 3)
+    assert (out.vertex_count - g.vertex_count, out.edge_count - g.edge_count, trace.copies) == added
+
+
+def test_join_that_leaves_need_is_undone():
+    # K10 (each vertex needs 2 at k=3) beside K12 minus the edge 10-11 (10
+    # and 11 need 1 each).  Vertex 0 takes 10 and 11, and the rest of K10,
+    # pairwise adjacent, is left short with no join to trade.  So the joins
+    # are undone and each part is lifted on its own: K10 with 3 copies, and
+    # K12 minus an edge filled back by 10-11.
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    pairs += [(u, v) for u in range(10, 22) for v in range(u + 1, 22) if (u, v) != (10, 11)]
+    g = build_graph(22, pairs)
+    out, trace = raise_to_sk(g, 3)
+    assert _fill_edges(g, out) == [(10, 11)]
     assert trace.copies == 2
+    assert (out.vertex_count, out.edge_count) == _lifted_apart(g, 3) == (42, 45 + 65 + 1 + 120)
+
+
+def _seeded_near_clique_union(k, seed):
+    """Two or three near-cliques K_n, k^2 < n <= k^2 + 4, each minus up to 12
+    random edges that keep every degree at least k^2, with shuffled labels."""
+    rng = random.Random(seed)
+    ksq = k * k
+    pairs, base = [], 0
+    for _ in range(rng.randint(2, 3)):
+        n = rng.randint(ksq + 1, min(2 * ksq, ksq + 4))
+        degree = [n - 1] * n
+        kept = {(u, v) for u in range(n) for v in range(u + 1, n)}
+        for u, v in rng.choices(sorted(kept), k=12):
+            if (u, v) in kept and degree[u] > ksq and degree[v] > ksq:
+                kept.remove((u, v))
+                degree[u] -= 1
+                degree[v] -= 1
+        pairs.extend((base + u, base + v) for u, v in sorted(kept))
+        base += n
+    labels = list(range(base))
+    rng.shuffle(labels)
+    return build_graph(base, [(labels[u], labels[v]) for u, v in pairs])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lift_of_seeded_near_clique_unions(k):
+    # Joins and trades never repeat an edge, and the lift is never larger
+    # than the components lifted apart.
+    for seed in range(200):
+        g = _seeded_near_clique_union(k, seed)
+        out, _ = raise_to_sk(g, k)
+        assert build_graph(out.vertex_count, out.edges) == out
+        assert set(out.degrees()) <= set(sk_degrees(k))
+        vertices, edges = _lifted_apart(g, k)
+        assert out.vertex_count <= vertices and out.edge_count <= edges
 
 
 def _fill_edges(graph, lifted):
@@ -206,7 +297,9 @@ def _fill_edges(graph, lifted):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
-    g = data.draw(strategies.degree_window_unions(k) | strategies.hub_unions(k))
+    g = data.draw(
+        strategies.degree_window_unions(k) | strategies.hub_unions(k) | strategies.needy_clique_unions(k)
+    )
     split, _ = split_high_degree(g, k)
     out, _ = raise_to_sk(split, k)
     assert build_graph(out.vertex_count, out.edges) == out
@@ -215,12 +308,20 @@ def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
     assert out.edges[:m] == split.edges
     assert list(out.edges[m : m + len(fill)]) == fill  # before any copy
     filled = build_graph(n, split.edges + tuple(fill))
-    assert components(filled) == components(split)
+    # Each filled component is a union of input components; one that joins
+    # several is left with no need, and the lift is never larger than the
+    # components lifted apart.
+    parts = {v: comp for comp in components(split) for v in comp}
+    unions = [sorted({parts[v] for v in comp}) for comp in components(filled)]
+    assert [sorted(chain(*union)) for union in unions] == [list(c) for c in components(filled)]
     assert all(out.degree(v) // k == split.degree(v) // k for v in range(n))
     needs = [(k - 1 - d) % k for d in split.degrees()]
     copies = _copies_per_component(split, out)
-    for c, comp in zip(copies, components(split), strict=True):
-        assert c <= _minimal_copies([needs[v] for v in comp])
+    for c, union in zip(copies, unions, strict=True):
+        assert c == 1 or len(union) == 1
+        assert c <= max(_minimal_copies([needs[v] for v in comp]) for comp in union)
+    vertices, edges = _lifted_apart(split, k)
+    assert out.vertex_count <= vertices and out.edge_count <= edges
     colouring, report = colour_small_k(g, k)
     assert report.verdict.passed
     assert check_majority(g, colouring, k).passed
@@ -254,9 +355,25 @@ def test_fill_that_would_raise_the_copy_count_is_dropped():
     assert trace.copies == 2
 
 
+def test_fill_that_leaves_the_copy_count_as_it_is_is_dropped():
+    # K7 minus these pairs, at k=2: degrees 5 (in S_2) and 4 (need 1), so 2
+    # copies.  The fill would join 0-2 and 1-3 and leave 5 short (five needs
+    # of 1, an odd total), still with 2 copies: as that saves nothing, no
+    # fill edge is kept.
+    missing = {(0, 2), (0, 5), (1, 2), (1, 3), (3, 4), (5, 6)}
+    g = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in missing])
+    out, trace = raise_to_sk(g, 2)
+    assert _fill_edges(g, out) == []
+    assert trace.copies == 1
+
+
 def test_raise_preconditions_and_size_guard():
     with pytest.raises(PreconditionError):
         raise_to_sk(complete_graph(10), 2)  # max degree 9 >= 2k^2
+    with pytest.raises(PreconditionError, match="maximum degree 8"):
+        raise_to_sk(complete_graph(9), 2)  # max degree 8 = 2k^2
+    with pytest.raises(PreconditionError, match="minimum degree 3"):
+        raise_to_sk(complete_graph(4), 2)  # min degree 3 < k^2
     with pytest.raises(InputError):
         raise_to_sk(complete_graph(26), 5)
 

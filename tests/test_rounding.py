@@ -384,6 +384,16 @@ def test_many_odd_cycles_certified(gw):
     assert oracles.check_certificate(graph, weights, x, result.exceptional)
 
 
+@given(strategies.simple_weights())
+@settings(max_examples=150)
+def test_simple_weights_on_odd_cycles_are_certified(gw):
+    graph, weights = gw
+    result = round_weights(graph, weights)
+    x = [Fraction(b) for b in result.x]
+    assert oracles.check_certificate(graph, weights, x, result.exceptional)
+    _certify(graph, range(graph.edge_count), weights, result.x, result.exceptional)
+
+
 @given(st.one_of(strategies.odd_cycle_shapes(), strategies.many_odd_cycles()))
 @settings(max_examples=120)
 def test_kernel_hands_over_each_terminal_cycle_with_its_vertex_order(gw):

@@ -199,9 +199,10 @@ def test_small_k_at_threshold(k, n, seed):
 
 
 def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
-    # Two copies each of K10 (lifted), K12, K15 (14-regular of odd order: a
-    # bad vertex in the first split) and K20 (hubs split), under shuffled
-    # labels and edge order.
+    # Two copies each of K10, K12, K15 (14-regular of odd order: a bad
+    # vertex in the first split) and K20 (hubs split), under shuffled labels
+    # and edge order.  The lift joins the K10s and the split K20s to one
+    # another, with no copy.
     rng = random.Random(1)
     sizes = [10, 12, 15, 20] * 2
     labels = list(range(sum(sizes)))
@@ -218,7 +219,7 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
     assert report.verdict.passed
     assert (
         hashlib.sha256(bytes(colouring.colours)).hexdigest()
-        == "51325352a35e28c8f9bb04a459ac465f8e0a4f1acbf9fc2fd5a20951e52b6026"
+        == "37672534463c7f4586a3321dfbfad3b10e221412044f57d3dcd1187ee9a29cd3"
     )
 
 
