@@ -17,8 +17,11 @@ whose ``PYTHONPATH`` is the copy, from the repository root, stopping at the
 first failure, with hypothesis's shrink and explain phases off (they change
 how a failure is reported, not whether it happens), and prints
 ``killed`` (pytest failed), ``survived`` (it passed) or ``timed out`` (it ran
-past ``--timeout`` seconds), with the line and the change.  The selection is
+past its time limit), with the line and the change.  The selection is
 first run on the unchanged copy; if that fails, nothing is mutated (exit 2).
+Its wall time sets each mutant's limit: four times as long, and at least
+30 s, so a mutant that loops costs a few selections, not minutes; the limit
+goes to standard error.
 The last line gives the kill rate, timed-out mutants counting as caught.
 ``--function`` limits the mutants to the body of one function or method
 (``name`` or ``Class.name``).  Options come before the module; every
@@ -35,6 +38,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
@@ -144,7 +148,7 @@ def mutants(source: str, function: str | None) -> list[tuple[Mutant, str]]:
     return out
 
 
-def run_selection(src: str, pytest_args: list[str], timeout: float) -> tuple[str, str]:
+def run_selection(src: str, pytest_args: list[str], timeout: float | None) -> tuple[str, str]:
     """``killed``, ``survived`` or ``timed out``, and pytest's output: the
     selection run on the copy at ``src``."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
@@ -160,7 +164,6 @@ def run_selection(src: str, pytest_args: list[str], timeout: float) -> tuple[str
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/kmajority, such as reductions.py")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant (default 300)")
     parser.add_argument("--function", help="mutate only this function's body (name or Class.name)")
     parser.add_argument("pytest_args", nargs=argparse.REMAINDER, help="the pytest selection")
     args = parser.parse_args()
@@ -175,16 +178,19 @@ def main() -> int:
         target = os.path.join(src, "kmajority", os.path.basename(path))
         with open(target, "w", encoding="utf-8") as handle:  # mutants are unparsed text too
             handle.write(ast.unparse(ast.parse(source)))
-        outcome, output = run_selection(src, args.pytest_args, args.timeout)
+        started = time.monotonic()
+        outcome, output = run_selection(src, args.pytest_args, None)
         if outcome != "survived":
-            print(f"{output}the selection fails or times out on the unchanged code", file=sys.stderr)
+            print(f"{output}the selection fails on the unchanged code", file=sys.stderr)
             return 2
+        timeout = max(30.0, 4 * (time.monotonic() - started))
+        print(f"time limit per mutant: {timeout:.0f} s", file=sys.stderr, flush=True)
         tally = {"killed": 0, "survived": 0, "timed out": 0}
         name = os.path.relpath(path, ROOT)
         for mutant, text in mutants(source, args.function):
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            outcome, _ = run_selection(src, args.pytest_args, args.timeout)
+            outcome, _ = run_selection(src, args.pytest_args, timeout)
             tally[outcome] += 1
             print(f"{outcome:9} {name}:{mutant.line}: {mutant.change}", flush=True)
     total = sum(tally.values())

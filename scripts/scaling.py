@@ -26,7 +26,7 @@
   that ``colour_sk_graph`` colours.
 * ``parse``: ``parse_graph`` of ``format_graph(random_min_degree_graph(n, 18,
   seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
-* ``lift``: ``raise_to_sk(split_high_degree(g, 3)[0], 3)``, the S_3
+* ``lift``: ``raise_to_sk(split_high_degree(g, 3), 3)``, the S_3
   reductions of the k=3 small-k scheme, on unions of K10 and K20 (one of
   each per copy, 235 edges).  K20's degree-19 vertices are hubs, split into
   parts of degree 10 and 9 before the lift.  K10 is 9-regular and needs 2
@@ -99,8 +99,7 @@ def kernel(graph):
 
 
 def smallk(graph):
-    split, _ = split_high_degree(graph, 4)
-    lifted, _ = raise_to_sk(split, 4)
+    lifted, _ = raise_to_sk(split_high_degree(graph, 4), 4)
     return lambda: colour_small_k(graph, 4), lifted.edge_count
 
 
@@ -110,8 +109,8 @@ def parse(graph):
 
 
 def lift(graph):
-    lifted, _ = raise_to_sk(split_high_degree(graph, 3)[0], 3)
-    return lambda: raise_to_sk(split_high_degree(graph, 3)[0], 3), lifted.edge_count
+    lifted, _ = raise_to_sk(split_high_degree(graph, 3), 3)
+    return lambda: raise_to_sk(split_high_degree(graph, 3), 3), lifted.edge_count
 
 
 def cliques(*sizes):

@@ -44,7 +44,6 @@ from .instances import (
 )
 from .reductions import (
     LiftTrace,
-    SplitTrace,
     pull_back_colouring,
     raise_to_sk,
     sk_degrees,

@@ -7,9 +7,8 @@ vertex ``v`` sees each colour on at most ``floor(d(v)/k)`` incident edges.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InputError
 from .graph import Graph
@@ -25,34 +24,21 @@ class EdgeColouring:
 
 @dataclass(frozen=True)
 class MajorityVerdict:
-    """Outcome of :func:`check_majority`.
-
-    ``counts[v][i]`` is the number of colour-``i+1`` edges at vertex ``v``.
-    ``witness`` is the first violation in (vertex, colour) lexicographic
-    order as ``(vertex, colour, count, cap)``; present iff the check fails.
-    The check tallies keys ``v * c + colour - 1``, which run through the
-    pairs in that order: in a list when ``n * c <= n + 2m``, else in a
-    ``Counter``.  ``counts`` is built from the tally when read.
-    """
+    """Outcome of :func:`check_majority`: ``witness`` is the first violation
+    in (vertex, colour) lexicographic order as ``(vertex, colour, count,
+    cap)``; present iff the check fails."""
 
     passed: bool
     witness: Optional[tuple[int, int, int, int]]
-    _shape: tuple[int, int] = field(repr=False, compare=False)  # (n, c)
-    _tally: Union[list[int], Counter] = field(repr=False, compare=False)
-
-    @cached_property
-    def counts(self) -> tuple[tuple[int, ...], ...]:
-        n, c = self._shape
-        rows = [[0] * c for _ in range(n)]
-        tally = self._tally
-        for key, count in enumerate(tally) if isinstance(tally, list) else tally.items():
-            v, i = divmod(key, c)
-            rows[v][i] = count
-        return tuple(map(tuple, rows))
 
 
 def check_majority(graph: Graph, colouring: EdgeColouring, k: int) -> MajorityVerdict:
-    """Exact incidence counts against the caps ``floor(d(v)/k)``, in O(n + m)."""
+    """Exact incidence counts against the caps ``floor(d(v)/k)``, in O(n + m).
+
+    The tally's keys ``v * c + colour - 1`` run through the (vertex, colour)
+    pairs in lexicographic order, in a list when ``n * c <= n + 2m``, else in
+    a ``Counter``, so the least key over its cap is the first violation.
+    """
     if k < 2:
         raise InputError(f"majority parameter k must be at least 2, got {k}")
     colours = colouring.colours
@@ -69,7 +55,7 @@ def check_majority(graph: Graph, colouring: EdgeColouring, k: int) -> MajorityVe
     n, ends = graph.vertex_count, graph.edges
     caps = [d // k for d in graph.degrees()]
     if n * c <= n + 2 * len(colours):  # a table of every key is O(n + m), and faster
-        tally: Union[list[int], Counter] = [0] * (n * c)
+        tally: list[int] | Counter = [0] * (n * c)
         for (u, v), colour in zip(ends, colours):
             tally[u * c + colour - 1] += 1
             tally[v * c + colour - 1] += 1
@@ -81,4 +67,4 @@ def check_majority(graph: Graph, colouring: EdgeColouring, k: int) -> MajorityVe
     first = min((key for key, count in pairs if count > caps[key // c]), default=-1)
     v, i = divmod(first, c)
     witness = (v, i + 1, tally[first], caps[v]) if first >= 0 else None
-    return MajorityVerdict(witness is None, witness, (n, c), tally)
+    return MajorityVerdict(witness is None, witness)

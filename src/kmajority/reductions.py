@@ -33,20 +33,13 @@ def sk_degrees(k: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SplitTrace:
-    """Vertex-splitting record: new vertex -> origin."""
-
-    origin: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LiftTrace:
     """Lift record: the most fresh copies of any component (0: unchanged)."""
 
     copies: int
 
 
-def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
+def split_high_degree(graph: Graph, k: int) -> Graph:
     """Split every vertex of degree >= 2k^2 into parts of degree in [k^2, 2k^2).
 
     A vertex of degree n*k^2 + d (with k^2 <= d < 2k^2) becomes n+1 vertices
@@ -60,22 +53,22 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
     if graph.min_degree() < ksq:
         raise PreconditionError(f"minimum degree {graph.min_degree()} below k^2 = {ksq}")
     if graph.max_degree() < 2 * ksq:
-        return graph, SplitTrace(tuple(range(graph.vertex_count)))
+        return graph
     incident, ends = graph.incident, graph.xor_ends
-    origin: list[int] = []
+    vertex_count = 0
     first_part: list[int] = [0] * graph.vertex_count
     # Part offsets of each edge's first and second end; part 0 is the default.
     part_u = [0] * graph.edge_count
     part_v = [0] * graph.edge_count
     for v in range(graph.vertex_count):
-        first_part[v] = len(origin)
+        first_part[v] = vertex_count
         d_v = graph.degree(v)
         if d_v < 2 * ksq:
-            origin.append(v)
+            vertex_count += 1
             continue
         parts = (d_v - ksq) // ksq  # degree = parts*k^2 + head with k^2 <= head < 2k^2
         head = d_v - parts * ksq
-        origin.extend([v] * (parts + 1))
+        vertex_count += parts + 1
         # Neighbours are distinct: the edges in neighbour order.
         for rank, e in enumerate(sorted(incident[v], key=lambda e: ends[e] ^ v)[head:]):
             if graph.edges[e][0] == v:
@@ -88,10 +81,10 @@ def split_high_degree(graph: Graph, k: int) -> tuple[Graph, SplitTrace]:
     ]
     # Parts of one vertex are distinct new vertices, so no loop or parallel
     # edge can appear: the renamed edges skip re-validation.
-    out = _assemble(len(origin), new_edges)
+    out = _assemble(vertex_count, new_edges)
     if out.max_degree() >= 2 * ksq or out.min_degree() < ksq:
         raise InternalInvariantError("split left a degree outside [k^2, 2k^2)")
-    return out, SplitTrace(tuple(origin))
+    return out
 
 
 def _copy_count(needs: list[int]) -> int:

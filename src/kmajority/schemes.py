@@ -561,8 +561,7 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     colours the reduced graph, and pulls the colouring back by edge id.
     """
     _require("small-k", graph, k)
-    split_graph, _ = split_high_degree(graph, k)
-    lifted, _ = raise_to_sk(split_graph, k)
+    lifted, _ = raise_to_sk(split_high_degree(graph, k), k)
     reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
     return _finish(graph, pull_back_colouring(reduced_colouring, graph).colours, reduced_report)
 

@@ -2,7 +2,10 @@
 
 Everything here re-derives expected behaviour from first principles
 (enumeration, brute force) without touching the library's own certification
-paths, so tests cross-check two independent routes.  The last section holds
+paths, so tests cross-check two independent routes: a colouring's colour
+counts per vertex, the general scheme's round bounds and a vertex
+splitting's origins are counted here from the graph and the colouring, not
+read back from the library's results.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, a
 move's coefficients and the edge removal they are built from and the
@@ -28,6 +31,7 @@ import numpy as np
 
 from kmajority import (
     Bicolouring,
+    EdgeColouring,
     FormatError,
     Graph,
     InputError,
@@ -371,6 +375,15 @@ class BulkValidity:
         return False
 
 
+def colour_counts(graph: Graph, colouring: EdgeColouring) -> list[list[int]]:
+    """Per vertex v, ``counts[v][i]``: the edges of colour i + 1 at v."""
+    counts = [[0] * colouring.colour_count for _ in range(graph.vertex_count)]
+    for (u, v), colour in zip(graph.edges, colouring.colours):
+        counts[u][colour - 1] += 1
+        counts[v][colour - 1] += 1
+    return counts
+
+
 def side_counts(graph: Graph, bicolouring: Bicolouring) -> list[list[int]]:
     """Per-vertex [blue, red] incidence counts."""
     counts = [[0, 0] for _ in range(graph.vertex_count)]
@@ -527,6 +540,39 @@ def doubling_lift(graph: Graph, k: int) -> Graph:
         edges.extend((v, v + n) for v in range(n) if current.degree(v) not in allowed)
         current = build_graph(2 * n, edges)
     return current
+
+
+def general_round_violations(graph: Graph, colouring: EdgeColouring, k: int) -> list[tuple[int, int]]:
+    """Every (round i, vertex v) at which the general scheme's colouring breaks
+    a round bound, recounted from the colours alone: round i coloured the
+    colour-i edges and left those of colour above i, so with delta the least
+    degree, ``k * count_i(v) <= d(v)`` and ``k * delta * #{colours > i}(v) <=
+    d(v) * (k * delta - i * delta + 2 * i * k)``.
+    """
+    delta = graph.min_degree()
+    violations = []
+    for v, row in enumerate(colour_counts(graph, colouring)):
+        d = graph.degree(v)
+        for i in range(1, k + 1):
+            if k * row[i - 1] > d or k * delta * sum(row[i:]) > d * (k * delta - i * delta + 2 * i * k):
+                violations.append((i, v))
+    return violations
+
+
+def split_origin(graph: Graph, split: Graph) -> tuple[int, ...]:
+    """Each vertex of ``split``, a vertex splitting of ``graph``, mapped to the
+    vertex it came from, read off the edges: the split keeps edge ids and each
+    edge's end order.  Asserts that every new vertex has an edge and that all
+    its edges agree on its origin.
+    """
+    assert split.edge_count == graph.edge_count
+    origin: list[Optional[int]] = [None] * split.vertex_count
+    for (a, b), ends in zip(split.edges, graph.edges):
+        for new, old in zip((a, b), ends):
+            assert origin[new] in (None, old), f"vertex {new} comes from {origin[new]} and {old}"
+            origin[new] = old
+    assert None not in origin, "a split vertex with no edge"
+    return tuple(origin)
 
 
 def split_high_degree_reference(graph: Graph, k: int) -> tuple[int, Edges, tuple[int, ...]]:

@@ -8,11 +8,11 @@ from kmajority import Graph, build_graph, is_bipartite
 
 
 @st.composite
-def graphs(draw, min_vertices=1, max_vertices=8, max_edges=16) -> Graph:
+def graphs(draw, min_vertices=1, max_vertices=8, max_edges=16, min_edges=0) -> Graph:
     n = draw(st.integers(min_vertices, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.sets(st.sampled_from(pairs), max_size=min(max_edges, len(pairs)))
-                  ) if pairs else set()
+    chosen = draw(st.sets(st.sampled_from(pairs), min_size=min_edges,
+                          max_size=min(max_edges, len(pairs)))) if pairs else set()
     return build_graph(n, sorted(chosen))
 
 
@@ -41,11 +41,28 @@ def graphs_with_weights(draw, max_vertices=7, max_denominator=6):
 
 @st.composite
 def colourings(draw, graph: Graph, max_colours=4):
-    c = draw(st.integers(1, max_colours))
-    values = tuple(
-        draw(st.integers(1, c)) for _ in range(graph.edge_count)
-    )
-    return values, c
+    """A colour count c and a colour in 1..c per edge, from one drawn ``Random``
+    (as in :func:`graphs_with_weights`): half the time uniform over a drawn c,
+    else each edge in a shuffled order takes, of all ``max_colours`` colours,
+    one least used at its busier end, so each vertex's colours stay even and
+    the majority check can pass.  The ``Random`` is seeded by hypothesis,
+    which keeps its values varied under the derandomized ``ci`` profile.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.5:
+        c = rng.randint(1, max_colours)
+        return tuple(rng.randint(1, c) for _ in range(graph.edge_count)), c
+    c = max_colours
+    counts = [[0] * (c + 1) for _ in range(graph.vertex_count)]
+    values = [0] * graph.edge_count
+    for e in rng.sample(range(graph.edge_count), graph.edge_count):
+        u, v = graph.edges[e]
+        load = [max(counts[u][a], counts[v][a]) for a in range(1, c + 1)]
+        least = min(load)
+        values[e] = rng.choice([a for a in range(1, c + 1) if load[a - 1] == least])
+        counts[u][values[e]] += 1
+        counts[v][values[e]] += 1
+    return tuple(values), c
 
 
 def _fractional_weights():

@@ -22,7 +22,7 @@ from kmajority import (
     sk_degrees,
     split_high_degree,
 )
-from oracles import doubling_lift, neighbour_pairs, split_high_degree_reference
+from oracles import doubling_lift, neighbour_pairs, split_high_degree_reference, split_origin
 
 
 def complete_graph(n):
@@ -37,44 +37,46 @@ def test_sk_degree_sets():
 
 def test_split_degree_nine_vertex():
     g = complete_graph(10)  # 9-regular, k=2: 9 = 1*4 + 5
-    out, trace = split_high_degree(g, 2)
+    out = split_high_degree(g, 2)
     assert sorted(Counter(out.degrees()).items()) == [(4, 10), (5, 10)]
     assert out.edge_count == g.edge_count
-    assert len(trace.origin) == 20
+    origin = split_origin(g, out)
+    assert len(origin) == 20
     # each original vertex owns one part of degree 5 and one of degree 4
     by_origin = {}
-    for new_v, old_v in enumerate(trace.origin):
+    for new_v, old_v in enumerate(origin):
         by_origin.setdefault(old_v, []).append(out.degree(new_v))
     assert all(sorted(parts) == [4, 5] for parts in by_origin.values())
 
 
 def test_split_leaves_low_degrees_alone():
     g = complete_graph(8)  # 7-regular < 2k^2 for k=2
-    out, trace = split_high_degree(g, 2)
+    out = split_high_degree(g, 2)
     assert out == g
-    assert trace.origin == tuple(range(8))
+    assert split_origin(g, out) == tuple(range(8))
 
 
 def test_split_with_nothing_to_split_returns_its_input():
     g = complete_graph(8)  # 7-regular < 2k^2 for k=2
-    out, trace = split_high_degree(g, 2)
+    out = split_high_degree(g, 2)
     assert out is g
-    assert trace.origin == tuple(range(8))
+    assert split_origin(g, out) == tuple(range(8))
 
 
 def test_split_degree_sixteen_vertex():
     g = complete_graph(17)  # 16 = 3*4 + 4 at k=2
-    out, trace = split_high_degree(g, 2)
+    out = split_high_degree(g, 2)
     assert set(out.degrees()) == {4}
-    assert len(trace.origin) == 17 * 4
+    assert len(split_origin(g, out)) == 17 * 4
 
 
 def test_split_endpoints_stay_consistent():
     g = complete_graph(10)
-    out, trace = split_high_degree(g, 2)
+    out = split_high_degree(g, 2)
     assert out.edge_count == g.edge_count
+    origin = split_origin(g, out)
     for e, (u, v) in enumerate(out.edges):
-        assert {trace.origin[u], trace.origin[v]} == set(g.edges[e])
+        assert {origin[u], origin[v]} == set(g.edges[e])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -83,11 +85,12 @@ def test_split_endpoints_stay_consistent():
 def test_split_and_colour_graphs_with_hubs(k, data):
     g = data.draw(strategies.hub_unions(k))
     assert g.max_degree() >= 2 * k * k
-    out, trace = split_high_degree(g, k)
+    out = split_high_degree(g, k)
     assert all(k * k <= d < 2 * k * k for d in out.degrees())
     assert out.edge_count == g.edge_count
+    origin = split_origin(g, out)
     for e, (u, v) in enumerate(out.edges):
-        assert {trace.origin[u], trace.origin[v]} == set(g.edges[e])
+        assert {origin[u], origin[v]} == set(g.edges[e])
     colouring, report = colour_small_k(g, k)
     assert report.verdict.passed
     assert check_majority(g, colouring, k).passed
@@ -100,8 +103,8 @@ def test_split_and_colour_graphs_with_hubs(k, data):
 @given(data=st.data())
 def test_split_matches_the_dict_reference(k, data):
     g = data.draw(strategies.hub_unions(k))
-    out, trace = split_high_degree(g, k)
-    assert (out.vertex_count, out.edges, trace.origin) == split_high_degree_reference(g, k)
+    out = split_high_degree(g, k)
+    assert (out.vertex_count, out.edges, split_origin(g, out)) == split_high_degree_reference(g, k)
 
 
 def test_split_requires_min_degree():
@@ -209,7 +212,7 @@ def test_lift_copies_per_clique_of_a_union():
     for size in (10, 12, 15, 20):
         pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
         base += size
-    split, _ = split_high_degree(build_graph(base, pairs), 3)
+    split = split_high_degree(build_graph(base, pairs), 3)
     out, trace = raise_to_sk(split, 3)
     assert _copies_per_component(split, out) == [1, 1, 1]
     assert trace.copies == 0
@@ -300,7 +303,7 @@ def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
     g = data.draw(
         strategies.degree_window_unions(k) | strategies.hub_unions(k) | strategies.needy_clique_unions(k)
     )
-    split, _ = split_high_degree(g, k)
+    split = split_high_degree(g, k)
     out, _ = raise_to_sk(split, k)
     assert build_graph(out.vertex_count, out.edges) == out
     m, n = split.edge_count, split.vertex_count
@@ -409,7 +412,7 @@ def test_pull_back_rejects_size_mismatch():
 @pytest.mark.parametrize("k, seed", [(2, 11), (3, 12), (4, 13)])
 def test_transform_colour_pull_back_round_trip(k, seed):
     g = random_min_degree_graph(k * k + 4, k * k, seed=seed, extra_edges=6)
-    split_g, _ = split_high_degree(g, k)
+    split_g = split_high_degree(g, k)
     lifted, _ = raise_to_sk(split_g, k)
     allowed = set(sk_degrees(k))
     assert all(d in allowed for d in lifted.degrees())
