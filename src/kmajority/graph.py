@@ -107,17 +107,19 @@ def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
 
 def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    return tuple(_components(graph.incident, graph.xor_ends))
+    n = graph.vertex_count
+    return tuple(_components(graph.incident, graph.xor_ends, range(n), [False] * n))
 
 
 def _components(
-    incident: Sequence[Sequence[int]], ends: Sequence[int]
+    incident: Sequence[Sequence[int]], ends: Sequence[int], roots: Iterable[int], seen: list[bool]
 ) -> Iterator[tuple[int, ...]]:
     """:func:`components` of the edges in ``incident[v]``, the graph's own or a
-    subset's ids at v; ``ends[e] ^ v`` is e's far end, and an untouched vertex
-    is a block of its own."""
-    seen = [False] * len(incident)
-    for root in range(len(incident)):
+    subset's ids at v, reached from ``roots`` in order; ``ends[e] ^ v`` is e's
+    far end, and a root no edge touches is a block of its own.  ``seen`` is
+    caller-owned, False at every vertex still to be placed, and is left True
+    at every vertex placed, so one list can serve several searches."""
+    for root in roots:
         if seen[root]:
             continue
         seen[root] = True
@@ -169,26 +171,24 @@ def hierholzer_circuit(
     edges.  The caller guarantees the even-degree and connectivity
     preconditions for the edges left unused.
     """
-    vertex_stack = [start]
-    edge_stack: list[int] = []
+    # Extend the trail along v's least unused edge; a stuck v closes a
+    # sub-circuit, so the trail's last edge is emitted and v steps back.
+    trail: list[int] = []
     out: list[int] = []
-    while vertex_stack:
-        # Extend the trail along the least unused edge until it is stuck;
-        # the stuck vertex closes a sub-circuit, so its edge is emitted.
-        v = vertex_stack[-1]
-        while True:
-            for e in cursors[v]:
-                if not used[e]:
-                    break
-            else:
+    v = start
+    while True:
+        for e in cursors[v]:
+            if not used[e]:
+                used[e] = True
+                trail.append(e)
+                v ^= xor_ends[e]
                 break
-            used[e] = True
+        else:
+            if not trail:
+                break
+            e = trail.pop()
+            out.append(e)
             v ^= xor_ends[e]
-            vertex_stack.append(v)
-            edge_stack.append(e)
-        vertex_stack.pop()
-        if edge_stack:
-            out.append(edge_stack.pop())
     out.reverse()
     return out
 

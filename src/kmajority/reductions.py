@@ -211,7 +211,8 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
             links[owner[u]].append(e)
             links[owner[v]].append(e)
         ends, short = [owner[u] ^ owner[v] for u, v in joins], {owner[v] for v in order if need[v]}
-        alone.update(*(block for block in _components(links, ends) if short.intersection(block)))
+        found = _components(links, ends, range(len(comps)), [False] * len(comps))
+        alone.update(*(block for block in found if short.intersection(block)))
         joins = [(u, v) for u, v in joins if owner[u] not in alone]
         need = [before[v] if owner[v] in alone else t for v, t in enumerate(need)]
     lone = sorted(alone)

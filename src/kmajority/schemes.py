@@ -11,9 +11,9 @@ dispatcher :func:`colour_auto` tries them; it never reaches ``general``
   classes with tuned rational weights, leftover edges form the last class.
 * :func:`colour_refined` - minimum degree (3/2)k^2 + (1/2)km + (1/2)k where
   k = 2^n + m - 1: m weighted rounds, then n levels of balanced Euler
-  bisection assign binary colour vectors, one split per prefix bucket, with
-  "special" vertices barred from absorbing a second surplus on the same
-  prefix chain.
+  bisection assign binary colour vectors, one split of every prefix bucket
+  per level, with "special" vertices barred from absorbing a second surplus
+  on the same prefix chain.
 * :func:`colour_small_k` - k in {2, 3, 4} at the conjectured-optimal bound
   k^2, via degree reduction to S_k and colour-class surgery that eliminates
   unsplittable monochromatic components.
@@ -253,10 +253,10 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at minimum degree (3/2)k^2 + (1/2)km + (1/2)k.
 
     After m weighted rounds, the leftover graph H is coloured with binary
-    vectors of length n, one coordinate per level: each level splits every
-    prefix bucket with one balanced Euler split of that subset of the graph's
-    edges, so degrees, components and bad vertices are the bucket's own, in
-    the graph's vertex and edge ids.  A forced bad vertex becomes
+    vectors of length n, one coordinate per level: each level makes one
+    balanced Euler split whose classes are the prefix buckets, so degrees,
+    components and bad vertices are each bucket's own, in the graph's vertex
+    and edge ids.  A forced bad vertex becomes
     "special" for its extended prefix and is never chosen again along that
     chain.  Every bucket component with an edge holds a vertex that is not
     special, so the bad-vertex rule always admits one:
@@ -276,29 +276,23 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     colours = [0] * graph.edge_count
     leftover, stats, alphas = _general_rounds(graph, k, m_rounds, colours)
 
-    # colours[e] holds a leftover edge's vector so far, most significant bit
-    # first; prefixes at one level have one length, so numeric order is prefix order.
+    # vector[e] holds a leftover edge's vector so far, most significant bit
+    # first, and -1 on the rounds' edges; it labels each edge with its bucket.
+    vector = [-1 if c else 0 for c in colours]
     special: dict[int, set[tuple[int, int]]] = {}  # v -> {(j, j-bit prefix ending in 1)}
 
-    def admissible(v: int, d: int) -> bool:
-        """Whether no mark (j, bits) of v begins the (level - 1)-bit ``prefix``,
-        both read from the loops below when called: during that bucket's split."""
-        marks = special.get(v, ())
-        return not any(j < level and prefix >> (level - 1 - j) == bits for j, bits in marks)
+    def admissible(prefix: int, v: int, d: int) -> bool:
+        """Whether no mark (j, bits) of v begins the (``level`` - 1)-bit ``prefix``."""
+        return not any(prefix >> (level - 1 - j) == bits for j, bits in special.get(v, ()))
 
     for level in range(1, n_levels + 1):
-        buckets: dict[int, list[int]] = {}
-        for e in leftover:
-            buckets.setdefault(colours[e], []).append(e)
-        for prefix in sorted(buckets):
-            bic = balanced_bicolouring(graph, admissible, buckets[prefix])
-            for e in buckets[prefix]:
-                colours[e] = prefix << 1 | bic.side[e]  # blue -> 0, red -> 1
-            for u in bic.bad_vertices:
-                special.setdefault(u, set()).add((level, prefix << 1 | 1))
+        bic = balanced_bicolouring(graph, admissible, vector)
+        vector = [p << 1 | s if p >= 0 else -1 for p, s in zip(vector, bic.side)]  # blue -> 0
+        for prefix, u in bic.bad_vertices:
+            special.setdefault(u, set()).add((level, prefix << 1 | 1))
 
     for e in leftover:
-        colours[e] += m_rounds + 1
+        colours[e] = vector[e] + m_rounds + 1
 
     _assert_refined_claim(graph, colours, leftover, n_levels)
     report = SchemeReport(
@@ -459,34 +453,14 @@ def eliminate_bad_components(
 # ---------------------------------------------------------------------------
 
 
-def _split_half_into(
-    graph: Graph,
-    edge_ids: list[int],
-    colour_pair: tuple[int, int],
-    colours: list[int],
-    admissible: Callable[[int, int], bool],
-) -> None:
-    """Euler-split ``edge_ids`` of ``graph`` and write the two final colours.
-
-    A component that forces a bad vertex takes its least vertex v with
-    ``admissible(v, d)``, d being v's degree among ``edge_ids``.
-    """
-    side = balanced_bicolouring(graph, admissible, edge_ids).side
-    blue, red = colour_pair
-    for e in edge_ids:
-        colours[e] = blue if side[e] == BLUE else red
-
-
 def _colour_sk2(graph: Graph) -> tuple[list[int], dict]:
     """Majority 3-edge-colouring for degrees in S_2 = {5, 7}."""
-    chosen, rest, _ = _strip_round(graph, list(range(graph.edge_count)), Fraction(1, 3))
-    colours = [0] * graph.edge_count
-    for e in chosen:
-        colours[e] = 3
+    x = round_weights(graph, [Fraction(1, 3)] * graph.edge_count).x
     # Every leftover component has an odd-degree vertex or is 4-regular with
     # an even edge count, so no bad vertex may ever be requested.
-    _split_half_into(graph, rest, (1, 2), colours, lambda v, d: False)
-    return colours, {"alphas": (Fraction(1, 3),), "elimination": None}
+    side = balanced_bicolouring(graph, lambda c, v, d: False, [-chosen for chosen in x]).side
+    # The chosen edges (side -1) take 3, the residual's blue and red 1 and 2.
+    return [3 if s < 0 else 1 + s for s in side], {"alphas": (Fraction(1, 3),), "elimination": None}
 
 
 def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
@@ -504,22 +478,18 @@ def _colour_sk3(graph: Graph) -> tuple[list[int], dict]:
     """
     bic = balanced_bicolouring(graph)
     bic, elimination = eliminate_bad_components(graph, bic, lambda v, d: d == 6)
-    colours = [0] * graph.edge_count
-    for half, pair in zip((BLUE, RED), ((1, 2), (3, 4))):
-        ids = [e for e, s in enumerate(bic.side) if s == half]
-        _split_half_into(graph, ids, pair, colours, lambda v, d: d == 8)
+    side = balanced_bicolouring(graph, lambda c, v, d: d == 8, bic.side).side
+    # One split of both halves: blue's edges take 1 and 2, red's 3 and 4.
+    colours = [1 + 2 * h + s for h, s in zip(bic.side, side)]
     return colours, {"alphas": (), "elimination": elimination}
 
 
 def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
     """1/4-majority 5-edge-colouring for degrees in S_4 = {19, 23, 27, 31}."""
     degrees = graph.degrees()
-    chosen, rest, _ = _strip_round(graph, list(range(graph.edge_count)), Fraction(1, 5))
-    colours = [0] * graph.edge_count
-    for e in chosen:
-        colours[e] = 1
-    d_h = _degree_in(graph, rest)
-    bic = balanced_bicolouring(graph, lambda v, d: d in (18, 22), rest)
+    x = round_weights(graph, [Fraction(1, 5)] * graph.edge_count).x
+    d_h = _degree_in(graph, [e for e, chosen in enumerate(x) if not chosen])
+    bic = balanced_bicolouring(graph, lambda c, v, d: d in (18, 22), [-chosen for chosen in x])
 
     def bad_vertex(v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 23) or (d == 8 and degrees[v] == 19)
@@ -533,12 +503,12 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
 
     bic, elimination = eliminate_bad_components(graph, bic, bad_vertex, pick)
 
-    def second_split_bad(v: int, d: int) -> bool:
+    def second_split_bad(c: int, v: int, d: int) -> bool:
         return (d == 10 and degrees[v] == 27) or (d == 12 and degrees[v] == 31)
 
-    for half, pair in zip((BLUE, RED), ((2, 3), (4, 5))):
-        ids = [e for e, s in enumerate(bic.side) if s == half]
-        _split_half_into(graph, ids, pair, colours, second_split_bad)
+    side = balanced_bicolouring(graph, second_split_bad, bic.side).side
+    # The rounding's chosen edges (half -1) take 1; blue's edges 2 and 3, red's 4 and 5.
+    colours = [1 if h < 0 else 2 + 2 * h + s for h, s in zip(bic.side, side)]
     return colours, {"alphas": (Fraction(1, 5),), "elimination": elimination}
 
 
@@ -549,8 +519,12 @@ def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
     outside = [v for v in range(graph.vertex_count) if graph.degree(v) not in allowed]
     if outside:
         raise PreconditionError(f"vertices with degree outside S_{k}: {outside[:5]}")
+    return _finish(graph, *_colour_sk(graph, k))
+
+
+def _colour_sk(graph: Graph, k: int) -> tuple[list[int], SchemeReport]:
     colours, info = {2: _colour_sk2, 3: _colour_sk3, 4: _colour_sk4}[k](graph)
-    return _finish(graph, colours, SchemeReport("small-k", k, **info))
+    return colours, SchemeReport("small-k", k, **info)
 
 
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
@@ -558,12 +532,14 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
 
     Reduces to degrees in S_k (vertex splitting, then joins of needy
     vertices across components and copies of any component left short),
-    colours the reduced graph, and pulls the colouring back by edge id.
+    colours the reduced graph, and pulls the colouring back by edge id.  Only
+    the pulled-back colouring is verified.
     """
     _require("small-k", graph, k)
     lifted, _ = raise_to_sk(split_high_degree(graph, k), k)
-    reduced_colouring, reduced_report = colour_sk_graph(lifted, k)
-    return _finish(graph, pull_back_colouring(reduced_colouring, graph).colours, reduced_report)
+    colours, report = _colour_sk(lifted, k)
+    pulled = pull_back_colouring(EdgeColouring(tuple(colours), k + 1), graph)
+    return _finish(graph, pulled.colours, report)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ zero-sum check ``_assert_zero_sums`` that a kernel direction passes, an
 exact push of one move, the condition-(ii) repair on its own, vertex sums and
 whole-graph Euler circuits.
 The sections before it check the refined scheme's bucket invariant at each
-Euler split the scheme makes, check each move of the rounding kernel's Euler
-passes, and keep the exhaustive oracle's plain backtracking loop and the
-graph reader's line-by-line loop as references.
+Euler split the scheme makes, keep a labelled Euler split done one class at
+a time through ``edge_subgraph`` as a reference, check each move of the
+rounding kernel's Euler passes, and keep the exhaustive oracle's plain
+backtracking loop and the graph reader's line-by-line loop as references.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from kmajority import (
     InputError,
     InternalInvariantError,
     PreconditionError,
+    SelectorExhaustedError,
+    balanced_bicolouring,
     build_graph,
     components,
     rounding,
@@ -395,10 +398,11 @@ def side_counts(graph: Graph, bicolouring: Bicolouring) -> list[list[int]]:
 
 
 def assert_balanced(graph: Graph, bicolouring: Bicolouring) -> None:
-    """Check the Euler-split invariants: every vertex within ceil(d/2) per
-    side, and each bad vertex at exactly d/2 + 1 red."""
+    """Check the Euler-split invariants of a split of every edge in one
+    class: every vertex within ceil(d/2) per side, and each bad vertex at
+    exactly d/2 + 1 red."""
     counts = side_counts(graph, bicolouring)
-    bad = set(bicolouring.bad_vertices)
+    bad = {v for _, v in bicolouring.bad_vertices}
     for v in range(graph.vertex_count):
         d = graph.degree(v)
         blue, red = counts[v]
@@ -542,18 +546,21 @@ def doubling_lift(graph: Graph, k: int) -> Graph:
     return current
 
 
-def general_round_violations(graph: Graph, colouring: EdgeColouring, k: int) -> list[tuple[int, int]]:
-    """Every (round i, vertex v) at which the general scheme's colouring breaks
-    a round bound, recounted from the colours alone: round i coloured the
-    colour-i edges and left those of colour above i, so with delta the least
-    degree, ``k * count_i(v) <= d(v)`` and ``k * delta * #{colours > i}(v) <=
-    d(v) * (k * delta - i * delta + 2 * i * k)``.
+def general_round_violations(
+    graph: Graph, colouring: EdgeColouring, k: int, rounds: int
+) -> list[tuple[int, int]]:
+    """Every (round i, vertex v) at which the first ``rounds`` weighted rounds
+    of a general-scheme colouring break a round bound, recounted from the
+    colours alone: round i coloured the colour-i edges and left those of
+    colour above i, so with delta the least degree, ``k * count_i(v) <= d(v)``
+    and ``k * delta * #{colours > i}(v) <= d(v) * (k * delta - i * delta + 2 *
+    i * k)``.  The general scheme makes k rounds, the refined scheme m.
     """
     delta = graph.min_degree()
     violations = []
     for v, row in enumerate(colour_counts(graph, colouring)):
         d = graph.degree(v)
-        for i in range(1, k + 1):
+        for i in range(1, rounds + 1):
             if k * row[i - 1] > d or k * delta * sum(row[i:]) > d * (k * delta - i * delta + 2 * i * k):
                 violations.append((i, v))
     return violations
@@ -684,35 +691,57 @@ def refined_bucket_checks(levels: int) -> Iterator[list[int]]:
 
     The scheme's docstring proves that every bucket component with an edge
     holds a vertex that is not special.  ``schemes.balanced_bicolouring`` is
-    replaced by a wrapper that asserts, for each component of the bucket's
-    split (a subset of the graph's edges) that has an edge, that it has more
-    than ``levels`` vertices and that the scheme's bad-vertex rule admits one
-    of them.  The components and degrees are read from
-    ``edge_subgraph(graph, edges)``, which shares the graph's vertex ids.
-    Yields the sizes of the components checked, so a caller can see that the
-    checks ran.
+    replaced by a wrapper that asserts, for each class of the level's split
+    (a bucket: the edges of one label) and each of its components that has
+    an edge, that it has more than ``levels`` vertices and that the scheme's
+    bad-vertex rule admits one of them for that class.  The components and
+    degrees are read from ``edge_subgraph`` of the bucket's edges, which
+    shares the graph's vertex ids.  Yields the sizes of the components
+    checked, so a caller can see that the checks ran.
     """
     original = schemes.balanced_bicolouring
     sizes: list[int] = []
 
-    def checked(graph: Graph, admissible=None, edges=None) -> Bicolouring:
-        assert edges is not None and admissible is not None
-        bucket, _ = edge_subgraph(graph, edges)
-        for comp in components(bucket):
-            if len(comp) == 1:  # a lone vertex has no edge
-                continue
-            where = f"the component of vertex {comp[0]} ({len(comp)} vertices)"
-            assert len(comp) > levels, f"{where} has at most {levels} vertices"
-            admitted = any(admissible(v, bucket.degree(v)) for v in comp)
-            assert admitted, f"every vertex of {where} is special"
-            sizes.append(len(comp))
-        return original(graph, admissible, edges)
+    def checked(graph: Graph, admissible=None, labels=None) -> Bicolouring:
+        assert labels is not None and admissible is not None
+        for c in sorted(set(labels) - {-1}):
+            bucket, _ = edge_subgraph(graph, [e for e, label in enumerate(labels) if label == c])
+            for comp in components(bucket):
+                if len(comp) == 1:  # a lone vertex has no edge
+                    continue
+                where = f"the class-{c} component of vertex {comp[0]} ({len(comp)} vertices)"
+                assert len(comp) > levels, f"{where} has at most {levels} vertices"
+                admitted = any(admissible(c, v, bucket.degree(v)) for v in comp)
+                assert admitted, f"every vertex of {where} is special"
+                sizes.append(len(comp))
+        return original(graph, admissible, labels)
 
     schemes.balanced_bicolouring = checked
     try:
         yield sizes
     finally:
         schemes.balanced_bicolouring = original
+
+
+def split_each_class(graph: Graph, admissible, labels: Sequence[int]) -> Bicolouring:
+    """Reference labelled Euler split: each class in increasing order split
+    alone as ``edge_subgraph`` of its edges, by one whole-graph
+    ``balanced_bicolouring`` call, and mapped back to the graph's edge ids;
+    the bad vertices become (class, vertex) pairs.  A class with no
+    admissible bad vertex raises as the call on its subgraph does."""
+    side = [-1] * graph.edge_count
+    bad = []
+    for c in sorted(set(labels) - {-1}):
+        sub, emap = edge_subgraph(graph, [e for e, label in enumerate(labels) if label == c])
+        rule = None if admissible is None else lambda _, v, d: admissible(c, v, d)
+        try:
+            alone = balanced_bicolouring(sub, rule)
+        except SelectorExhaustedError as exc:
+            raise SelectorExhaustedError(str(exc).replace("class-0", f"class-{c}")) from None
+        for j, s in enumerate(alone.side):
+            side[emap[j]] = s
+        bad.extend((c, v) for _, v in alone.bad_vertices)
+    return Bicolouring(tuple(side), tuple(sorted(bad)))
 
 
 # ---------------------------------------------------------------------------

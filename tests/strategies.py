@@ -23,6 +23,20 @@ def edge_subsets(graph: Graph):
 
 
 @st.composite
+def split_labels(draw, graph: Graph, max_classes=4) -> list[int]:
+    """A class label per edge of ``graph`` for a labelled Euler split, -1 on
+    about one edge in five.
+
+    Up to ``max_classes`` class names, not 0, 1, ... but drawn from 0..99,
+    and the labels come from one drawn ``Random``, which keeps them varied
+    under the derandomized ``ci`` profile.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    names = rng.sample(range(100), rng.randint(1, max_classes))
+    return [rng.choice(names) if rng.random() < 0.8 else -1 for _ in range(graph.edge_count)]
+
+
+@st.composite
 def graphs_with_weights(draw, max_vertices=7, max_denominator=6):
     """A graph with a weight p/q in [0, 1] per edge, q at most ``max_denominator``.
 

@@ -139,7 +139,7 @@ def test_criterion_4_general_theorem():
             colouring, report = colour_general_2k2(graph, k)
             if not report.verdict.passed:
                 failures.append((k, trial))
-            for i, v in oracles.general_round_violations(graph, colouring, k):
+            for i, v in oracles.general_round_violations(graph, colouring, k, k):
                 failures.append(("round-bound", k, trial, i, v))
     _announce(4, "general theorem (k=2..5, 25 graphs each)", failures, started)
     assert not failures, failures[:5]
@@ -164,6 +164,9 @@ def test_criterion_5_refined_theorem():
             if not report.verdict.passed:
                 failures.append((k, trial))
                 continue
+            # the m weighted rounds' bounds, recounted from the colouring
+            for i, v in oracles.general_round_violations(graph, colouring, k, head_rounds):
+                failures.append(("round-bound", k, trial, i, v))
             # independent claim-bound check from the final colouring alone
             counts = oracles.colour_counts(graph, colouring)
             two_n = 1 << levels

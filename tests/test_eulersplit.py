@@ -1,3 +1,5 @@
+import time
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from kmajority import (
     components,
 )
 from kmajority.graph import edge_subgraph
-from oracles import assert_balanced, side_counts
+from oracles import assert_balanced, side_counts, split_each_class
 
 
 def test_even_cycle_splits_exactly():
@@ -27,7 +29,7 @@ def test_even_cycle_splits_exactly():
 def test_triangle_needs_one_bad_vertex():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     bic = balanced_bicolouring(triangle)
-    assert bic.bad_vertices == (0,)
+    assert bic.bad_vertices == ((0, 0),)  # class 0, vertex 0
     counts = side_counts(triangle, bic)
     assert counts[0] == [0, 2]  # both edges at the bad vertex are red
     assert counts[1] == [1, 1] and counts[2] == [1, 1]
@@ -43,30 +45,39 @@ def test_path_alternates():
 
 def test_selector_controls_bad_vertex():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    bic = balanced_bicolouring(triangle, lambda v, d: v == 2)
-    assert bic.bad_vertices == (2,)
+    bic = balanced_bicolouring(triangle, lambda c, v, d: v == 2)
+    assert bic.bad_vertices == ((0, 2),)
     assert side_counts(triangle, bic)[2] == [0, 2]
     # The least admissible vertex, not the first one a search from 0 reaches.
     c5 = build_graph(5, [(0, 4), (4, 1), (1, 3), (3, 2), (2, 0)])
-    assert balanced_bicolouring(c5, lambda v, d: v in (1, 4)).bad_vertices == (1,)
+    assert balanced_bicolouring(c5, lambda c, v, d: v in (1, 4)).bad_vertices == ((0, 1),)
+    # The rule learns the class: two triangles, each its own class.
+    two = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    bic = balanced_bicolouring(two, lambda c, v, d: (c, v) in ((7, 1), (4, 5)), [7, 7, 7, 4, 4, 4])
+    assert bic.bad_vertices == ((4, 5), (7, 1))
 
 
 def test_selector_exhaustion_raises():
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(SelectorExhaustedError):
-        balanced_bicolouring(triangle, lambda v, d: False)
+    with pytest.raises(SelectorExhaustedError, match="class-0 component of 0"):
+        balanced_bicolouring(triangle, lambda c, v, d: False)
+    # Two triangles of class 5, the one on 3, 4, 5 listed first, and an
+    # unsplit edge: the component of the least vertex is searched first.
+    two = build_graph(7, [(3, 4), (4, 5), (5, 3), (1, 2), (2, 0), (0, 1), (5, 6)])
+    with pytest.raises(SelectorExhaustedError, match="class-5 component of 0"):
+        balanced_bicolouring(two, lambda c, v, d: False, [5] * 6 + [-1])
 
 
 def test_selector_not_consulted_when_unnecessary():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    bic = balanced_bicolouring(c4, lambda v, d: False)
+    bic = balanced_bicolouring(c4, lambda c, v, d: False)
     assert bic.bad_vertices == ()
 
 
 def test_components_handled_independently():
     g = build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
     bic = balanced_bicolouring(g)
-    assert bic.bad_vertices == (0,)  # only the triangle forces one
+    assert bic.bad_vertices == ((0, 0),)  # only the triangle forces one
     assert_balanced(g, bic)
 
 
@@ -82,8 +93,8 @@ def test_split_invariants(g):
     for comp in components(g):
         comp_edges = {e for v in comp for e in g.incident[v]}
         forced = all(g.degree(v) % 2 == 0 for v in comp) and len(comp_edges) % 2 == 1
-        chosen = [v for v in bic.bad_vertices if v in comp]
-        assert len(chosen) == (1 if comp_edges and forced else 0)
+        chosen = [(c, v) for c, v in bic.bad_vertices if v in comp]
+        assert chosen == ([(0, chosen[0][1])] if comp_edges and forced else [])
 
 
 @given(strategies.graphs(min_vertices=2, max_vertices=8))
@@ -102,43 +113,49 @@ def test_union_split_is_the_split_of_each_component(g):
         relabelled = [(rank[g.edges[e][0]], rank[g.edges[e][1]]) for e in comp_edges]
         alone = balanced_bicolouring(build_graph(len(comp), relabelled))
         assert [bic.side[e] for e in comp_edges] == list(alone.side)
-        bad.extend(comp[i] for i in alone.bad_vertices)
+        bad.extend((c, comp[i]) for c, i in alone.bad_vertices)
     assert bic.bad_vertices == tuple(sorted(bad))
 
 
 def test_subset_split_marks_other_edges():
     # Triangle 0-1-2 plus the pendant edge 2-3; split the triangle only.
     g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    bic = balanced_bicolouring(g, None, [2, 0, 1])
+    bic = balanced_bicolouring(g, None, [0, 0, 0, -1])
     assert bic.side[3] == -1
-    assert bic.bad_vertices == (0,)
+    assert bic.bad_vertices == ((0, 0),)
     assert sorted(bic.side[:3]) == [BLUE, RED, RED]
 
 
-@pytest.mark.parametrize("edges", [[-1], [0, 4]])
+# Labels for 3 and for 6 edges of a graph of 4 edges.
+@pytest.mark.parametrize("edges", [[0, 0, 0], [0, 0, 0, 0, 0, 0]])
 def test_subset_split_rejects_out_of_range_edges(edges):
     g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    with pytest.raises(InputError, match="edge indices"):
+    with pytest.raises(InputError, match=f"{len(edges)} labels for 4 edges"):
         balanced_bicolouring(g, None, edges)
 
 
 def test_subset_split_rejects_repeated_edges():
+    # An edge listed twice would need a fifth label: a label list longer by one.
     g = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    with pytest.raises(InputError, match="edge id 0 is listed twice"):
-        balanced_bicolouring(g, None, [0, 1, 0])
+    with pytest.raises(InputError, match="5 labels for 4 edges"):
+        balanced_bicolouring(g, None, [0, 1, 0, 1, 0])
 
 
-def _odd_vertices(v, d):
+def _odd_vertices(c, v, d):
     return v % 2 == 1
 
 
-def _high_degree(v, d):
-    return d >= 4  # the degree among the split edges, not the graph's
+def _high_degree(c, v, d):
+    return d >= 4  # the degree in the class, not the graph's
 
 
-def _split_outcome(graph, admissible, edges=None):
+def _class_parity(c, v, d):
+    return (c + v) % 2 == 0
+
+
+def _split_outcome(split, graph, admissible, labels=None):
     try:
-        return balanced_bicolouring(graph, admissible, edges)
+        return split(graph, admissible, labels)
     except SelectorExhaustedError as exc:
         return str(exc)
 
@@ -152,10 +169,10 @@ def _split_outcome(graph, admissible, edges=None):
 def test_subset_split_is_the_split_of_the_edge_subgraph(g, admissible, data):
     m = g.edge_count
     subset = data.draw(strategies.edge_subsets(g))
-    edges = data.draw(st.permutations(sorted(subset)))  # the order must not matter
+    labels = [0 if e in subset else -1 for e in range(m)]
     sub, emap = edge_subgraph(g, subset)
-    alone = _split_outcome(sub, admissible)
-    whole = _split_outcome(g, admissible, edges)
+    alone = _split_outcome(balanced_bicolouring, sub, admissible)
+    whole = _split_outcome(balanced_bicolouring, g, admissible, labels)
     if isinstance(alone, str):
         assert whole == alone
         return
@@ -172,8 +189,46 @@ def test_subset_split_is_the_split_of_the_edge_subgraph(g, admissible, data):
 )
 @settings(max_examples=100)
 def test_subset_split_ignores_the_order_and_type_of_edges(g, admissible, data):
-    subset = sorted(data.draw(strategies.edge_subsets(g)))
-    shuffled = data.draw(st.permutations(subset))
-    expected = _split_outcome(g, admissible, subset)
-    assert _split_outcome(g, admissible, tuple(shuffled)) == expected
-    assert _split_outcome(g, admissible, (e for e in shuffled)) == expected
+    # Renaming the classes, in or out of their order, renames the bad
+    # vertices' classes and nothing else; a tuple of labels splits as a list.
+    labels = data.draw(strategies.split_labels(g))
+    names = sorted(set(labels) - {-1})
+    renamed = dict(zip(names, data.draw(st.permutations(range(200, 200 + len(names))))))
+    expected = _split_outcome(balanced_bicolouring, g, admissible, labels)
+    relabelled = [renamed.get(c, -1) for c in labels]
+    outcome = _split_outcome(balanced_bicolouring, g, admissible, tuple(relabelled))
+    if isinstance(expected, str):
+        assert isinstance(outcome, str)
+        return
+    bad = tuple(sorted((renamed[c], v) for c, v in expected.bad_vertices))
+    assert outcome == Bicolouring(expected.side, bad)
+
+
+@given(
+    st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()),
+    st.sampled_from([None, _odd_vertices, _high_degree, _class_parity]),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_labelled_split_is_the_split_of_each_class(g, admissible, data):
+    labels = data.draw(strategies.split_labels(g))
+    expected = _split_outcome(split_each_class, g, admissible, labels)
+    assert _split_outcome(balanced_bicolouring, g, admissible, labels) == expected
+
+
+def test_a_path_of_one_class_per_edge_splits_in_linear_time():
+    # 199,999 classes on 200,000 vertices: a table of classes by vertices
+    # would hold 4e10 entries, and a per-class O(n) set-up would take hours.
+    # The split walks 199,999 one-edge components, a few microseconds each
+    # (about 0.9 s on a shared 2-core x86-64 host, Python 3.11); the bound
+    # leaves room for a slow spell of such a host.
+    n = 200_000
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    started = time.perf_counter()
+    bic = balanced_bicolouring(path, None, range(n - 1))
+    elapsed = time.perf_counter() - started
+    # Each one-edge class is walked from the auxiliary vertex, whose first
+    # edge takes red, so the class's edge takes blue.
+    assert bic.side == (BLUE,) * (n - 1)
+    assert bic.bad_vertices == ()
+    assert elapsed < 5.0, f"{elapsed:.2f} s"

@@ -35,7 +35,7 @@ def test_mutants_that_the_selection_checks_are_killed():
 
 
 def test_mutants_that_the_selection_never_runs_survive():
-    proc = mutate_sk_degrees(["-k", "split_leaves_low_degrees_alone"])
+    proc = mutate_sk_degrees(["-k", "split_with_nothing_to_split_returns_its_input"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert set(outcomes(proc).values()) == {"survived"}
     assert proc.stdout.splitlines()[-1].endswith("kill rate 0.0%")

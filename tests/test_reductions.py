@@ -49,13 +49,6 @@ def test_split_degree_nine_vertex():
     assert all(sorted(parts) == [4, 5] for parts in by_origin.values())
 
 
-def test_split_leaves_low_degrees_alone():
-    g = complete_graph(8)  # 7-regular < 2k^2 for k=2
-    out = split_high_degree(g, 2)
-    assert out == g
-    assert split_origin(g, out) == tuple(range(8))
-
-
 def test_split_with_nothing_to_split_returns_its_input():
     g = complete_graph(8)  # 7-regular < 2k^2 for k=2
     out = split_high_degree(g, 2)

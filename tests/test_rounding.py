@@ -651,7 +651,7 @@ def test_subset_rounding_ignores_an_outside_edge_joining_bad_cycles():
     ids=["past-end", "negative", "repeated"],
 )
 def test_subset_rounding_rejects_bad_edge_ids(ids, message):
-    # The messages balanced_bicolouring gives: both check ids in graph.py.
+    # The messages edge_subgraph gives: both check ids in graph.py.
     with pytest.raises(InputError, match=message):
         round_weights(c4(), [HALF] * 4, ids)
 

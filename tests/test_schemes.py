@@ -28,11 +28,12 @@ from kmajority import (
     random_min_degree_graph,
     refined_parameters,
 )
+from kmajority import colouring as colouring_module
+from kmajority import schemes
 from kmajority.cli import build_parser
 from kmajority.eulersplit import BLUE, RED, Bicolouring
 from kmajority.graph import edge_subgraph
 from kmajority.graphio import format_colouring
-from kmajority.schemes import _split_half_into
 from oracles import (
     _colour_components,
     colour_counts,
@@ -108,7 +109,7 @@ def test_general_on_k9():
     assert report.verdict.passed
     assert max(max(row) for row in colour_counts(k9, colouring)) <= 4
     assert report.alphas == (Fraction(3, 8), Fraction(1, 2))
-    assert general_round_violations(k9, colouring, 2) == []
+    assert general_round_violations(k9, colouring, 2, 2) == []
 
 
 def test_general_on_random_graph():
@@ -186,6 +187,28 @@ def test_refined_bucket_components_hold_a_vertex_that_is_not_special(k, n):
     assert checked
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns the list of its calls' arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, n", [(3, 17), (4, 30), (15, 346)])
+def test_refined_makes_one_euler_split_per_level(monkeypatch, k, n):
+    levels, _, bound = refined_parameters(k)
+    g = random_min_degree_graph(n, math.ceil(bound), seed=k)
+    splits = _count_calls(monkeypatch, schemes, "balanced_bicolouring")
+    colour_refined(g, k)
+    assert len(splits) == levels
+
+
 # --------------------------------------------------------------------------
 # small-k scheme
 # --------------------------------------------------------------------------
@@ -205,6 +228,22 @@ def test_small_k_at_threshold(k, n, seed):
     assert colouring.colour_count == k + 1
     initial, flips = report.elimination or (0, 0)
     assert flips <= initial
+
+
+@pytest.mark.parametrize("k, n, seed, splits", [(2, 12, 21, 1), (3, 14, 22, 2), (4, 20, 23, 2)])
+def test_small_k_splits_once_per_level_and_checks_once(monkeypatch, k, n, seed, splits):
+    # The k=2 step splits the rounding's residual once; the k=3 and k=4 steps
+    # split once, then both halves in one call.  Only the pulled-back
+    # colouring is checked, so a benchmark-style operation (the scheme, then
+    # its caller's own check) checks twice.
+    g = random_min_degree_graph(n, k * k, seed=seed)
+    split_calls = _count_calls(monkeypatch, schemes, "balanced_bicolouring")
+    library_checks = _count_calls(monkeypatch, schemes, "check_majority")
+    caller_checks = _count_calls(monkeypatch, colouring_module, "check_majority")
+    found, _ = colour_small_k(g, k)
+    assert colouring_module.check_majority(g, found, k).passed
+    assert len(split_calls) == splits
+    assert (len(library_checks), len(caller_checks)) == (1, 1)
 
 
 def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
@@ -262,11 +301,12 @@ def test_half_split_puts_a_forced_surplus_on_the_least_admissible_vertex():
     # The triangle 0-1-2 split alone forces a bad vertex; vertex 1 also has
     # the pendant edge 3, so its degree is 3 in the graph but 2 in the half.
     g = build_graph(4, [(0, 1), (1, 2), (2, 0), (1, 3)])
-    colours = [0] * 4
-    _split_half_into(g, [0, 1, 2], (5, 6), colours, lambda v, d: v > 0 and d == 2)
-    assert colours == [6, 6, 5, 0]  # both triangle edges at 1 take the second colour
+    half = [0, 0, 0, -1]  # the pendant edge is in no half
+    bic = balanced_bicolouring(g, lambda c, v, d: v > 0 and d == 2, half)
+    assert bic.side == (RED, RED, BLUE, -1)  # both triangle edges at 1 take red
+    assert bic.bad_vertices == ((0, 1),)
     with pytest.raises(SelectorExhaustedError):
-        _split_half_into(g, [0, 1, 2], (5, 6), [0] * 4, lambda v, d: d == 3)
+        balanced_bicolouring(g, lambda c, v, d: d == 3, half)
 
 
 # --------------------------------------------------------------------------
