@@ -21,8 +21,8 @@
 * ``smallk``: ``colour_small_k`` at k=4 on
   ``random_min_degree_graph(n, 16, seed=1)``, which is 16-regular with 8n
   edges.  Every vertex needs 3 more edges to reach S_4; at the default sizes
-  ``raise_to_sk`` finds them all among the graph's own non-edges, so no copy
-  is lifted.  The column ``lifted`` counts the edges of the graph
+  ``raise_to_sk`` finds them all among the graph's own non-edges, so no
+  gadget is attached.  The column ``lifted`` counts the edges of the graph
   that ``colour_sk_graph`` colours.
 * ``parse``: ``parse_graph`` of ``format_graph(random_min_degree_graph(n, 18,
   seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
@@ -32,12 +32,18 @@
   parts of degree 10 and 9 before the lift.  K10 is 9-regular and needs 2
   more edges per vertex, which no non-edge of its own supplies; the need of
   the K10s and the split K20s (80 per copy) is met by joins between
-  different components, so no copy is lifted and each copy of the union
-  lifts to 275 edges.  The column ``lifted`` counts the lifted graph's
+  different components, so no gadget is attached and each copy of the
+  union lifts to 275 edges.  The column ``lifted`` counts the lifted graph's
   edges.
+* ``lift_clique``: the same reductions on ``random_min_degree_graph(n, 14,
+  seed=1)``, which is 14-regular (in S_3), with a matching of 5 edges
+  replaced by a K10 joined one-to-one to its 10 ends.  Each K10 vertex has
+  degree 10 and needs 1, and no join can meet it, as the K10 is a clique:
+  one gadget of 12 fresh vertices takes the 10 units with 71 edges,
+  whatever n is.
 
 The first three layers and ``lift`` time disjoint unions of cliques as the
-copy count doubles, the other three a random graph as n doubles.  A linear layer grows
+copy count doubles, the other four a random graph as n doubles.  A linear layer grows
 about x2 per doubling.  Each of the N repeats times every size once, in
 turn, with the garbage collector off, so a swing in the host's speed hits
 all sizes of a repeat alike; the script prints each size's best time and
@@ -117,6 +123,22 @@ def cliques(*sizes):
     return lambda copies: clique_union(sizes, copies)
 
 
+def needy_clique(n):
+    """``random_min_degree_graph(n, 14, seed=1)`` with its first 5 disjoint
+    edges replaced by a K10 on vertices n..n+9, the i-th joined to their
+    i-th end."""
+    base = random_min_degree_graph(n, 14, seed=1)
+    ends: list[int] = []
+    for u, v in base.edges:
+        if len(ends) < 10 and u not in ends and v not in ends:
+            ends += (u, v)
+    matching = set(zip(ends[::2], ends[1::2]))
+    pairs = [e for e in base.edges if e not in matching]
+    pairs += [(n + i, n + j) for i in range(10) for j in range(i + 1, 10)]
+    pairs += [(v, n + i) for i, v in enumerate(ends)]
+    return build_graph(n + 10, pairs)
+
+
 # layer -> (graph of a size, default sizes, size column, counted column, setup)
 LAYERS = {
     "eulersplit": (cliques(5), [1000, 2000, 4000], "copies", None, eulersplit),
@@ -144,6 +166,7 @@ LAYERS = {
         parse,
     ),
     "lift": (cliques(10, 20), [25, 50, 100, 200], "copies", "lifted", lift),
+    "lift_clique": (needy_clique, [1000, 2000, 4000, 8000], "n", "lifted", lift),
 }
 
 
@@ -152,7 +175,7 @@ def main() -> int:
     parser.add_argument("layer", choices=LAYERS)
     parser.add_argument(
         "--sizes", type=int, nargs="+",
-        help="copy counts, or vertex counts for kernel, smallk and parse (default per layer)",
+        help="copy counts, or vertex counts for kernel, smallk, parse and lift_clique (default per layer)",
     )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()

@@ -83,8 +83,8 @@ def build_graph(vertex_count: int, edge_pairs: Iterable[Edge]) -> Graph:
 def _assemble(vertex_count: int, edges: Sequence[Edge]) -> Graph:
     """The one place incidence lists are built; callers guarantee a simple graph.
 
-    Derived graphs whose edges are simple by construction (subsets, disjoint
-    copies, renamings into disjoint parts) come here without re-validation.
+    Derived graphs whose edges are simple by construction (subsets, lifts,
+    renamings into disjoint parts) come here without re-validation.
     """
     incident: list[list[int]] = [[] for _ in range(vertex_count)]
     for e, (u, v) in enumerate(edges):

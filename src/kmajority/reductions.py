@@ -8,9 +8,9 @@ A vertex of degree d in [k^2, 2k^2) needs t = (k-1-d) mod k more edges to
 reach S_k, and keeps its majority cap: floor((d+t)/k) = floor(d/k).
 :func:`split_high_degree` splits each vertex of degree >= 2k^2 into parts of
 degree in [k^2, 2k^2); :func:`raise_to_sk` joins non-adjacent vertices that
-both need degree, of one component or of two, then meets what is left with
-fresh copies of a component (at most 3 for k <= 4).  Each step keeps its
-input's edge ids and appends its new edges, so
+both need degree, then meets what is left with fresh gadgets of at most
+k^2+k+1 vertices, whatever the input's size.  Each step keeps its input's
+edge ids and appends its new edges, so
 :func:`pull_back_colouring` keeps the first m colours.  They stay valid: a
 colour's count at v in G is at most its count in the supergraph, which is at
 most floor(d'/k) = floor(d/k) (the caps of a split vertex's parts sum to at
@@ -24,7 +24,7 @@ from itertools import chain, product
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .graph import Edge, Graph, _assemble, _components, components
+from .graph import Edge, Graph, _assemble
 
 
 def sk_degrees(k: int) -> tuple[int, ...]:
@@ -34,7 +34,7 @@ def sk_degrees(k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LiftTrace:
-    """Lift record: the most fresh copies of any component (0: unchanged)."""
+    """Lift record: the number of gadgets attached (0: none)."""
 
     copies: int
 
@@ -87,24 +87,15 @@ def split_high_degree(graph: Graph, k: int) -> Graph:
     return out
 
 
-def _copy_count(needs: list[int]) -> int:
-    """Copies of a component that :func:`raise_to_sk` joins (1: none): the fewest
-    c carrying a t-regular simple graph for every need t."""
-    c = max(needs, default=0) + 1
-    if c % 2 and any(t % 2 for t in needs):
-        c += 1
-    return c
-
-
-def _fill(order: list[int], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
+def _fill(order: list[int], need: list[int], graph: Graph) -> list[Edge]:
     """The edges joining non-adjacent vertices of ``order`` that both need
     degree, each taken off ``need``: each vertex in turn takes the lowest
     later listed vertices still in need and not its neighbours (a linked
     list: O(n + m + nk)); those left short, pairwise adjacent and so fewer
-    than 2k^2, trade new edges for two (:func:`_swap_in`).  ``marked`` is
-    one mark per vertex.
+    than 2k^2, trade new edges for two (:func:`_swap_in`).
     """
     incident, ends = graph.incident, graph.xor_ends
+    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
     new: list[Edge] = []
     after = list(range(1, len(order) + 1))  # after[i]: next listed position
     for i, v in enumerate(order):
@@ -152,33 +143,23 @@ def _swap_in(new: list[Edge], near: dict[int, set[int]], v: int, u: int) -> bool
     return False
 
 
-def _own_fill(comp: tuple[int, ...], need: list[int], graph: Graph, marked: list[int]) -> list[Edge]:
-    """:func:`_fill` within one component, kept only if it lowers the
-    component's copy count, so its lift never grows; else undone."""
-    before = [need[v] for v in comp]
-    new = _fill([v for v in comp if need[v]], need, graph, marked)
-    if new and _copy_count([need[v] for v in comp]) < _copy_count(before):
-        return new
-    for v, t in zip(comp, before):
-        need[v] = t
-    return []
-
-
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
-    """Lift every degree into S_k: join needy vertices across components,
-    then copy the components left short.
+    """Lift every degree into S_k: join needy vertices, then attach gadgets.
 
-    With two components or more, one :func:`_fill` joins needy vertices of
-    all but, when the total need is odd, the smallest of odd need.  A filled
-    component whose needs are all met keeps its joins: its m + T/2 edges
-    are no more than its parts lifted apart (c copies of m edges and need T
-    lift to c(m + T/2)).  At most one is left short (short vertices are
-    pairwise adjacent); it drops its joins, and each of its input
-    components, like the one set aside or a lone one, keeps its
-    :func:`_own_fill`, then gets c = :func:`_copy_count` copies, those of v
-    joined by the t_v-regular circulant on Z_c (steps 1..t_v/2, and c/2 if
-    t_v is odd).  The input keeps its ids; joins, own fills, then copies
-    follow by least vertex.  Restricted to k <= 4, so c <= 4.
+    One :func:`_fill` joins needy, non-adjacent vertices over the whole graph
+    in vertex order (vertices of different components are never adjacent).
+    The T units of need it leaves sit at pairwise adjacent vertices, so T <
+    2k^2(k-1); they go, in vertex order, to fresh gadgets of at most k^2+k
+    attached vertices each, an even number a in all but the last.  A gadget
+    is K_N minus R, with D = k^2+k-1 (odd, in S_k) and N = D+1+(a mod 2): R
+    is a perfect matching of the attached vertices when a is even, and else
+    a path whose inner vertices are the attached ones plus a perfect matching
+    of the other N-a-2 (a < N).  Each attached vertex takes one edge from a
+    vertex left short, so every gadget vertex has degree D, and the lift has
+    m + (F + D G)/2 edges for a total need F and G gadget vertices, G at
+    most 101 (k = 4).  The input keeps its ids; joins, then gadgets follow.
+    A graph already in S_k comes back as the same object.  Restricted to
+    k <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -192,65 +173,27 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     need = [(k - 1 - d) % k for d in graph.degrees()]
     if not any(need):  # in S_k as it came
         return graph, LiftTrace(0)
-    comps = components(graph)
-    owner = [0] * graph.vertex_count  # component 0 is the default
-    for i in range(1, len(comps)):
-        for v in comps[i]:
-            owner[v] = i
-    alone, order = {0}, []  # a graph of one component has nothing to join
-    if len(comps) > 1:
-        odd = [i for i, comp in enumerate(comps) if sum(need[v] for v in comp) % 2]
-        alone = {min(odd, key=lambda i: len(comps[i]))} if len(odd) % 2 else set()
-        order = [v for v, t in enumerate(need) if t and owner[v] not in alone]
-    before = need[:]
-    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
-    joins = _fill(order, need, graph, marked) if order else []
-    if any(need[v] for v in order):  # the one filled component left short drops its joins
-        links: list[list[int]] = [[] for _ in comps]  # joins, as edges between input components
-        for e, (u, v) in enumerate(joins):
-            links[owner[u]].append(e)
-            links[owner[v]].append(e)
-        ends, short = [owner[u] ^ owner[v] for u, v in joins], {owner[v] for v in order if need[v]}
-        found = _components(links, ends, range(len(comps)), [False] * len(comps))
-        alone.update(*(block for block in found if short.intersection(block)))
-        joins = [(u, v) for u, v in joins if owner[u] not in alone]
-        need = [before[v] if owner[v] in alone else t for v, t in enumerate(need)]
-    lone = sorted(alone)
-    edges = list(chain(graph.edges, joins, *(_own_fill(comps[i], need, graph, marked) for i in lone)))
-    if not any(need):  # in S_k once filled
-        return _assemble(graph.vertex_count, edges), LiftTrace(0)
-    lifts = {i: c for i in lone if (c := _copy_count([need[v] for v in comps[i]])) > 1}
-    rank = [0] * graph.vertex_count  # position of a vertex within its component
-    for r, v in chain.from_iterable(enumerate(comps[i]) for i in lifts):
-        rank[v] = r
-    comp_edges: dict[int, list[Edge]] = {i: [] for i in lifts}
-    for u, v in edges:
-        if owner[u] in comp_edges:
-            comp_edges[owner[u]].append((rank[u], rank[v]))
-    vertex_count = graph.vertex_count
-    for i, c in lifts.items():
-        comp, local_edges = comps[i], comp_edges[i]
-        # The t-regular circulant on Z_c, for each t: steps 1..t/2 and c/2.
-        circulant = [
-            [(i, (i + step) % c) for step in range(1, t // 2 + 1) for i in range(c)]
-            + [(i, i + c // 2) for i in range(c // 2 if t % 2 else 0)]
-            for t in range(c)
-        ]
-        # Fresh copy i of the component's r-th vertex is bases[i - 1] + r.
-        bases = range(vertex_count, vertex_count + (c - 1) * len(comp), len(comp))
-        vertex_count = bases[-1] + len(comp)
-        for base in bases:
-            edges.extend([(base + a, base + b) for a, b in local_edges])
-        for r, v in enumerate(comp):
-            if need[v]:
-                ring = [v, *range(bases[0] + r, vertex_count, len(comp))]  # the c copies of v
-                edges.extend([(ring[i], ring[j]) for i, j in circulant[need[v]]])
-    # Joins and fills join non-adjacent vertices once each, copies are disjoint and
-    # each circulant joins copies of one vertex by distinct steps: simple by construction.
+    order = [v for v, t in enumerate(need) if t]
+    edges = list(chain(graph.edges, _fill(order, need, graph)))
+    stubs = [v for v in order for _ in range(need[v])]  # one per unit of need left
+    size, vertex_count = ksq + k, graph.vertex_count  # size = D + 1, even
+    for start in range(0, len(stubs), size):
+        attached = stubs[start : start + size]
+        a, odd, base = len(attached), len(attached) % 2, vertex_count
+        vertex_count += size + odd
+        # R as the set of i whose edge (i, i+1) it holds: a perfect matching of
+        # the attached 0..a-1, or the path 0..a+1 through the attached 1..a
+        # and a perfect matching of a+2..N-1.
+        low = {*range(a + 1), *range(a + 2, size, 2)} if odd else set(range(0, a, 2))
+        edges.extend(zip(attached, range(base + odd, base + odd + a)))
+        gadget = range(vertex_count - base)
+        edges.extend((base + i, base + j) for i in gadget for j in gadget[i + 1 :] if j > i + 1 or i not in low)
+    # Joins and trades link non-adjacent vertices once each, and gadgets are fresh
+    # vertices, each attached once: simple by construction.
     lifted = _assemble(vertex_count, edges)
     if not set(sk_degrees(k)).issuperset(lifted.degrees()):
         raise InternalInvariantError(f"lift left a degree outside S_{k}")
-    return lifted, LiftTrace(max(lifts.values()) - 1)
+    return lifted, LiftTrace(-(-len(stubs) // size))
 
 
 def pull_back_colouring(colouring: EdgeColouring, graph: Graph) -> EdgeColouring:

@@ -531,7 +531,7 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """(k+1)-colouring at the conjectured-optimal minimum degree k^2, k <= 4.
 
     Reduces to degrees in S_k (vertex splitting, then joins of needy
-    vertices across components and copies of any component left short),
+    vertices and fresh gadgets for the need they leave),
     colours the reduced graph, and pulls the colouring back by edge id.  Only
     the pulled-back colouring is verified.
     """

@@ -3,9 +3,9 @@
 Everything here re-derives expected behaviour from first principles
 (enumeration, brute force) without touching the library's own certification
 paths, so tests cross-check two independent routes: a colouring's colour
-counts per vertex, the general scheme's round bounds and a vertex
-splitting's origins are counted here from the graph and the colouring, not
-read back from the library's results.  The last section holds
+counts per vertex, the general scheme's round bounds, a vertex splitting's
+origins and an S_k lift's contract are counted here from the graphs and the
+colouring, not read back from the library's results.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, a
 move's coefficients and the edge removal they are built from and the
@@ -528,22 +528,44 @@ def hierholzer_reference(adjacency, start: int, pointer: list[int], used: list[b
     return out
 
 
-def doubling_lift(graph: Graph, k: int) -> Graph:
-    """Reference lift into S_k: double the whole graph until every degree fits.
+def lift_violations(graph: Graph, lifted: Graph, k: int) -> list[str]:
+    """What breaks the S_k lift contract of ``lifted`` over ``graph``, read
+    from the two edge lists alone (empty when the contract holds).
 
-    Each round joins every vertex whose degree is not yet in S_k to its twin
-    in a fresh copy of the whole graph, so every component ends with
-    2^rounds copies.
+    The lift is simple, its first m edges are the input's, it raises each
+    input vertex v by exactly its need t_v = (k-1-d_v) mod k, and every
+    degree is in S_k.  Its size is bounded whatever the input's: needy
+    vertices left short once non-adjacent ones are joined are pairwise
+    adjacent, so fewer than 2k^2 (a clique of degree below 2k^2), and leave
+    at most T = 2k^2(k-1) units of need.  Gadgets taking up to k^2+k of
+    them, on k^2+k fresh vertices (one more in the last), then add at most
+    F = ceil(T/(k^2+k))(k^2+k) + 1 fresh vertices, each of degree below
+    2k^2, so the lift has at most m + (sum of t_v)/2 + F(2k^2-1)/2 edges.
     """
-    allowed = {i for i in range(k * k, 2 * k * k) if i % k == k - 1}
-    current = graph
-    while any(d not in allowed for d in current.degrees()):
-        n = current.vertex_count
-        edges = list(current.edges)
-        edges.extend((u + n, v + n) for u, v in current.edges)
-        edges.extend((v, v + n) for v in range(n) if current.degree(v) not in allowed)
-        current = build_graph(2 * n, edges)
-    return current
+    n, m, ksq = graph.vertex_count, graph.edge_count, k * k
+    allowed = {i for i in range(ksq, 2 * ksq) if i % k == k - 1}
+    found = []
+    if len({frozenset(e) for e in lifted.edges}) < lifted.edge_count or any(u == v for u, v in lifted.edges):
+        found.append("the lift is not simple")
+    if lifted.edges[:m] != graph.edges:
+        found.append("the first m edges are not the input's")
+    degree = [0] * max(n, lifted.vertex_count)
+    for u, v in lifted.edges:
+        degree[u] += 1
+        degree[v] += 1
+    need = [(k - 1 - d) % k for d in graph.degrees()]
+    raised = [v for v in range(n) if degree[v] != graph.degree(v) + need[v]]
+    if raised:
+        found.append(f"vertices not raised by exactly their need: {raised[:5]}")
+    outside = [v for v, d in enumerate(degree) if d not in allowed]
+    if outside:
+        found.append(f"degrees outside S_{k}: {outside[:5]}")
+    fresh_max = -(-2 * ksq * (k - 1) // (ksq + k)) * (ksq + k) + 1
+    if lifted.vertex_count - n > fresh_max:
+        found.append(f"{lifted.vertex_count - n} fresh vertices, above {fresh_max}")
+    if 2 * (lifted.edge_count - m) > sum(need) + fresh_max * (2 * ksq - 1):
+        found.append(f"{lifted.edge_count} edges, above the bound")
+    return found
 
 
 def general_round_violations(

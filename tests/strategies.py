@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from kmajority import Graph, build_graph, is_bipartite
+from kmajority import Graph, build_graph, is_bipartite, random_min_degree_graph, sk_degrees
 
 
 @st.composite
@@ -227,7 +227,7 @@ def needy_clique_unions(draw, k: int, max_parts=4) -> Graph:
 
     These parts are left short by fills of their own: a clique has no
     non-edge, and a near-clique too few.  So ``raise_to_sk`` either joins
-    vertices of different parts or lifts copies of them.
+    vertices of different parts or attaches gadgets to them.
     """
     ksq = k * k
     parts = []
@@ -235,6 +235,42 @@ def needy_clique_unions(draw, k: int, max_parts=4) -> Graph:
         n = draw(st.integers(ksq + 1, ksq + 3))
         parts.append((n, _near_clique(draw, n, ksq, 2)))
     return _shuffled_union(draw, parts)
+
+
+@st.composite
+def needy_cliques_in_regular_graphs(draw, k: int) -> Graph:
+    """:func:`join_needy_clique` on a random r-regular graph, r in S_k, and
+    an even clique size s in [k^2, 2k^2) outside S_k, under shuffled labels.
+
+    Only the clique's vertices need degree, and they are pairwise adjacent,
+    so no join meets any of it: the whole need is left to the lift's
+    leftover path, whatever the graph's size.
+    """
+    ksq = k * k
+    r = draw(st.sampled_from(sk_degrees(k)))
+    s = draw(st.sampled_from([s for s in range(ksq, 2 * ksq) if s % 2 == 0 and s % k != k - 1]))
+    n = draw(st.integers(2 * s + r, 2 * s + r + 20))  # a greedy matching has over n/4 edges
+    base = random_min_degree_graph(n + n * r % 2, r, seed=draw(st.integers(0, 1000)))
+    g = join_needy_clique(base, s)
+    return _shuffled_union(draw, [(g.vertex_count, list(g.edges))])
+
+
+def join_needy_clique(base: Graph, s: int) -> Graph:
+    """``base`` minus a matching of s/2 edges, the first disjoint ones in edge
+    order, plus K_s on fresh vertices n..n+s-1, the i-th joined to the i-th
+    matched end: each matched end keeps its degree, and each clique vertex
+    has degree s."""
+    matched: list[int] = []
+    dropped = set()
+    for u, v in base.edges:
+        if len(dropped) < s // 2 and u not in matched and v not in matched:
+            matched += (u, v)
+            dropped.add((u, v))
+    n = base.vertex_count
+    pairs = [e for e in base.edges if e not in dropped]
+    pairs += [(n + i, n + j) for i in range(s) for j in range(i + 1, s)]
+    pairs += [(v, n + i) for i, v in enumerate(matched)]
+    return build_graph(n + s, pairs)
 
 
 def _near_clique(draw, n: int, ksq: int, removals: int) -> list[tuple[int, int]]:

@@ -17,14 +17,14 @@ SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
     "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
-    "many_components": "44cd811cc586ce42dc2f682cb584562b06973acdcca6dfcfebdbcf9e3a0de23a",
-    "threshold_sweep": "9dedb916812f71bfffbe1fde8ea4106a2637760c221c06725ea57d003ad30c46",
+    "many_components": "870570b9eca99dbfec573db3902dc6a6d163e3721700c0daf6fa926a17e202f6",
+    "threshold_sweep": "dad3e6f1da3ed711e3742dc11afebb54d893970dbb87fffd3fda2c8606a64dda",
 }
 
 SEEDS_1_2_3_REPORTS = {
     "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
-    "many_components": "fb75e35e9519594a3c0c52b9abb07aa4def63a64009e62a3c3115910a15cc9b6",
-    "threshold_sweep": "57c7171c2c02eac5aedd481474c3f54d7dae1953bfca15f4b3d5c4f8d20dae6e",
+    "many_components": "29e3424e19e10c27eb5a29fb2dbb953716be0d99ccf1057cd146f27e499d0d4e",
+    "threshold_sweep": "37fb2156cd43cb9e561c7e87fd0330852ac3243dba4bfaa52c6fb2f653d60275",
 }
 
 

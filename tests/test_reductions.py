@@ -22,7 +22,7 @@ from kmajority import (
     sk_degrees,
     split_high_degree,
 )
-from oracles import doubling_lift, neighbour_pairs, split_high_degree_reference, split_origin
+from oracles import lift_violations, neighbour_pairs, split_high_degree_reference, split_origin
 
 
 def complete_graph(n):
@@ -105,23 +105,31 @@ def test_split_requires_min_degree():
         split_high_degree(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 2)
 
 
-def test_raise_four_regular_needs_one_doubling():
-    g = complete_graph(5)  # 4-regular
+def test_raise_four_regular_clique_takes_one_gadget():
+    # K5 at k=2: each vertex needs 1, and K5 has no non-edge, so an odd need
+    # of 5 is left.  One gadget, K7 minus a Hamiltonian path of its own
+    # vertices whose inner vertices are the attached ones, takes it:
+    # 21 - 6 + 5 = 20 edges and 7 fresh vertices.
+    g = complete_graph(5)
     out, trace = raise_to_sk(g, 2)
+    assert lift_violations(g, out, 2) == []
     assert trace.copies == 1
     assert set(out.degrees()) == {5}
-    assert out.vertex_count == 10
-    assert out.edges[: g.edge_count] == g.edges
+    assert (out.vertex_count, out.edge_count) == (12, 30)
 
 
 def test_raise_keeps_sk_graphs_unchanged():
     g = complete_graph(6)  # 5-regular, already in S_2
     out, trace = raise_to_sk(g, 2)
-    assert out == g and trace.copies == 0
+    assert out is g and trace.copies == 0
+    assert lift_violations(g, out, 2) == []
 
 
 def test_raise_mixed_degrees():
-    # K7 minus a 3-edge matching: degrees {5,5,5,5,5,5,6}
+    # K7 minus a 3-edge matching: degrees {5,5,5,5,5,5,6}.  Vertex 6 alone
+    # needs 1: one gadget, K7 minus a path of 3 vertices through the attached
+    # one and a matching of the other four, takes it with 21 - 4 + 1 = 18
+    # edges.
     removed = {(0, 1), (2, 3), (4, 5)}
     g = build_graph(
         7,
@@ -133,119 +141,123 @@ def test_raise_mixed_degrees():
         ],
     )
     out, trace = raise_to_sk(g, 2)
+    assert lift_violations(g, out, 2) == []
     assert trace.copies == 1
-    assert set(out.degrees()) <= {5, 7}
-    for v in range(g.vertex_count):
-        assert out.degree(v) // 2 == g.degree(v) // 2
+    assert (out.vertex_count, out.edge_count) == (14, g.edge_count + 18)
 
 
-def _minimal_copies(needs):
-    # Fewest vertices c carrying a t-regular simple graph for every t in needs.
-    return next(
-        c for c in range(1, 2 * max(needs) + 3) if all(t < c and c * t % 2 == 0 for t in needs)
-    )
-
-
-def _copies_per_component(graph, lifted):
-    """For each component of ``lifted``, ordered by least vertex: its size
-    over the number of input vertices it holds."""
-    out = []
-    for comp in components(lifted):
-        original = [v for v in comp if v < graph.vertex_count]
-        assert len(comp) % len(original) == 0
-        out.append(len(comp) // len(original))
-    return out
+def _leftover_need(graph, lifted):
+    """Each input vertex's edges to fresh vertices of ``lifted``."""
+    n = graph.vertex_count
+    left = [0] * n
+    for u, v in lifted.edges:
+        if (u < n) != (v < n):
+            left[min(u, v)] += 1
+    return left
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @settings(max_examples=15)
 @given(data=st.data())
 def test_lift_takes_fewest_copies_per_component(k, data):
-    g = data.draw(strategies.degree_window_unions(k) | strategies.needy_clique_unions(k))
+    # LiftTrace.copies counts gadgets: T units of need left by the fill take
+    # the fewest gadgets, ceil(T / (k^2+k)), each a component of the fresh
+    # vertices of k^2+k vertices, one more in the last when T is odd.
+    g = data.draw(
+        strategies.degree_window_unions(k)
+        | strategies.needy_clique_unions(k)
+        | strategies.needy_cliques_in_regular_graphs(k)
+    )
     out, trace = raise_to_sk(g, k)
-    assert build_graph(out.vertex_count, out.edges) == out
-    allowed = set(sk_degrees(k))
-    assert all(d in allowed for d in out.degrees())
-    assert all(out.degree(v) // k == g.degree(v) // k for v in range(g.vertex_count))
-    assert out.edges[: g.edge_count] == g.edges
-    copies = _copies_per_component(g, out)
-    n = g.vertex_count
-    # The need left after the fill: a vertex's edges to fresh copies.
+    assert lift_violations(g, out, k) == []
+    n, size = g.vertex_count, k * k + k
+    left = _leftover_need(g, out)
+    short = [v for v in range(n) if left[v]]
+    # The fill leaves no join undone: the short vertices are pairwise adjacent.
     pairs = neighbour_pairs(out)
-    needs = [sum(u >= n for u, _ in pairs[v]) for v in range(n)]
-    filled = build_graph(n, g.edges + tuple(_fill_edges(g, out)))
-    assert copies == [_minimal_copies([needs[v] for v in comp]) for comp in components(filled)]
-    assert trace.copies == max(copies) - 1
-    assert out.edge_count <= doubling_lift(g, k).edge_count
-
-
-def _lifted_apart(graph, k):
-    """The vertex and edge counts of ``raise_to_sk`` on each component of
-    ``graph`` as a graph of its own, summed."""
-    vertices = edges = 0
-    for comp in components(graph):
-        index = {v: i for i, v in enumerate(comp)}
-        part = build_graph(len(comp), [(index[u], index[v]) for u, v in graph.edges if u in index])
-        lifted, _ = raise_to_sk(part, k)
-        vertices += lifted.vertex_count
-        edges += lifted.edge_count
-    return vertices, edges
+    assert all(set(short) - {v} <= {u for u, _ in pairs[v]} for v in short)
+    total = sum(left)
+    assert trace.copies == -(-total // size)
+    fresh = build_graph(out.vertex_count - n, [(u - n, v - n) for u, v in out.edges if u >= n and v >= n])
+    sizes = [len(comp) for comp in components(fresh)]
+    assert sorted(sizes) == sorted([size] * (trace.copies - total % 2) + [size + 1] * (total % 2))
 
 
 def test_lift_copies_per_clique_of_a_union():
     # At k=3: K10 is 9-regular (t=2 each, 20 in all), K12 and K15 are 11-
     # and 14-regular (in S_3: left alone).  Split K20 falls into a 10-regular
     # part of 11 vertices (t=1: 11), a part of 19 with degrees 10 and 9 (t=1
-    # and 2: 29) and a 9-regular part of 10 (t=2: 20).  The total need, 80,
-    # is even, so no part is set aside, and every needy vertex misses all
-    # needy vertices of the other three parts: 40 joins meet every need, and
-    # those four parts become one component with no copy (lifted apart they
-    # took 3, 2, 2 and 3 copies).
+    # and 2: 29) and a 9-regular part of 10 (t=2: 20).  Every needy vertex
+    # misses all needy vertices of the other three parts, and the total
+    # need, 80, is even: 40 joins meet every need, and those four parts
+    # become one component, beside K12 and K15, with no gadget.
     pairs, base = [], 0
     for size in (10, 12, 15, 20):
         pairs.extend((base + i, base + j) for i in range(size) for j in range(i + 1, size))
         base += size
     split = split_high_degree(build_graph(base, pairs), 3)
     out, trace = raise_to_sk(split, 3)
-    assert _copies_per_component(split, out) == [1, 1, 1]
+    assert lift_violations(split, out, 3) == []
+    assert len(components(out)) == 3
     assert trace.copies == 0
     assert (out.vertex_count, out.edge_count) == (split.vertex_count, split.edge_count + 40)
 
 
 @pytest.mark.parametrize(
     "size, t, added",
-    [(10, 1, (20, 120, 2)), (10, 2, (0, 20, 0)), (10, 3, (0, 30, 0)), (10, 400, (0, 4000, 0)),
-     (11, 3, (11, 77, 1))],
+    [(10, 1, (24, 142, 2)), (10, 2, (0, 20, 0)), (10, 3, (0, 30, 0)), (10, 400, (0, 4000, 0)),
+     (11, 3, (13, 88, 1))],
 )
 def test_lift_of_disjoint_cliques(size, t, added):
     # At k=3, K10 is 9-regular: each vertex needs 2, and K10 has no non-edge.
-    # Alone it is lifted as before: 3 copies with 2-regular circulants, +20
-    # vertices and 2*45 + 10*3 = 120 edges.  Two or more are joined to one
-    # another: 10t edges meet the need of 20t, with no fresh vertex.  K11 is
-    # 10-regular, each vertex needing 1: three of them need 33 in all, an
-    # odd total, so one is set aside and lifted with 1 copy (+11 vertices,
-    # 55 + 11 edges), and 11 joins meet the other two.
+    # Alone its need of 20 takes two gadgets of 12 vertices (D = 11), with
+    # 12 and 8 attachments: (12*11 + 12)/2 + (12*11 + 8)/2 = 142 edges.  Two
+    # or more are joined to one another: 10t edges meet the need of 20t,
+    # with no fresh vertex.  K11 is 10-regular, each vertex needing 1: three
+    # of them need 33 in all, an odd total, so 16 joins leave one unit to a
+    # gadget of 13 vertices: 16 + (13*11 + 1)/2 = 88 edges.
     labels = list(range(size * t))
     random.Random(t).shuffle(labels)
     g = build_graph(size * t, [(labels[size * c + i], labels[size * c + j])
                                for c in range(t) for i in range(size) for j in range(i + 1, size)])
     out, trace = raise_to_sk(g, 3)
+    assert lift_violations(g, out, 3) == []
     assert (out.vertex_count - g.vertex_count, out.edge_count - g.edge_count, trace.copies) == added
 
 
-def test_join_that_leaves_need_is_undone():
+@pytest.mark.parametrize(
+    "k, n, r, s, added",
+    [(2, 40, 5, 6, (6, 18, 1)), (3, 4000, 14, 10, (12, 71, 1)), (4, 200, 19, 16, (60, 594, 3))],
+)
+def test_lift_of_a_needy_clique_in_a_regular_graph(k, n, r, s, added):
+    # An r-regular graph, r in S_k, with a matching of s/2 edges replaced by
+    # K_s joined one-to-one to its ends: only the clique's vertices need
+    # degree, t each, and they are pairwise adjacent, so gadgets of D + 1 =
+    # k^2 + k vertices (D + 2 for an odd last share) take all s t units,
+    # each adding (N D + a)/2 edges for a attachments, whatever n is.  k=2:
+    # t=1, (6*5 + 6)/2 = 18.  k=3: t=1, (12*11 + 10)/2 = 71 on 28,050 edges.
+    # k=4: t=3, 48 units in shares of 20, 20 and 8: 200 + 200 + 194 = 594.
+    g = strategies.join_needy_clique(random_min_degree_graph(n, r, seed=1), s)
+    out, trace = raise_to_sk(g, k)
+    assert lift_violations(g, out, k) == []
+    assert _fill_edges(g, out) == []
+    assert (out.vertex_count - g.vertex_count, out.edge_count - g.edge_count, trace.copies) == added
+
+
+def test_join_that_leaves_need_is_kept():
     # K10 (each vertex needs 2 at k=3) beside K12 minus the edge 10-11 (10
     # and 11 need 1 each).  Vertex 0 takes 10 and 11, and the rest of K10,
-    # pairwise adjacent, is left short with no join to trade.  So the joins
-    # are undone and each part is lifted on its own: K10 with 3 copies, and
-    # K12 minus an edge filled back by 10-11.
+    # pairwise adjacent, is left short with no join to trade.  The joins
+    # stay, and the 18 units left take gadgets of 12 vertices with 12 and 6
+    # attachments: (12*11 + 12)/2 + (12*11 + 6)/2 = 141 edges.
     pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
     pairs += [(u, v) for u in range(10, 22) for v in range(u + 1, 22) if (u, v) != (10, 11)]
     g = build_graph(22, pairs)
     out, trace = raise_to_sk(g, 3)
-    assert _fill_edges(g, out) == [(10, 11)]
+    assert lift_violations(g, out, 3) == []
+    assert _fill_edges(g, out) == [(0, 10), (0, 11)]
     assert trace.copies == 2
-    assert (out.vertex_count, out.edge_count) == _lifted_apart(g, 3) == (42, 45 + 65 + 1 + 120)
+    assert (out.vertex_count, out.edge_count) == (46, 45 + 65 + 2 + 141)
 
 
 def _seeded_near_clique_union(k, seed):
@@ -272,15 +284,11 @@ def _seeded_near_clique_union(k, seed):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_lift_of_seeded_near_clique_unions(k):
-    # Joins and trades never repeat an edge, and the lift is never larger
-    # than the components lifted apart.
+    # Joins and trades never repeat an edge, and every need is met exactly.
     for seed in range(200):
         g = _seeded_near_clique_union(k, seed)
         out, _ = raise_to_sk(g, k)
-        assert build_graph(out.vertex_count, out.edges) == out
-        assert set(out.degrees()) <= set(sk_degrees(k))
-        vertices, edges = _lifted_apart(g, k)
-        assert out.vertex_count <= vertices and out.edge_count <= edges
+        assert lift_violations(g, out, k) == []
 
 
 def _fill_edges(graph, lifted):
@@ -298,26 +306,16 @@ def test_fill_keeps_caps_components_and_lowers_the_lift(k, data):
     )
     split = split_high_degree(g, k)
     out, _ = raise_to_sk(split, k)
-    assert build_graph(out.vertex_count, out.edges) == out
+    # Caps kept (each vertex raised by exactly its need) and the lift within
+    # m + (total need)/2 plus a bounded gadget part.
+    assert lift_violations(split, out, k) == []
     m, n = split.edge_count, split.vertex_count
     fill = _fill_edges(split, out)
-    assert out.edges[:m] == split.edges
-    assert list(out.edges[m : m + len(fill)]) == fill  # before any copy
-    filled = build_graph(n, split.edges + tuple(fill))
-    # Each filled component is a union of input components; one that joins
-    # several is left with no need, and the lift is never larger than the
-    # components lifted apart.
-    parts = {v: comp for comp in components(split) for v in comp}
-    unions = [sorted({parts[v] for v in comp}) for comp in components(filled)]
-    assert [sorted(chain(*union)) for union in unions] == [list(c) for c in components(filled)]
-    assert all(out.degree(v) // k == split.degree(v) // k for v in range(n))
+    assert list(out.edges[m : m + len(fill)]) == fill  # before any gadget
+    # The fill joins needy vertices only, and within what they need.
     needs = [(k - 1 - d) % k for d in split.degrees()]
-    copies = _copies_per_component(split, out)
-    for c, union in zip(copies, unions, strict=True):
-        assert c == 1 or len(union) == 1
-        assert c <= max(_minimal_copies([needs[v] for v in comp]) for comp in union)
-    vertices, edges = _lifted_apart(split, k)
-    assert out.vertex_count <= vertices and out.edge_count <= edges
+    joined = Counter(chain(*fill))
+    assert all(joined[v] <= needs[v] for v in range(n))
     colouring, report = colour_small_k(g, k)
     assert report.verdict.passed
     assert check_majority(g, colouring, k).passed
@@ -328,6 +326,7 @@ def test_fill_completes_a_sixteen_regular_graph_on_twenty_vertices():
     g = random_min_degree_graph(20, 16, seed=1)
     assert set(g.degrees()) == {16}
     out, trace = raise_to_sk(g, 4)
+    assert lift_violations(g, out, 4) == []
     assert {frozenset(e) for e in out.edges} == {frozenset(e) for e in complete_graph(20).edges}
     assert trace.copies == 0
 
@@ -335,38 +334,46 @@ def test_fill_completes_a_sixteen_regular_graph_on_twenty_vertices():
 def test_fill_leaves_a_clique_as_it_is():
     g = complete_graph(10)  # 9-regular at k=3 needs 2, but has no non-edges
     out, trace = raise_to_sk(g, 3)
+    assert lift_violations(g, out, 3) == []
     assert _fill_edges(g, out) == []
     assert trace.copies == 2
+    assert (out.vertex_count, out.edge_count) == (34, 45 + 142)
 
 
-def test_fill_that_would_raise_the_copy_count_is_dropped():
-    # K13 minus these pairs, at k=3: its needs are 2 and 0, so 3 copies.
-    # The fill would leave one vertex needing 1, an odd need: 4 copies.
+def test_fill_of_a_near_clique_is_kept_before_an_even_gadget():
+    # K13 minus these pairs, at k=3: eleven vertices need 2.  The fill
+    # joins 7 pairs and leaves 8 units, pairwise adjacent, to one gadget of
+    # 12 vertices: (12*11 + 8)/2 = 70 edges.
     missing = {(0, 1), (0, 9), (0, 12), (1, 2), (1, 9), (2, 3), (2, 11), (3, 7), (3, 11),
                (4, 7), (7, 11), (9, 12), (10, 12)}
     g = build_graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
                          if (u, v) not in missing])
     out, trace = raise_to_sk(g, 3)
-    assert _fill_edges(g, out) == []
-    assert trace.copies == 2
+    assert lift_violations(g, out, 3) == []
+    assert _fill_edges(g, out) == [(0, 1), (0, 9), (1, 2), (2, 3), (3, 7), (7, 11), (9, 12)]
+    assert trace.copies == 1
+    assert (out.vertex_count, out.edge_count) == (25, 65 + 7 + 70)
 
 
-def test_fill_that_leaves_the_copy_count_as_it_is_is_dropped():
-    # K7 minus these pairs, at k=2: degrees 5 (in S_2) and 4 (need 1), so 2
-    # copies.  The fill would join 0-2 and 1-3 and leave 5 short (five needs
-    # of 1, an odd total), still with 2 copies: as that saves nothing, no
-    # fill edge is kept.
+def test_fill_that_leaves_one_need_is_kept_before_an_odd_gadget():
+    # K7 minus these pairs, at k=2: degrees 5 (in S_2) and 4 (need 1).  The
+    # fill joins 0-2 and 1-3 and leaves 5 short: one gadget, K7 minus a path
+    # of 3 vertices through the attached one and a matching of the other
+    # four, takes that unit with (7*5 + 1)/2 = 18 edges.
     missing = {(0, 2), (0, 5), (1, 2), (1, 3), (3, 4), (5, 6)}
     g = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in missing])
     out, trace = raise_to_sk(g, 2)
-    assert _fill_edges(g, out) == []
+    assert lift_violations(g, out, 2) == []
+    assert _fill_edges(g, out) == [(0, 2), (1, 3)]
+    assert _leftover_need(g, out) == [0, 0, 0, 0, 0, 1, 0]
     assert trace.copies == 1
+    assert (out.vertex_count, out.edge_count) == (14, 15 + 2 + 18)
 
 
 def test_raise_preconditions_and_size_guard():
     with pytest.raises(PreconditionError):
         raise_to_sk(complete_graph(10), 2)  # max degree 9 >= 2k^2
-    with pytest.raises(PreconditionError, match="maximum degree 8"):
+    with pytest.raises(PreconditionError, match=r"maximum degree 8 not below 2k\^2 = 8"):
         raise_to_sk(complete_graph(9), 2)  # max degree 8 = 2k^2
     with pytest.raises(PreconditionError, match="minimum degree 3"):
         raise_to_sk(complete_graph(4), 2)  # min degree 3 < k^2
@@ -383,7 +390,7 @@ def test_reductions_refuse_k_below_two(reduce):
 def test_cap_equality_spec_arithmetic():
     # splitting a degree-9 vertex at k=2: floor(5/2) + floor(4/2) = floor(9/2)
     assert 5 // 2 + 4 // 2 == 9 // 2
-    # one doubling of a degree-4 vertex at k=2 keeps the cap: floor(5/2) = floor(4/2)
+    # raising a degree-4 vertex by one at k=2 keeps the cap: floor(5/2) = floor(4/2)
     assert 5 // 2 == 4 // 2
 
 

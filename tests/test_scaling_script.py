@@ -12,12 +12,12 @@ SCRIPT = ROOT / "scripts" / "scaling.py"
 
 
 @pytest.mark.parametrize(
-    "layer", ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift"]
+    "layer", ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift", "lift_clique"]
 )
 def test_scaling_script_prints_one_row_per_size(layer):
-    # kernel, smallk and parse sizes are vertex counts, and minimum degree 18
-    # (16) needs n >= 19 (17)
-    sizes = ["20", "40"] if layer in ("kernel", "smallk", "parse") else ["4", "8"]
+    # kernel, smallk, parse and lift_clique sizes are vertex counts, and
+    # minimum degree 18 (16, 14) needs n >= 19 (17, 15)
+    sizes = ["20", "40"] if layer in ("kernel", "smallk", "parse", "lift_clique") else ["4", "8"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), layer, "--sizes", *sizes, "--repeats", "1"],

@@ -250,7 +250,7 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
     # Two copies each of K10, K12, K15 (14-regular of odd order: a bad
     # vertex in the first split) and K20 (hubs split), under shuffled labels
     # and edge order.  The lift joins the K10s and the split K20s to one
-    # another, with no copy.
+    # another, with no gadget.
     rng = random.Random(1)
     sizes = [10, 12, 15, 20] * 2
     labels = list(range(sum(sizes)))

@@ -41,7 +41,7 @@ def test_every_traced_name_exists():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
-    # The raise_to_sk counter reads the lift's copy count.
+    # The raise_to_sk counter reads the lift's gadget count, in the field ``copies``.
     assert "copies" in LiftTrace.__dataclass_fields__
 
 
