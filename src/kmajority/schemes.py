@@ -152,11 +152,12 @@ def _general_rounds(
     degrees = graph.degrees()
     kd = k * delta
     remaining = list(range(graph.edge_count))
+    residual_deg: Sequence[int] = degrees
     stats: list[RoundStat] = []
     for i, alpha in enumerate(alphas, start=1):
         chosen, remaining, ledger = _strip_round(graph, remaining, alpha)
         class_deg = _degree_in(graph, chosen)
-        residual_deg = _degree_in(graph, remaining)
+        residual_deg = [r - c for r, c in zip(residual_deg, class_deg)]
         # Both bounds over integers, cross-multiplied by k and by k*delta:
         # beta*delta/k = d/k, and beta*(delta - i*(delta/k - 2)) =
         # d*(k*delta - i*delta + 2ik)/(k*delta).
@@ -205,6 +206,7 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
     _require("bipartite", graph, k)
     colours = [1] * graph.edge_count
     remaining = list(range(graph.edge_count))
+    residual_deg: Sequence[int] = graph.degrees()
     stats: list[RoundStat] = []
     for i in range(k + 1, 1, -1):
         weight = Fraction(1, i)
@@ -214,13 +216,14 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
         for e in chosen:
             colours[e] = i
         class_deg = _degree_in(graph, chosen)
+        residual_deg = [r - c for r, c in zip(residual_deg, class_deg)]
         stats.append(
             RoundStat(
                 index=k + 2 - i,
                 weight=weight,
                 class_size=len(chosen),
                 max_class_degree=max(class_deg, default=0),
-                max_residual_degree=max(_degree_in(graph, remaining), default=0),
+                max_residual_degree=max(residual_deg, default=0),
             )
         )
     alphas = tuple(Fraction(1, i) for i in range(k + 1, 1, -1))
@@ -294,7 +297,7 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
     for e in leftover:
         colours[e] = vector[e] + m_rounds + 1
 
-    _assert_refined_claim(graph, colours, leftover, n_levels)
+    _assert_refined_claim(graph, colours, leftover, n_levels, k + 1)
     report = SchemeReport(
         "refined", k, levels=n_levels, head_rounds=m_rounds, alphas=alphas, rounds=tuple(stats)
     )
@@ -302,23 +305,31 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
 
 
 def _assert_refined_claim(
-    graph: Graph, colours: Sequence[int], leftover: Sequence[int], n_levels: int
+    graph: Graph, colours: Sequence[int], leftover: Sequence[int], n_levels: int, c: int
 ) -> None:
-    """Every vector colour obeys count_alpha(v) <= (d_H(v) - 1)/2^n + 3/2."""
+    """Every vector colour obeys count_alpha(v) <= (d_H(v) - 1)/2^n + 3/2.
+
+    Counts are kept as :func:`check_majority` keeps them, at ``v * c +
+    colour - 1`` for c colours, and the least failing key is reported.
+    """
     d_h = _degree_in(graph, leftover)
-    counts: dict[tuple[int, int], int] = {}
+    counts = [0] * (graph.vertex_count * c)
+    ends = graph.edges
     for e in leftover:
-        c = colours[e]
-        for v in graph.edges[e]:
-            counts[(v, c)] = counts.get((v, c), 0) + 1
+        u, v = ends[e]
+        colour = colours[e] - 1
+        counts[u * c + colour] += 1
+        counts[v * c + colour] += 1
     two_n = 1 << n_levels
-    for (v, c), count in counts.items():
-        # count > (d_H(v) - 1)/2^n + 3/2, multiplied through by 2 * 2^n
-        if 2 * two_n * count > 2 * (d_h[v] - 1) + 3 * two_n:
-            raise InternalInvariantError(
-                f"vector-colour bound fails at vertex {v}, colour {c}: "
-                f"{count} > ({d_h[v]}-1)/{two_n} + 3/2"
-            )
+    # count <= (d_H(v) - 1)/2^n + 3/2, multiplied through by 2 * 2^n and floored
+    caps = [(2 * (d - 1) + 3 * two_n) // (2 * two_n) for d in d_h]
+    first = next((key for key, count in enumerate(counts) if count > caps[key // c]), -1)
+    if first >= 0:
+        v, colour = divmod(first, c)
+        raise InternalInvariantError(
+            f"vector-colour bound fails at vertex {v}, colour {colour + 1}: "
+            f"{counts[first]} > ({d_h[v]}-1)/{two_n} + 3/2"
+        )
 
 
 # ---------------------------------------------------------------------------

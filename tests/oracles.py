@@ -16,11 +16,13 @@ The sections before it check the refined scheme's bucket invariant at each
 Euler split the scheme makes, keep a labelled Euler split done one class at
 a time through ``edge_subgraph`` as a reference, check each move of the
 rounding kernel's Euler passes, and keep the exhaustive oracle's plain
-backtracking loop and the graph reader's line-by-line loop as references.
+backtracking loop, the random generator's samplers that pair in every
+leftover round and the graph reader's line-by-line loop as references.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -870,6 +872,158 @@ def exhaustive_search_reference(graph: Graph, k: int, colour_count: int, node_li
     for p, e in enumerate(order):
         colours[e] = chosen[p]
     return tuple(colours), nodes, False
+
+
+# ---------------------------------------------------------------------------
+# The random generator's reference samplers
+# ---------------------------------------------------------------------------
+
+
+def random_min_degree_graph_reference(
+    n: int,
+    min_degree: int,
+    bipartite: bool = False,
+    seed: int = 0,
+    extra_edges: int = 0,
+) -> Graph:
+    """Random simple graph with minimum degree >= ``min_degree``.
+
+    Bipartite graphs take ``n/2`` vertices per side (n must be even, each
+    side at least ``min_degree``) and overlay ``min_degree`` random perfect
+    matchings, so the base is exactly regular.  General graphs pair stubs of
+    a configuration model, rejecting loops and duplicates.  ``extra_edges``
+    random non-edges are added on top.  Deterministic in ``seed``.
+
+    The generator as it was before its samplers skipped the leftover rounds
+    that cannot add an edge: every one of the 50 rounds pairs, and the edges
+    are re-validated through ``build_graph``.  ``extra_edges`` gives up on an
+    edge after 500 missed draws, so it can return fewer than asked.
+    """
+    if min_degree < 0 or extra_edges < 0:
+        raise InputError("min_degree and extra_edges must be nonnegative")
+    rng = random.Random(seed)
+    if bipartite:
+        if n % 2:
+            raise InputError(f"bipartite generation needs an even vertex count, got {n}")
+        a = n // 2
+        if a < min_degree:
+            raise InputError(f"side size {a} below requested minimum degree {min_degree}")
+        edges = {(u, a + w) for u, w in _bipartite_regular_reference(a, min_degree, rng)}
+        for _ in range(extra_edges):
+            for _attempt in range(500):
+                u = rng.randrange(a)
+                v = a + rng.randrange(a)
+                if (u, v) not in edges:
+                    edges.add((u, v))
+                    break
+        return build_graph(n, sorted(edges))
+
+    if n <= min_degree:
+        raise InputError(f"need more than {min_degree} vertices, got {n}")
+    pairs = _configuration_model_reference(n, min_degree, rng)
+    for _ in range(extra_edges):
+        for _attempt in range(500):
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            key = (min(u, v), max(u, v))
+            if u != v and key not in pairs:
+                pairs.add(key)
+                break
+    return build_graph(n, sorted(pairs))
+
+
+def _bipartite_regular_reference(a: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Exactly d-regular bipartite pairing of two sides of size a (local ids)."""
+    if d == 0:
+        return set()
+    if d > a - d:
+        sparse = _bipartite_regular_reference(a, a - d, rng)
+        return {(u, w) for u in range(a) for w in range(a) if (u, w) not in sparse}
+    left = [v for v in range(a) for _ in range(d)]
+    right = [v for v in range(a) for _ in range(d)]
+    while True:
+        rng.shuffle(left)
+        rng.shuffle(right)
+        edges: set[tuple[int, int]] = set()
+        lo: list[int] = []
+        ro: list[int] = []
+        for u, w in zip(left, right):
+            if (u, w) in edges:
+                lo.append(u)
+                ro.append(w)
+            else:
+                edges.add((u, w))
+        for _round in range(50):
+            if not lo:
+                return edges
+            rng.shuffle(ro)
+            still_l: list[int] = []
+            still_r: list[int] = []
+            for u, w in zip(lo, ro):
+                if (u, w) in edges:
+                    still_l.append(u)
+                    still_r.append(w)
+                else:
+                    edges.add((u, w))
+            lo, ro = still_l, still_r
+        # Dead end: resample wholesale.
+
+
+def _configuration_model_reference(n: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Random d-regular-ish edge set (vertex 0 takes one extra stub if n*d is odd).
+
+    Dense targets (d above half the graph) are built as complements of sparse
+    ones; random pairing would mostly collide otherwise.
+    """
+    if d > n - 1 - d:
+        sparse = _pair_stubs_reference(n, n - 1 - d, rng, drop_on_odd=True)
+        return {
+            (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse
+        }
+    return _pair_stubs_reference(n, d, rng, drop_on_odd=False)
+
+
+def _pair_stubs_reference(
+    n: int, d: int, rng: random.Random, drop_on_odd: bool
+) -> set[tuple[int, int]]:
+    """Pair d stubs per vertex into distinct edges, rejecting loops/duplicates.
+
+    An odd stub total either drops one stub of vertex 0 (complement use: its
+    final degree rises by one) or adds one there (direct use, same effect).
+    """
+    stubs = [v for v in range(n) for _ in range(d)]
+    if len(stubs) % 2:
+        if drop_on_odd:
+            stubs.remove(0)
+        else:
+            stubs.append(0)
+    if not stubs:
+        return set()
+    while True:
+        rng.shuffle(stubs)
+        edges: set[tuple[int, int]] = set()
+        leftover: list[int] = []
+        it = iter(stubs)
+        for u, v in zip(it, it):
+            key = (min(u, v), max(u, v))
+            if u == v or key in edges:
+                leftover.extend((u, v))
+            else:
+                edges.add(key)
+        for _round in range(50):
+            if not leftover:
+                return edges
+            rng.shuffle(leftover)
+            still: list[int] = []
+            it = iter(leftover)
+            for u, v in zip(it, it):
+                key = (min(u, v), max(u, v))
+                if u == v or key in edges:
+                    still.extend((u, v))
+                else:
+                    edges.add(key)
+            leftover = still
+        # Dead end (e.g. last two stubs on one vertex): resample wholesale.
 
 
 # ---------------------------------------------------------------------------

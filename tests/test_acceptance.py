@@ -107,7 +107,8 @@ def test_criterion_3_bipartite_theorem():
         delta = k * (k - 1)
         for trial in range(50):
             side = delta + trial % 3
-            extra = 0 if side == delta else (trial % 4) * 2
+            # at most the side * (side - delta) non-edges that a delta-regular base leaves
+            extra = min((trial % 4) * 2, side * (side - delta))
             graph = random_min_degree_graph(
                 2 * side, delta, bipartite=True, seed=1000 * k + trial,
                 extra_edges=extra,

@@ -216,6 +216,17 @@ def test_construct_families(tmp_path):
     assert parse_graph(out.read_text()).min_degree() >= 4
 
 
+def test_construct_refuses_more_extra_edges_than_non_edges(tmp_path, capsys):
+    out = tmp_path / "k14.g"
+    code = main(
+        ["construct", "--family", "random", "--n", "14", "--delta", "13",
+         "--extra-edges", "1", "--output", str(out)]
+    )
+    assert code == 2
+    assert "only 0 non-edges exist" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_random_requires_parameters(tmp_path):
     code = main(
         ["construct", "--family", "random", "--output", str(tmp_path / "x.g")]

@@ -81,6 +81,64 @@ def test_generator_deterministic_replay():
     assert a.edges == b.edges
 
 
+#: n from 4 to 40 with every delta from 0 to n - 1 (0 to n/2 per side for
+#: bipartite graphs), so both the sparse pairings and their complements run.
+GENERAL_SIZES = (4, 5, 6, 7, 9, 12, 17, 25, 40)
+BIPARTITE_SIZES = (4, 6, 8, 12, 16, 24, 40)
+
+
+@pytest.mark.parametrize("bipartite", [False, True], ids=["general", "bipartite"])
+def test_generator_matches_the_reference_samplers(bipartite):
+    # The samplers skip the pairing of rounds that cannot add an edge but
+    # draw the same random numbers, so every graph equals the reference's,
+    # which pairs in all 50 rounds and re-validates through build_graph.
+    compared = 0
+    for n in BIPARTITE_SIZES if bipartite else GENERAL_SIZES:
+        slots = (n // 2) ** 2 if bipartite else n * (n - 1) // 2
+        for delta in range(n // 2 + 1 if bipartite else n):
+            for seed in range(5):
+                base = oracles.random_min_degree_graph_reference(n, delta, bipartite, seed)
+                assert random_min_degree_graph(n, delta, bipartite, seed) == base
+                extra = 1 + seed % 3
+                if extra > slots - base.edge_count:
+                    continue  # an InputError now; see the tests below
+                want = oracles.random_min_degree_graph_reference(
+                    n, delta, bipartite, seed, extra
+                )
+                assert want.edge_count == base.edge_count + extra  # no draw came up short
+                assert random_min_degree_graph(n, delta, bipartite, seed, extra) == want
+                compared += 1
+    assert compared > 250
+
+
+@pytest.mark.parametrize(
+    "n, delta, bipartite, extra, room",
+    [(14, 13, False, 1, 0), (12, 5, True, 11, 6), (12, 5, True, 7, 6)],
+)
+def test_generator_refuses_more_extra_edges_than_non_edges(n, delta, bipartite, extra, room):
+    # The reference returns K14 with 91 edges and a 36-edge bipartite graph.
+    with pytest.raises(InputError, match=f"only {room} non-edges exist"):
+        random_min_degree_graph(n, delta, bipartite=bipartite, seed=0, extra_edges=extra)
+    full = random_min_degree_graph(n, delta, bipartite=bipartite, seed=0, extra_edges=room)
+    assert full.edge_count == ((n // 2) ** 2 if bipartite else n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "n, delta, bipartite, seed, extra, short",
+    [(14, 12, False, 356, 7, 91), (40, 19, True, 1, 20, 400)],
+)
+def test_generator_places_an_extra_edge_after_500_missed_draws(
+    n, delta, bipartite, seed, extra, short
+):
+    # Both calls ask for every non-edge, so they make K14 and K_{20,20}.  All
+    # 500 draws for the last extra edge hit edges, so the reference returns
+    # one edge short; the generator then takes the one non-edge left.
+    want = oracles.random_min_degree_graph_reference(n, delta, bipartite, seed, extra)
+    g = random_min_degree_graph(n, delta, bipartite, seed, extra)
+    assert (want.edge_count, g.edge_count) == (short - 1, short)
+    assert set(want.edges) < set(g.edges)
+
+
 def test_generator_parameter_validation():
     with pytest.raises(InputError):
         random_min_degree_graph(4, 4)

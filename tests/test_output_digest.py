@@ -4,7 +4,9 @@
 the benchmark workloads' instances.  The digests below are its ``--reports``
 lines for seed 1 and for seeds 1 2 3 (the script's default); a change that
 is meant to leave every output as it is must keep them, and one that moves
-an output on purpose updates them and says why.
+an output on purpose updates them and says why.  The ``--inputs`` digests
+hash the instance texts the workloads generate; a change to the random
+generators that is meant to keep every graph keeps them.
 """
 
 import importlib.util
@@ -27,6 +29,12 @@ SEEDS_1_2_3_REPORTS = {
     "threshold_sweep": "37fb2156cd43cb9e561c7e87fd0330852ac3243dba4bfaa52c6fb2f653d60275",
 }
 
+SEEDS_1_2_3_INPUTS = {
+    "large_graphs": "934bec6f9038055e00e1322696fafc3dc6c5d4401979abbab2753eb822c60931",
+    "many_components": "d7534d4b20e9765e1ac34b1623a262ab996a0e5b2a47443380013aad03324029",
+    "threshold_sweep": "d3378d3e2c7d35785b7d204affb600bdf26a05d0cefbc7a1f5d3f16fab7be8e7",
+}
+
 
 def load_script():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
@@ -47,3 +55,10 @@ def test_seeds_1_2_3_output_digest_is_pinned(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     script = load_script()
     assert script.workload_digest(workload, [1, 2, 3], True) == SEEDS_1_2_3_REPORTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(SEEDS_1_2_3_INPUTS))
+def test_seeds_1_2_3_input_digest_is_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    script = load_script()
+    assert script.input_digest(workload, [1, 2, 3]) == SEEDS_1_2_3_INPUTS[workload]

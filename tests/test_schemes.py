@@ -187,6 +187,18 @@ def test_refined_bucket_components_hold_a_vertex_that_is_not_special(k, n):
     assert checked
 
 
+def test_refined_claim_check_names_the_least_failing_vertex_and_colour():
+    # Two stars K_{1,3}, centred at 3 and at 0, at one level: a centre
+    # (d_H = 3) may hold (3 - 1)/2 + 3/2 = 2.5 edges of a colour, a leaf 1.5.
+    stars = build_graph(8, [(3, 4), (3, 5), (3, 6), (0, 1), (0, 2), (0, 7)])
+    everything = range(6)
+    schemes._assert_refined_claim(stars, [3, 3, 2, 3, 3, 2], everything, 1, 3)
+    with pytest.raises(InternalInvariantError, match=r"vertex 0, colour 3: 3 > \(3-1\)/2"):
+        schemes._assert_refined_claim(stars, [2, 2, 2, 3, 3, 3], everything, 1, 3)
+    with pytest.raises(InternalInvariantError, match=r"vertex 3, colour 2: 3 > \(3-1\)/2"):
+        schemes._assert_refined_claim(stars, [2, 2, 2, 3, 3, 3], [0, 1, 2], 1, 3)
+
+
 def _count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` for the test; returns the list of its calls' arguments."""
     calls = []
