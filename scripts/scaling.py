@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time one layer as its input doubles in size.
 
-* ``eulersplit``: ``balanced_bicolouring`` on unions of K5.  Each K5 is
-  4-regular with 10 edges, so every component is walked as its own Euler
-  circuit.
+* ``eulersplit``: ``balanced_bicolouring`` on unions of K4 and K5 (one of
+  each per copy, 16 edges).  Every K4 vertex has degree 3, so one circuit
+  from the auxiliary vertex walks all the K4s; each K5 is 4-regular with 10
+  edges, and is walked as its own Euler circuit from its least vertex.
 * ``eliminate``: ``eliminate_bad_components`` on unions of K13.  An Euler
   split of K13 leaves two 6-regular colour classes with 39 edges each, both
   bad for the k=3 small-k scheme, and one flip per copy repairs them
@@ -141,7 +142,7 @@ def needy_clique(n):
 
 # layer -> (graph of a size, default sizes, size column, counted column, setup)
 LAYERS = {
-    "eulersplit": (cliques(5), [1000, 2000, 4000], "copies", None, eulersplit),
+    "eulersplit": (cliques(4, 5), [1000, 2000, 4000], "copies", None, eulersplit),
     "eliminate": (cliques(13), [25, 50, 100, 200], "copies", "flips", eliminate),
     "certify": (cliques(3), [1000, 2000, 4000, 8000], "t", "ledger", certify),
     "kernel": (

@@ -107,19 +107,10 @@ def _checked_edge_ids(graph: Graph, edges: Iterable[int]) -> list[int]:
 
 def components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    n = graph.vertex_count
-    return tuple(_components(graph.incident, graph.xor_ends, range(n), [False] * n))
-
-
-def _components(
-    incident: Sequence[Sequence[int]], ends: Sequence[int], roots: Iterable[int], seen: list[bool]
-) -> Iterator[tuple[int, ...]]:
-    """:func:`components` of the edges in ``incident[v]``, the graph's own or a
-    subset's ids at v, reached from ``roots`` in order; ``ends[e] ^ v`` is e's
-    far end, and a root no edge touches is a block of its own.  ``seen`` is
-    caller-owned, False at every vertex still to be placed, and is left True
-    at every vertex placed, so one list can serve several searches."""
-    for root in roots:
+    incident, ends = graph.incident, graph.xor_ends
+    seen = [False] * graph.vertex_count
+    found = []
+    for root in range(graph.vertex_count):
         if seen[root]:
             continue
         seen[root] = True
@@ -131,7 +122,8 @@ def _components(
                     seen[u] = True
                     block.append(u)
         block.sort()
-        yield tuple(block)
+        found.append(tuple(block))
+    return tuple(found)
 
 
 def is_bipartite(graph: Graph) -> bool:

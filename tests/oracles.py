@@ -13,11 +13,13 @@ zero-sum check ``_assert_zero_sums`` that a kernel direction passes, an
 exact push of one move, the condition-(ii) repair on its own, vertex sums and
 whole-graph Euler circuits.
 The sections before it check the refined scheme's bucket invariant at each
-Euler split the scheme makes, keep a labelled Euler split done one class at
-a time through ``edge_subgraph`` as a reference, check each move of the
-rounding kernel's Euler passes, and keep the exhaustive oracle's plain
-backtracking loop, the random generator's samplers that pair in every
-leftover round and the graph reader's line-by-line loop as references.
+Euler split the scheme makes, keep two references for a labelled Euler
+split (one class at a time through ``edge_subgraph``, and one walked by the
+reference Hierholzer walk, one circuit per class for its components with
+odd vertices), check each move of the rounding kernel's Euler passes, and
+keep the exhaustive oracle's plain backtracking loop, the random
+generator's samplers that pair in every leftover round and the graph
+reader's line-by-line loop as references.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from kmajority import (
+    BLUE,
+    RED,
     Bicolouring,
     EdgeColouring,
     FormatError,
@@ -765,6 +769,71 @@ def split_each_class(graph: Graph, admissible, labels: Sequence[int]) -> Bicolou
         for j, s in enumerate(alone.side):
             side[emap[j]] = s
         bad.extend((c, v) for _, v in alone.bad_vertices)
+    return Bicolouring(tuple(side), tuple(sorted(bad)))
+
+
+def euler_split_reference(graph: Graph, admissible=None, labels=None) -> Bicolouring:
+    """Reference Euler split, with ``balanced_bicolouring``'s contract, from
+    ``hierholzer_reference`` and a search of its own.
+
+    Each class in increasing order is walked on its own adjacency lists
+    (every edge is class 0 when ``labels`` is None).  One auxiliary vertex
+    n, joined to the class's odd-degree vertices in vertex order by edges
+    m, m+1, ..., is walked first, which covers every component that has an
+    odd vertex.  Then each component it did not reach, by least vertex, is
+    walked from its least vertex, or, when its edge count is odd, from its
+    least admissible vertex, its bad vertex.  Each circuit is red, blue, ...
+    from its first edge, and auxiliary edges are dropped.
+    """
+    m, n = graph.edge_count, graph.vertex_count
+    labels = [0] * m if labels is None else labels
+    side = [-1] * m
+    bad = []
+    for c in sorted(set(labels) - {-1}):
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for e, (u, v) in enumerate(graph.edges):
+            if labels[e] == c:
+                adjacency[u].append((v, e))
+                adjacency[v].append((u, e))
+        odd = [v for v in range(n) if len(adjacency[v]) % 2]
+        for e, v in enumerate(odd, m):
+            adjacency[v].append((n, e))
+            adjacency[n].append((v, e))
+        pointer, used = [0] * (n + 1), [False] * (m + len(odd))
+        circuits = [hierholzer_reference(adjacency, n, pointer, used)] if odd else []
+        seen = [False] * n
+        for e in circuits[0] if odd else ():
+            if e < m:
+                for v in graph.edges[e]:
+                    seen[v] = True
+        for root in range(n):
+            if seen[root] or not adjacency[root]:
+                continue
+            seen[root] = True
+            comp, stack = [], [root]
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for u, _ in adjacency[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        stack.append(u)
+            comp.sort()
+            start = comp[0]
+            if sum(len(adjacency[v]) for v in comp) // 2 % 2:
+                start = next(
+                    (v for v in comp if admissible is None or admissible(c, v, len(adjacency[v]))), -1
+                )
+                if start < 0:
+                    raise SelectorExhaustedError(
+                        f"no admissible bad vertex in the class-{c} component of {comp[0]}"
+                    )
+                bad.append((c, start))
+            circuits.append(hierholzer_reference(adjacency, start, pointer, used))
+        for circuit in circuits:
+            for i, e in enumerate(circuit):
+                if e < m:
+                    side[e] = BLUE if i % 2 else RED
     return Bicolouring(tuple(side), tuple(sorted(bad)))
 
 

@@ -1,8 +1,9 @@
+import inspect
 import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import strategies
 from kmajority import (
@@ -14,9 +15,11 @@ from kmajority import (
     balanced_bicolouring,
     build_graph,
     components,
+    eulersplit,
 )
+import kmajority.graph as graph_module
 from kmajority.graph import edge_subgraph
-from oracles import assert_balanced, side_counts, split_each_class
+from oracles import assert_balanced, euler_split_reference, side_counts, split_each_class
 
 
 def test_even_cycle_splits_exactly():
@@ -104,17 +107,45 @@ def test_split_is_deterministic(g):
 
 @given(strategies.disjoint_unions())
 @settings(max_examples=150)
-def test_union_split_is_the_split_of_each_component(g):
+def test_union_split_keeps_the_components_bad_vertices_and_even_splits(g):
+    # One circuit walks every component that has an odd vertex, so a union's
+    # split is not its components' splits; but a component whose degrees are
+    # all even is walked on its own, and only such components have a bad vertex.
     bic = balanced_bicolouring(g)
+    assert_balanced(g, bic)
     bad = []
     for comp in components(g):
         rank = {v: i for i, v in enumerate(comp)}
         comp_edges = sorted({e for v in comp for e in g.incident[v]})
         relabelled = [(rank[g.edges[e][0]], rank[g.edges[e][1]]) for e in comp_edges]
         alone = balanced_bicolouring(build_graph(len(comp), relabelled))
-        assert [bic.side[e] for e in comp_edges] == list(alone.side)
+        if all(g.degree(v) % 2 == 0 for v in comp):
+            assert [bic.side[e] for e in comp_edges] == list(alone.side)
         bad.extend((c, comp[i]) for c, i in alone.bad_vertices)
     assert bic.bad_vertices == tuple(sorted(bad))
+
+
+def test_a_split_runs_no_component_search(monkeypatch):
+    # Each call the split module makes into graph.py is counted, whatever the
+    # name it imported, and components is counted where it is defined too.
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        return wrapper
+
+    for name, value in vars(eulersplit).items():
+        if inspect.isfunction(value) and value.__module__ == graph_module.__name__:
+            monkeypatch.setattr(eulersplit, name, counted(name, value))
+    monkeypatch.setattr(graph_module, "components", counted("components", components))
+    # A triangle, a path, a 4-cycle and an isolated vertex.
+    g = build_graph(11, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (9, 6)])
+    balanced_bicolouring(g)
+    balanced_bicolouring(g, None, [0, 0, 1, 1, 0, 1, 1, 0, -1])
+    assert set(calls) == {"hierholzer_circuit"}
 
 
 def test_subset_split_marks_other_edges():
@@ -216,12 +247,35 @@ def test_labelled_split_is_the_split_of_each_class(g, admissible, data):
     assert _split_outcome(balanced_bicolouring, g, admissible, labels) == expected
 
 
+@st.composite
+def _labelled_graphs(draw):
+    g = draw(st.one_of(strategies.graphs(max_vertices=9, max_edges=20), strategies.disjoint_unions()))
+    return g, draw(st.one_of(st.none(), strategies.split_labels(g)))
+
+
+# One class: a triangle on 0, 1, 2, whose degrees are all even and whose
+# least vertex is not admissible under _odd_vertices, so its walk from 0 is
+# walked again from 1, and two paths, whose four odd ends share the
+# auxiliary vertex's circuit.
+_REWALK = (build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]), [3] * 5)
+
+
+@given(_labelled_graphs(), st.sampled_from([None, _odd_vertices, _high_degree, _class_parity]))
+@example(_REWALK, _odd_vertices)
+@settings(max_examples=300)
+def test_split_is_the_reference_split(graph_and_labels, admissible):
+    g, labels = graph_and_labels
+    expected = _split_outcome(euler_split_reference, g, admissible, labels)
+    assert _split_outcome(balanced_bicolouring, g, admissible, labels) == expected
+
+
 def test_a_path_of_one_class_per_edge_splits_in_linear_time():
     # 199,999 classes on 200,000 vertices: a table of classes by vertices
     # would hold 4e10 entries, and a per-class O(n) set-up would take hours.
-    # The split walks 199,999 one-edge components, a few microseconds each
-    # (about 0.9 s on a shared 2-core x86-64 host, Python 3.11); the bound
-    # leaves room for a slow spell of such a host.
+    # The split walks 199,999 one-edge classes, each in one circuit from the
+    # auxiliary vertex, a few microseconds each (about 0.8 s on a shared
+    # 2-core x86-64 host, Python 3.11); the bound leaves room for a slow
+    # spell of such a host.
     n = 200_000
     path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
     started = time.perf_counter()

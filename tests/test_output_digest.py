@@ -19,13 +19,13 @@ SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
     "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
-    "many_components": "870570b9eca99dbfec573db3902dc6a6d163e3721700c0daf6fa926a17e202f6",
+    "many_components": "ce0cf6dcff1e9d6a964d4a6da09665abddc8abd7fcb134ca222b275376415500",
     "threshold_sweep": "dad3e6f1da3ed711e3742dc11afebb54d893970dbb87fffd3fda2c8606a64dda",
 }
 
 SEEDS_1_2_3_REPORTS = {
     "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
-    "many_components": "29e3424e19e10c27eb5a29fb2dbb953716be0d99ccf1057cd146f27e499d0d4e",
+    "many_components": "8d698cad59141bedb5dfb2c093c8bef6dffd26d70d43bde88f486a434ebf1ef4",
     "threshold_sweep": "37fb2156cd43cb9e561c7e87fd0330852ac3243dba4bfaa52c6fb2f653d60275",
 }
 

@@ -279,7 +279,7 @@ def test_small_k3_colours_of_shuffled_clique_union_are_pinned():
     assert report.verdict.passed
     assert (
         hashlib.sha256(bytes(colouring.colours)).hexdigest()
-        == "37672534463c7f4586a3321dfbfad3b10e221412044f57d3dcd1187ee9a29cd3"
+        == "0125aefd56d374cb47938a7ec91a8988a5be1b5b6254c6d97218ccb72d80dfe4"
     )
 
 
