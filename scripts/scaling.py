@@ -41,10 +41,17 @@
   replaced by a K10 joined one-to-one to its 10 ends.  Each K10 vertex has
   degree 10 and needs 1, and no join can meet it, as the K10 is a clique:
   one gadget of 12 fresh vertices takes the 10 units with 71 edges,
-  whatever n is.
+  whatever n is.  No join is made, so no augmenting search runs.
+* ``lift_join``: the same reductions on ``copies`` disjoint copies of
+  ``random_min_degree_graph(14, 10, seed=7)`` (70 edges each), whose
+  vertices all need 1.  The greedy fill joins across copies and leaves one
+  adjacent pair short, which no trade of a single join can meet; one
+  augmenting search over about 7 joins per copy meets it by flipping two, so
+  no gadget is attached and each copy lifts to 77 edges.  A linear search
+  keeps the layer at about x2 per doubling.
 
-The first three layers and ``lift`` time disjoint unions of cliques as the
-copy count doubles, the other four a random graph as n doubles.  A linear layer grows
+The first three layers, ``lift`` and ``lift_join`` time disjoint unions as
+the copy count doubles, the other four a random graph as n doubles.  A linear layer grows
 about x2 per doubling.  Each of the N repeats times every size once, in
 turn, with the garbage collector off, so a swing in the host's speed hits
 all sizes of a repeat alike; the script prints each size's best time and
@@ -124,6 +131,13 @@ def cliques(*sizes):
     return lambda copies: clique_union(sizes, copies)
 
 
+def two_join_copies(copies: int):
+    """``copies`` disjoint copies of ``random_min_degree_graph(14, 10, seed=7)``."""
+    base = random_min_degree_graph(14, 10, seed=7)
+    n = base.vertex_count
+    return build_graph(n * copies, [(n * c + u, n * c + v) for c in range(copies) for u, v in base.edges])
+
+
 def needy_clique(n):
     """``random_min_degree_graph(n, 14, seed=1)`` with its first 5 disjoint
     edges replaced by a K10 on vertices n..n+9, the i-th joined to their
@@ -168,6 +182,7 @@ LAYERS = {
     ),
     "lift": (cliques(10, 20), [25, 50, 100, 200], "copies", "lifted", lift),
     "lift_clique": (needy_clique, [1000, 2000, 4000, 8000], "n", "lifted", lift),
+    "lift_join": (two_join_copies, [8, 16, 32, 64], "copies", "lifted", lift),
 }
 
 

@@ -8,8 +8,9 @@ A vertex of degree d in [k^2, 2k^2) needs t = (k-1-d) mod k more edges to
 reach S_k, and keeps its majority cap: floor((d+t)/k) = floor(d/k).
 :func:`split_high_degree` splits each vertex of degree >= 2k^2 into parts of
 degree in [k^2, 2k^2); :func:`raise_to_sk` joins non-adjacent vertices that
-both need degree, then meets what is left with fresh gadgets of at most
-k^2+k+1 vertices, whatever the input's size.  Each step keeps its input's
+both need degree, trades joins along augmenting paths where a vertex is left
+short, then meets what is left with fresh gadgets of at most k^2+k+1
+vertices, whatever the input's size.  Each step keeps its input's
 edge ids and appends its new edges, so
 :func:`pull_back_colouring` keeps the first m colours.  They stay valid: a
 colour's count at v in G is at most its count in the supergraph, which is at
@@ -20,7 +21,7 @@ most its own).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 from .colouring import EdgeColouring
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -89,13 +90,19 @@ def split_high_degree(graph: Graph, k: int) -> Graph:
 
 def _fill(order: list[int], need: list[int], graph: Graph) -> list[Edge]:
     """The edges joining non-adjacent vertices of ``order`` that both need
-    degree, each taken off ``need``: each vertex in turn takes the lowest
-    later listed vertices still in need and not its neighbours (a linked
-    list: O(n + m + nk)); those left short, pairwise adjacent and so fewer
-    than 2k^2, trade new edges for two (:func:`_swap_in`).
+    degree, each taken off ``need``.
+
+    First each vertex in turn takes the lowest later listed vertices still in
+    need and not its neighbours (a linked list: O(n + m + nk)).  Those left
+    short are pairwise adjacent, so fewer than 2k^2, with fewer than
+    2k^2(k-1) units of need.  Then each short vertex in order runs one
+    :func:`_augment` per unit it still needs, until one fails; a failed
+    search is not retried, and with no join made none runs.  A search costs
+    O(n + m) for a fixed k, so the fill stays linear.
     """
     incident, ends = graph.incident, graph.xor_ends
-    marked = [-1] * graph.vertex_count  # marked[u] == v: u is a neighbour of v
+    # marked[u] == v: u is a neighbour of v; :func:`_augment` reuses the list.
+    marked: list[object] = [-1] * graph.vertex_count
     new: list[Edge] = []
     after = list(range(1, len(order) + 1))  # after[i]: next listed position
     for i, v in enumerate(order):
@@ -115,51 +122,128 @@ def _fill(order: list[int], need: list[int], graph: Graph) -> list[Edge]:
                     continue
             prev, j = j, after[j]
     short = [v for v in order if need[v]]
-    if not short:
+    if not short or not new:
         return new
-    # Each short vertex's closed neighbourhood, new edges included.
-    near = {x: {x, *(ends[e] ^ x for e in incident[x])} for x in short}
-    for x, y in chain(new, (ab[::-1] for ab in new)):
-        if x in near:
-            near[x].add(y)
-    for v, u in product(short, repeat=2):
-        while need[v] and need[u] > (u == v) and _swap_in(new, near, v, u):
-            need[v] -= 1
-            need[u] -= 1
+    # Every listed vertex now has a join or is short; joined[v][w]: the place
+    # in ``new`` of the join vw.
+    joined: dict[int, dict[int, int]] = {v: {} for v in order}
+    for i, (v, w) in enumerate(new):
+        joined[v][w] = joined[w][v] = i
+    # Each short vertex with its neighbours and itself.
+    near = {t: {t, *[ends[e] ^ t for e in incident[t]]} for t in short}
+    for s in short:
+        while need[s] and _augment(s, order, need, new, joined, near, graph, marked):
+            pass
     return new
 
 
-def _swap_in(new: list[Edge], near: dict[int, set[int]], v: int, u: int) -> bool:
-    """Trade a new edge ab, a not near v and b not near u, for va and ub; whether
-    one was found.  Only edges at vertices near v or u, < k each, can fail."""
-    for i, ab in enumerate(new):
-        for a, b in (ab, ab[::-1]):
-            if a not in near[v] and b not in near[u] and a != u and b != v:
-                new[i] = (v, a)
-                new.append((u, b))
-                near[v].add(a)
-                near[u].add(b)
-                return True
+def _augment(s: int, order: list[int], need: list[int], new: list[Edge],
+             joined: dict[int, dict[int, int]], near: dict[int, set[int]], graph: Graph,
+             marked: list[object]) -> bool:
+    """Flip one alternating path s - a = b - ... - t and take a unit off the
+    need of s and of t; whether one was flipped.
+
+    "-" is a free pair (not adjacent, not joined) and "=" a join.  The path
+    ends at a short vertex t other than s, or at s while s needs 2.  It runs
+    breadth-first from s.  Each outer vertex b (s, or the far end of a join
+    from an inner vertex) stamps itself, its neighbours and its joins in
+    ``marked``, and takes as inner, in order, every listed vertex neither
+    stamped nor reached yet (a linked list), save the vertices that can end
+    a path.  Each inner vertex's joins lead to new outer vertices, and the
+    first one free to an end closes the path.  A vertex is inner at most once
+    and outer at most once, so a search costs O(n + m).  Flipping makes the
+    free pairs joins, each in the place of a dropped one; only s and t gain
+    degree.  A vertex reached from s first neither takes s as inner nor
+    closes a path at s, either of which would repeat the path's first pair;
+    a path that repeats another pair, through an odd cycle of joins, ends
+    the search.
+    """
+    incident, ends = graph.incident, graph.xor_ends
+    ends_at = [t for t in near if need[t] > (t == s)]
+    if not ends_at:  # s alone needs one more: no path can end
+        return False
+    end = len(order)
+    nxt = [*range(1, end + 1), 0]  # nxt[end] heads the unreached list
+    inner: dict[int, int] = {}  # inner vertex -> the outer vertex that reached it
+    outer = {s: s}  # outer vertex -> the inner vertex that reached it
+    first = {s: s}  # outer vertex -> the first inner vertex on its path
+    queue = [s]
+    for b in queue:
+        stamp = marked[b] = object()
+        for e in incident[b]:
+            marked[ends[e] ^ b] = stamp
+        for w in joined[b]:
+            marked[w] = stamp
+        if first[b] == b:  # b - s would repeat the path's first pair
+            marked[s] = stamp
+        prev, p = end, nxt[end]
+        while p < end:
+            a = order[p]
+            if marked[a] is stamp or need[a] > (a == s):
+                prev, p = p, nxt[p]
+                continue
+            nxt[prev] = p = nxt[p]
+            inner[a] = b
+            f = a if b == s else first[b]
+            for w in joined[a]:
+                if w in outer:
+                    continue
+                outer[w] = a
+                first[w] = f
+                for t in ends_at:
+                    if w not in near[t] and w not in joined[t] and (t != s or f != w):
+                        return _flip(s, w, t, need, new, joined, inner, outer)
+                queue.append(w)
     return False
+
+
+def _flip(s: int, w: int, t: int, need: list[int], new: list[Edge], joined: dict[int, dict[int, int]],
+          inner: dict[int, int], outer: dict[int, int]) -> bool:
+    """Flip the path s - ... = w - t that ``inner`` and ``outer`` record, unless
+    it repeats a pair; whether it was flipped.  Each free pair takes the place
+    in ``new`` of a dropped join, the last one a new place."""
+    free, drop = [(w, t)], []
+    while w != s:
+        a = outer[w]
+        drop.append((a, w))
+        w = inner[a]
+        free.append((w, a))
+    # A path with one join or none repeats no pair.
+    if len(drop) > 1 and len({frozenset(pair) for pair in free + drop}) < len(free) + len(drop):
+        return False
+    places = []
+    for a, b in drop:
+        places.append(joined[a].pop(b))
+        del joined[b][a]
+    places.append(len(new))
+    new.append(free[-1])
+    for i, (a, b) in zip(places, free):
+        new[i] = a, b
+        joined[a][b] = joined[b][a] = i
+    need[s] -= 1
+    need[t] -= 1
+    return True
 
 
 def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     """Lift every degree into S_k: join needy vertices, then attach gadgets.
 
     One :func:`_fill` joins needy, non-adjacent vertices over the whole graph
-    in vertex order (vertices of different components are never adjacent).
-    The T units of need it leaves sit at pairwise adjacent vertices, so T <
-    2k^2(k-1); they go, in vertex order, to fresh gadgets of at most k^2+k
-    attached vertices each, an even number a in all but the last.  A gadget
-    is K_N minus R, with D = k^2+k-1 (odd, in S_k) and N = D+1+(a mod 2): R
-    is a perfect matching of the attached vertices when a is even, and else
-    a path whose inner vertices are the attached ones plus a perfect matching
-    of the other N-a-2 (a < N).  Each attached vertex takes one edge from a
-    vertex left short, so every gadget vertex has degree D, and the lift has
-    m + (F + D G)/2 edges for a total need F and G gadget vertices, G at
-    most 101 (k = 4).  The input keeps its ids; joins, then gadgets follow.
-    A graph already in S_k comes back as the same object.  Restricted to
-    k <= 4.
+    in vertex order (vertices of different components are never adjacent),
+    then meets what need it can by augmenting paths over its joins
+    (:func:`_augment`), in linear time.  Need is left only where the total is
+    odd or where no path of that search reaches; the T units left sit at
+    pairwise adjacent vertices, so T < 2k^2(k-1).  They go, in vertex order,
+    to fresh gadgets of at most k^2+k attached vertices each, an even number
+    a in all but the last.  A gadget is K_N minus R, with D = k^2+k-1 (odd,
+    in S_k) and N = D+1+(a mod 2): R is a perfect matching of the attached
+    vertices when a is even, and else a path whose inner vertices are the
+    attached ones plus a perfect matching of the other N-a-2 (a < N).  Each
+    attached vertex takes one edge from a vertex left short, so every gadget
+    vertex has degree D, and the lift has m + (F + D G)/2 edges for a total
+    need F and G gadget vertices, G at most 101 (k = 4).  The input keeps its
+    ids; joins, then gadgets follow.  A graph already in S_k comes back as the
+    same object.  Restricted to k <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -188,7 +272,7 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
         edges.extend(zip(attached, range(base + odd, base + odd + a)))
         gadget = range(vertex_count - base)
         edges.extend((base + i, base + j) for i in gadget for j in gadget[i + 1 :] if j > i + 1 or i not in low)
-    # Joins and trades link non-adjacent vertices once each, and gadgets are fresh
+    # Joins link non-adjacent vertices once each, and gadgets are fresh
     # vertices, each attached once: simple by construction.
     lifted = _assemble(vertex_count, edges)
     if not set(sk_degrees(k)).issuperset(lifted.degrees()):

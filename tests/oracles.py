@@ -5,7 +5,8 @@ Everything here re-derives expected behaviour from first principles
 paths, so tests cross-check two independent routes: a colouring's colour
 counts per vertex, the general scheme's round bounds, a vertex splitting's
 origins and an S_k lift's contract are counted here from the graphs and the
-colouring, not read back from the library's results.  The last section holds
+colouring, not read back from the library's results; whether joins alone can
+meet an S_k lift's needs is settled by exhaustive search.  The last section holds
 the entry points into the library's rounding and Euler kernels that only the
 tests call: kernel and pendant directions, with the live adjacency, a
 move's coefficients and the edge removal they are built from and the
@@ -572,6 +573,50 @@ def lift_violations(graph: Graph, lifted: Graph, k: int) -> list[str]:
     if 2 * (lifted.edge_count - m) > sum(need) + fresh_max * (2 * ksq - 1):
         found.append(f"{lifted.edge_count} edges, above the bound")
     return found
+
+
+def full_join(graph: Graph, need: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+    """Joins that meet every need exactly, or None when there are none: pairs
+    of non-adjacent vertices, each pair used once, with each vertex v in
+    need[v] of them.  An exact backtracking search, for n <= 16: the least
+    vertex still in need is joined to each later one that can take a join in
+    turn, and a vertex with fewer possible partners than need fails at once.
+    """
+    n = graph.vertex_count
+    if n > 16:
+        raise ValueError(f"full_join is exhaustive, for n <= 16; got n = {n}")
+    if sum(need) % 2:
+        return None
+    blocked = [{v} for v in range(n)]  # each vertex, its neighbours and its joins
+    for u, v in graph.edges:
+        blocked[u].add(v)
+        blocked[v].add(u)
+    left, joins = list(need), []
+
+    def search() -> bool:
+        needy = [v for v in range(n) if left[v]]
+        if not needy:
+            return True
+        if any(left[v] > sum(u not in blocked[v] for u in needy) for v in needy):
+            return False
+        v = needy[0]
+        for u in needy[1:]:
+            if u not in blocked[v]:
+                blocked[v].add(u)
+                blocked[u].add(v)
+                left[v] -= 1
+                left[u] -= 1
+                joins.append((v, u))
+                if search():
+                    return True
+                joins.pop()
+                left[v] += 1
+                left[u] += 1
+                blocked[v].discard(u)
+                blocked[u].discard(v)
+        return False
+
+    return joins if search() else None
 
 
 def general_round_violations(

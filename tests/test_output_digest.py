@@ -19,14 +19,14 @@ SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
     "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
-    "many_components": "ce0cf6dcff1e9d6a964d4a6da09665abddc8abd7fcb134ca222b275376415500",
-    "threshold_sweep": "dad3e6f1da3ed711e3742dc11afebb54d893970dbb87fffd3fda2c8606a64dda",
+    "many_components": "4d96018909104517e598db92a17bb77bf557250c7843b77516db10e378f40c00",
+    "threshold_sweep": "9da4c5edcd37cf4dfa5a19483d3a97495273ae216a1d46ac147ae75a0c2edd65",
 }
 
 SEEDS_1_2_3_REPORTS = {
     "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
-    "many_components": "8d698cad59141bedb5dfb2c093c8bef6dffd26d70d43bde88f486a434ebf1ef4",
-    "threshold_sweep": "37fb2156cd43cb9e561c7e87fd0330852ac3243dba4bfaa52c6fb2f653d60275",
+    "many_components": "410072967738fbed14dbc508683f66b4e7ef4bc731410e02c0295527ec1f5600",
+    "threshold_sweep": "86dae661a2c72d456a8bb0722a00b8c5a9167c093f1e6b1852365ee8b1a7a860",
 }
 
 SEEDS_1_2_3_INPUTS = {

@@ -19,10 +19,11 @@ from kmajority import (
     pull_back_colouring,
     raise_to_sk,
     random_min_degree_graph,
+    reductions,
     sk_degrees,
     split_high_degree,
 )
-from oracles import lift_violations, neighbour_pairs, split_high_degree_reference, split_origin
+from oracles import full_join, lift_violations, neighbour_pairs, split_high_degree_reference, split_origin
 
 
 def complete_graph(n):
@@ -341,18 +342,22 @@ def test_fill_leaves_a_clique_as_it_is():
 
 
 def test_fill_of_a_near_clique_is_kept_before_an_even_gadget():
-    # K13 minus these pairs, at k=3: eleven vertices need 2.  The fill
-    # joins 7 pairs and leaves 8 units, pairwise adjacent, to one gadget of
-    # 12 vertices: (12*11 + 8)/2 = 70 edges.
+    # K13 minus these pairs, at k=3: eleven vertices need 2.  The greedy
+    # fill joins 7 pairs and leaves 8 units.  One search flips the path
+    # 11 - 2 = 1 - 9 = 0 - 12 (drops 1-2 and 0-9, joins 2-11, 1-9 and
+    # 0-12); 5, 6 and 8, pairwise adjacent, keep 2 units each, and no path
+    # reaches them.  Those 6 units go to one gadget of 12 vertices:
+    # (12*11 + 6)/2 = 69 edges.
     missing = {(0, 1), (0, 9), (0, 12), (1, 2), (1, 9), (2, 3), (2, 11), (3, 7), (3, 11),
                (4, 7), (7, 11), (9, 12), (10, 12)}
     g = build_graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
                          if (u, v) not in missing])
     out, trace = raise_to_sk(g, 3)
     assert lift_violations(g, out, 3) == []
-    assert _fill_edges(g, out) == [(0, 1), (0, 9), (1, 2), (2, 3), (3, 7), (7, 11), (9, 12)]
+    assert _fill_edges(g, out) == [(0, 1), (0, 12), (1, 9), (2, 3), (3, 7), (7, 11), (9, 12), (11, 2)]
+    assert _leftover_need(g, out) == [0, 0, 0, 0, 0, 2, 2, 0, 2, 0, 0, 0, 0]
     assert trace.copies == 1
-    assert (out.vertex_count, out.edge_count) == (25, 65 + 7 + 70)
+    assert (out.vertex_count, out.edge_count) == (25, 65 + 8 + 69)
 
 
 def test_fill_that_leaves_one_need_is_kept_before_an_odd_gadget():
@@ -368,6 +373,110 @@ def test_fill_that_leaves_one_need_is_kept_before_an_odd_gadget():
     assert _leftover_need(g, out) == [0, 0, 0, 0, 0, 1, 0]
     assert trace.copies == 1
     assert (out.vertex_count, out.edge_count) == (14, 15 + 2 + 18)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_lift_attaches_no_gadget_where_joins_alone_meet_every_need(d):
+    # n = 14 at k=3: a vertex of degree 9 needs 2, of degree 10 needs 1.
+    # Wherever an exact search finds joins that meet every need, the greedy
+    # fill and its augmenting paths find some too, and no gadget is needed.
+    for seed in range(1, 41):
+        g = random_min_degree_graph(14, d, seed=seed)
+        out, trace = raise_to_sk(g, 3)
+        assert lift_violations(g, out, 3) == []
+        if full_join(g, [(2 - x) % 3 for x in g.degrees()]) is not None:
+            assert trace.copies == 0, seed
+
+
+def test_a_lift_whose_only_augmenting_path_flips_two_joins(monkeypatch):
+    # random_min_degree_graph(14, 10, seed=7) at k=3: every vertex needs 1.
+    # The greedy fill makes 6 joins and leaves 10 and 12, which are adjacent.
+    # No join ab has a free to 10 and b free to 12, so no trade of one join
+    # meets them, but the path 10 - 3 = 7 - 5 = 9 - 12 does.
+    g = random_min_degree_graph(14, 10, seed=7)
+    adjacent = {frozenset(e) for e in g.edges}
+    out, trace = raise_to_sk(g, 3)
+    assert lift_violations(g, out, 3) == []
+    assert trace.copies == 0
+    assert _fill_edges(g, out) == [(0, 1), (2, 4), (7, 5), (9, 12), (6, 8), (11, 13), (10, 3)]
+    monkeypatch.setattr(reductions, "_augment", lambda *args: False)
+    greedy_out, _ = raise_to_sk(g, 3)
+    greedy = _fill_edges(g, greedy_out)
+    assert greedy == [(0, 1), (2, 4), (3, 7), (5, 9), (6, 8), (11, 13)]
+    assert [v for v, t in enumerate(_leftover_need(g, greedy_out)) if t] == [10, 12]
+    assert frozenset((10, 12)) in adjacent
+    assert not any({frozenset((10, a)), frozenset((b, 12))}.isdisjoint(adjacent)
+                   for ab in greedy for a, b in (ab, ab[::-1]))
+
+
+def _search_calls(monkeypatch, graph, k):
+    """The :func:`reductions._augment` calls of one lift, and the units of
+    need its greedy fill alone leaves (every search made to fail)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "_augment", lambda *args: False)
+        greedy_out, _ = raise_to_sk(graph, k)
+    calls = []
+    search = reductions._augment
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "_augment", counted)
+        out, _ = raise_to_sk(graph, k)
+    assert lift_violations(graph, out, k) == []
+    return len(calls), sum(_leftover_need(graph, greedy_out))
+
+
+def test_at_most_one_search_per_unit_the_greedy_fill_leaves(monkeypatch):
+    cases = [(random_min_degree_graph(14, d, seed=seed), 3) for d in (9, 10) for seed in range(1, 41)]
+    cases += [(_seeded_near_clique_union(k, seed), k) for k in (2, 3, 4) for seed in range(20)]
+    counts = [_search_calls(monkeypatch, g, k) for g, k in cases]
+    assert all(calls <= left for calls, left in counts)
+    assert any(calls for calls, _ in counts)
+
+
+def test_no_search_runs_without_a_join(monkeypatch):
+    # The needy K10 of the scaling script's lift_clique layer: its 10 units
+    # sit at pairwise adjacent vertices and the fill makes no join, so no
+    # search runs and one gadget takes them all.
+    g = strategies.join_needy_clique(random_min_degree_graph(200, 14, seed=1), 10)
+    assert _search_calls(monkeypatch, g, 3) == (0, 10)
+    assert _search_calls(monkeypatch, complete_graph(10), 3) == (0, 20)
+
+
+def test_one_search_meets_the_need_of_each_union_of_the_two_join_case(monkeypatch):
+    # The scaling script's lift_join layer: c copies of the seed-7 graph
+    # above.  The greedy fill joins across copies and leaves one pair short,
+    # which one search meets with no gadget, whatever c is.
+    base = random_min_degree_graph(14, 10, seed=7)
+    for c in (1, 2, 4, 8):
+        g = build_graph(14 * c, [(14 * i + u, 14 * i + v) for i in range(c) for u, v in base.edges])
+        assert _search_calls(monkeypatch, g, 3) == (1, 2)
+        out, trace = raise_to_sk(g, 3)
+        assert trace.copies == 0 and out.edge_count == 77 * c
+
+
+def test_a_path_that_repeats_a_pair_is_not_flipped(monkeypatch):
+    # At k=4 the search from 18, and then the one from 20, first closes the
+    # path 18 - 4 = 12 - 8 = 22 - 12 = 4 - 20 (or its reverse), which runs
+    # round an odd cycle and uses the join 4 = 12 twice: flipping it would
+    # drop that join twice.  Neither is flipped, and the two units go to a
+    # gadget.
+    g = random_min_degree_graph(23, 17, seed=957, extra_edges=12)
+    flips = []
+    flip = reductions._flip
+
+    def recorded(s, w, t, *args):
+        flips.append((s, t, flip(s, w, t, *args)))
+        return flips[-1][-1]
+
+    monkeypatch.setattr(reductions, "_flip", recorded)
+    out, trace = raise_to_sk(g, 4)
+    assert lift_violations(g, out, 4) == []
+    assert (18, 20, False) in flips and (20, 18, False) in flips
+    assert trace.copies == 1
 
 
 def test_raise_preconditions_and_size_guard():

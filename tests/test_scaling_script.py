@@ -12,7 +12,8 @@ SCRIPT = ROOT / "scripts" / "scaling.py"
 
 
 @pytest.mark.parametrize(
-    "layer", ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift", "lift_clique"]
+    "layer",
+    ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift", "lift_clique", "lift_join"],
 )
 def test_scaling_script_prints_one_row_per_size(layer):
     # kernel, smallk, parse and lift_clique sizes are vertex counts, and
