@@ -94,11 +94,12 @@ def _fill(order: list[int], need: list[int], graph: Graph) -> list[Edge]:
 
     First each vertex in turn takes the lowest later listed vertices still in
     need and not its neighbours (a linked list: O(n + m + nk)).  Those left
-    short are pairwise adjacent, so fewer than 2k^2, with fewer than
-    2k^2(k-1) units of need.  Then each short vertex in order runs one
-    :func:`_augment` per unit it still needs, until one fails; a failed
-    search is not retried, and with no join made none runs.  A search costs
-    O(n + m) for a fixed k, so the fill stays linear.
+    short are pairwise adjacent or joined, so fewer than 2k^2 (the first of
+    them is adjacent or joined to all the others, and its degree plus need is
+    below 2k^2), with fewer than 2k^2(k-1) units of need.  Then each short
+    vertex in order runs one :func:`_augment` per unit it still needs, until
+    one fails; a failed search is not retried, and with no join made none
+    runs.  A search costs O(n + m) for a fixed k, so the fill stays linear.
     """
     incident, ends = graph.incident, graph.xor_ends
     # marked[u] == v: u is a neighbour of v; :func:`_augment` reuses the list.
@@ -233,17 +234,17 @@ def raise_to_sk(graph: Graph, k: int) -> tuple[Graph, LiftTrace]:
     then meets what need it can by augmenting paths over its joins
     (:func:`_augment`), in linear time.  Need is left only where the total is
     odd or where no path of that search reaches; the T units left sit at
-    pairwise adjacent vertices, so T < 2k^2(k-1).  They go, in vertex order,
-    to fresh gadgets of at most k^2+k attached vertices each, an even number
-    a in all but the last.  A gadget is K_N minus R, with D = k^2+k-1 (odd,
-    in S_k) and N = D+1+(a mod 2): R is a perfect matching of the attached
-    vertices when a is even, and else a path whose inner vertices are the
-    attached ones plus a perfect matching of the other N-a-2 (a < N).  Each
-    attached vertex takes one edge from a vertex left short, so every gadget
-    vertex has degree D, and the lift has m + (F + D G)/2 edges for a total
-    need F and G gadget vertices, G at most 101 (k = 4).  The input keeps its
-    ids; joins, then gadgets follow.  A graph already in S_k comes back as the
-    same object.  Restricted to k <= 4.
+    pairwise adjacent or joined vertices, so T < 2k^2(k-1).  They go, in
+    vertex order, to fresh gadgets of at most k^2+k attached vertices each, an
+    even number a in all but the last.  A gadget is K_N minus R, with D =
+    k^2+k-1 (odd, in S_k) and N = D+1+(a mod 2): R is a perfect matching of
+    the attached vertices when a is even, and else a path whose inner
+    vertices are the attached ones plus a perfect matching of the other N-a-2
+    (a < N).  Each attached vertex takes one edge from a vertex left short, so
+    every gadget vertex has degree D, and the lift has m + (F + D G)/2 edges
+    for a total need F and G gadget vertices, G at most 101 (k = 4).  The
+    input keeps its ids; joins, then gadgets follow.  A graph already in S_k
+    comes back as the same object.  Restricted to k <= 4.
     """
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
