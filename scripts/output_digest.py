@@ -7,11 +7,12 @@ and the instance's scheme (forced, or ``colour_auto``) is called.  The
 digest covers, per instance in order, its label, k, scheme and the canonical
 colouring file (``format_colouring``), or ``none`` when the dispatcher finds
 no applicable scheme; the oracle fallback is not run.  With ``--reports``
-it also covers each scheme's per-round statistics (``RoundStat``): weight,
-class size, maximum class and residual degrees, both slacks and the rounding
-ledger.  Two checkouts whose outputs are byte-identical print the same lines,
-so running the script in both is the byte-identity check of a change that
-must not move any output.
+it also covers what the CLI's ``--report`` prints of each scheme report: its
+``params`` (levels, head rounds, weights) and its ``rounds`` (per round the
+weight, class size and rounding ledger), as one sorted-key JSON line.  Two
+checkouts whose outputs are byte-identical print the same lines, so running
+the script in both is the byte-identity check of a change that must not move
+any output.
 
 ``--inputs`` hashes the inputs instead: per instance in order, its label, k,
 scheme and the instance text that ``perfbench.workloads.build`` generates
@@ -28,6 +29,7 @@ checkout that holds this script:
 
 import argparse
 import hashlib
+import json
 import pathlib
 import sys
 
@@ -35,13 +37,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("large_graphs", "many_components", "threshold_sweep")
 
 
-def rounds_text(report) -> str:
-    """One line per stripping round of a scheme report."""
-    return "".join(
-        f"round {r.index} {r.weight} {r.class_size} {r.max_class_degree} "
-        f"{r.max_residual_degree} {r.class_slack} {r.residual_slack} {r.exceptional}\n"
-        for r in report.rounds
-    )
+def report_text(report) -> str:
+    """The ``params`` and ``rounds`` of a scheme report, as the CLI prints them."""
+    printed = {"params": report.params_json(), "rounds": report.rounds_json()}
+    return json.dumps(printed, sort_keys=True)
 
 
 def workload_digest(workload: str, seeds: list[int], reports: bool) -> str:
@@ -55,7 +54,7 @@ def workload_digest(workload: str, seeds: list[int], reports: bool) -> str:
             found, report = getattr(schemes, inst.scheme)(graph, inst.k)
             output = "none\n" if found is None else graphio.format_colouring(found)
             if reports:
-                output += rounds_text(report)
+                output += report_text(report)
             digest.update(f"{inst.label} {inst.k} {inst.scheme}\n{output}".encode())
     return digest.hexdigest()
 
@@ -75,7 +74,9 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     what = parser.add_mutually_exclusive_group()
-    what.add_argument("--reports", action="store_true", help="also hash the per-round statistics")
+    what.add_argument(
+        "--reports", action="store_true", help="also hash each report's printed params and rounds"
+    )
     what.add_argument(
         "--inputs", action="store_true", help="hash the generated instance texts, not the outputs"
     )

@@ -18,13 +18,7 @@ from .errors import (
     SelectorExhaustedError,
 )
 from .eulersplit import BLUE, RED, Bicolouring, balanced_bicolouring
-from .graph import (
-    Graph,
-    build_graph,
-    components,
-    edge_subgraph,
-    is_bipartite,
-)
+from .graph import Graph, build_graph, is_bipartite
 from .graphio import (
     format_colouring,
     format_graph,

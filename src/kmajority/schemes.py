@@ -37,15 +37,11 @@ from .rounding import round_weights
 
 @dataclass(frozen=True)
 class RoundStat:
-    """Per-round degree statistics of one weighted stripping round."""
+    """One weighted stripping round, as the report prints it."""
 
     index: int
     weight: Fraction
     class_size: int
-    max_class_degree: int
-    max_residual_degree: int
-    class_slack: Optional[Fraction] = None  # None where the scheme asserts no bound
-    residual_slack: Optional[Fraction] = None
     exceptional: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
@@ -111,20 +107,25 @@ def _finish(graph: Graph, colours: Sequence[int], report: SchemeReport) -> Schem
     return colouring, replace(report, verdict=verdict)
 
 
-def _strip_round(
-    graph: Graph, remaining: list[int], weight: Fraction
-) -> tuple[list[int], list[int], tuple]:
-    """One application of the rounding lemma with a constant weight.
-
-    Rounds the edge subset ``remaining`` of ``graph`` in place of a derived
-    subgraph; returns (chosen edges, residual edges, ledger), all in the
-    graph's own ids.
+def _strip_rounds(
+    graph: Graph, weights: Sequence[Fraction], round_colours: Sequence[int], colours: list[int]
+) -> tuple[list[int], tuple[RoundStat, ...]]:
+    """Weighted stripping rounds, each one application of the rounding lemma:
+    round i rounds the edges that earlier rounds left, with constant weight
+    ``weights[i-1]``, and writes ``round_colours[i-1]`` into ``colours`` on the
+    edges it chose.  Returns the edges no round chose and the round statistics.
     """
-    result = round_weights(graph, [weight] * graph.edge_count, remaining)
-    x = result.x
-    chosen = [e for e in remaining if x[e] == 1]
-    residual = [e for e in remaining if x[e] == 0]
-    return chosen, residual, result.exceptional
+    remaining = list(range(graph.edge_count))
+    stats: list[RoundStat] = []
+    for i, (weight, colour) in enumerate(zip(weights, round_colours), start=1):
+        result = round_weights(graph, [weight] * graph.edge_count, remaining)
+        x = result.x
+        chosen = [e for e in remaining if x[e] == 1]
+        remaining = [e for e in remaining if x[e] == 0]
+        for e in chosen:
+            colours[e] = colour
+        stats.append(RoundStat(i, weight, len(chosen), result.exceptional))
+    return remaining, tuple(stats)
 
 
 def _degree_in(graph: Graph, edges: Sequence[int]) -> list[int]:
@@ -138,56 +139,36 @@ def _degree_in(graph: Graph, edges: Sequence[int]) -> list[int]:
 
 def _general_rounds(
     graph: Graph, k: int, round_count: int, colours: list[int]
-) -> tuple[list[int], list[RoundStat], tuple[Fraction, ...]]:
+) -> tuple[list[int], tuple[RoundStat, ...], tuple[Fraction, ...]]:
     """First ``round_count`` weighted rounds of the general scheme at the
     graph's minimum degree delta; round i writes colour i into ``colours``.
 
-    Asserts, exactly over integers and for every vertex v with d(v) = beta*delta:
-    the class degree stays <= beta*delta/k and the residual degree stays
-    <= beta*(delta - i*(delta/k - 2)).  Returns the residual edges, the
-    per-round statistics and the weights.
+    Asserts, exactly over integers and for every vertex v with d(v) = beta*delta,
+    that the class degree stays <= beta*delta/k and the residual degree <=
+    beta*(delta - i*(delta/k - 2)), recounting both from ``colours``, where
+    the edges the rounds leave hold 0 or k + 1.  Returns the residual edges,
+    the per-round statistics and the weights.
     """
     delta = graph.min_degree()
     alphas = general_alphas(delta, k)[:round_count]
-    degrees = graph.degrees()
+    leftover, stats = _strip_rounds(graph, alphas, range(1, round_count + 1), colours)
+    counts = [0] * (graph.vertex_count * round_count)  # at v * round_count + i - 1
+    for (u, v), colour in zip(graph.edges, colours):
+        if 0 < colour <= round_count:
+            counts[u * round_count + colour - 1] += 1
+            counts[v * round_count + colour - 1] += 1
     kd = k * delta
-    remaining = list(range(graph.edge_count))
-    residual_deg: Sequence[int] = degrees
-    stats: list[RoundStat] = []
-    for i, alpha in enumerate(alphas, start=1):
-        chosen, remaining, ledger = _strip_round(graph, remaining, alpha)
-        class_deg = _degree_in(graph, chosen)
-        residual_deg = [r - c for r, c in zip(residual_deg, class_deg)]
-        # Both bounds over integers, cross-multiplied by k and by k*delta:
-        # beta*delta/k = d/k, and beta*(delta - i*(delta/k - 2)) =
-        # d*(k*delta - i*delta + 2ik)/(k*delta).
-        budget = kd - i * delta + 2 * i * k
-        class_num = max((k * c - d for c, d in zip(class_deg, degrees)), default=0)
-        residual_num = max(
-            (kd * r - d * budget for r, d in zip(residual_deg, degrees)), default=0
-        )
-        class_slack = Fraction(max(0, class_num), k)
-        residual_slack = Fraction(max(0, residual_num), kd)
-        if class_num > 0 or residual_num > 0:
-            raise InternalInvariantError(
-                f"round {i} degree bound violated "
-                f"(class slack {class_slack}, residual slack {residual_slack})"
-            )
-        for e in chosen:
-            colours[e] = i
-        stats.append(
-            RoundStat(
-                index=i,
-                weight=alpha,
-                class_size=len(chosen),
-                max_class_degree=max(class_deg, default=0),
-                max_residual_degree=max(residual_deg, default=0),
-                class_slack=class_slack,
-                residual_slack=residual_slack,
-                exceptional=ledger,
-            )
-        )
-    return remaining, stats, alphas
+    for v, d in enumerate(graph.degrees()):
+        residual = d
+        for i, count in enumerate(counts[v * round_count : (v + 1) * round_count], start=1):
+            residual -= count
+            # beta*delta/k = d/k; beta*(delta - i*(delta/k - 2)) = d*(kd - i*delta + 2ik)/kd
+            if k * count > d or kd * residual > d * (kd - i * delta + 2 * i * k):
+                raise InternalInvariantError(
+                    f"round {i} degree bound fails at vertex {v}: class degree {count}, "
+                    f"residual degree {residual}, degree {d}"
+                )
+    return leftover, stats, alphas
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +186,11 @@ def colour_bipartite(graph: Graph, k: int) -> SchemeOutcome:
     """
     _require("bipartite", graph, k)
     colours = [1] * graph.edge_count
-    remaining = list(range(graph.edge_count))
-    residual_deg: Sequence[int] = graph.degrees()
-    stats: list[RoundStat] = []
-    for i in range(k + 1, 1, -1):
-        weight = Fraction(1, i)
-        chosen, remaining, ledger = _strip_round(graph, remaining, weight)
-        if ledger:
-            raise InternalInvariantError("bipartite rounding produced exceptional vertices")
-        for e in chosen:
-            colours[e] = i
-        class_deg = _degree_in(graph, chosen)
-        residual_deg = [r - c for r, c in zip(residual_deg, class_deg)]
-        stats.append(
-            RoundStat(
-                index=k + 2 - i,
-                weight=weight,
-                class_size=len(chosen),
-                max_class_degree=max(class_deg, default=0),
-                max_residual_degree=max(residual_deg, default=0),
-            )
-        )
     alphas = tuple(Fraction(1, i) for i in range(k + 1, 1, -1))
-    return _finish(graph, colours, SchemeReport("bipartite", k, alphas=alphas, rounds=tuple(stats)))
+    _, stats = _strip_rounds(graph, alphas, range(k + 1, 1, -1), colours)
+    if any(r.exceptional for r in stats):
+        raise InternalInvariantError("bipartite rounding produced exceptional vertices")
+    return _finish(graph, colours, SchemeReport("bipartite", k, alphas=alphas, rounds=stats))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +207,7 @@ def colour_general_2k2(graph: Graph, k: int) -> SchemeOutcome:
     _require("general", graph, k)
     colours = [k + 1] * graph.edge_count
     _, stats, alphas = _general_rounds(graph, k, k, colours)
-    return _finish(graph, colours, SchemeReport("general", k, alphas=alphas, rounds=tuple(stats)))
+    return _finish(graph, colours, SchemeReport("general", k, alphas=alphas, rounds=stats))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +262,7 @@ def colour_refined(graph: Graph, k: int) -> SchemeOutcome:
 
     _assert_refined_claim(graph, colours, leftover, n_levels, k + 1)
     report = SchemeReport(
-        "refined", k, levels=n_levels, head_rounds=m_rounds, alphas=alphas, rounds=tuple(stats)
+        "refined", k, levels=n_levels, head_rounds=m_rounds, alphas=alphas, rounds=stats
     )
     return _finish(graph, colours, report)
 

@@ -48,11 +48,10 @@ from kmajority import (
     SelectorExhaustedError,
     balanced_bicolouring,
     build_graph,
-    components,
     rounding,
     schemes,
 )
-from kmajority.graph import edge_subgraph, hierholzer_circuit
+from kmajority.graph import components, edge_subgraph, hierholzer_circuit
 from kmajority.graphio import _check_vertex_bound, _read_header
 from kmajority.rounding import (
     _TERMINAL,

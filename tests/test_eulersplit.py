@@ -14,11 +14,10 @@ from kmajority import (
     SelectorExhaustedError,
     balanced_bicolouring,
     build_graph,
-    components,
     eulersplit,
 )
 import kmajority.graph as graph_module
-from kmajority.graph import edge_subgraph
+from kmajority.graph import components, edge_subgraph
 from oracles import assert_balanced, euler_split_reference, side_counts, split_each_class
 
 

@@ -10,11 +10,10 @@ from kmajority import (
     PreconditionError,
     build_graph,
     check_majority,
-    components,
     general_lower_bound,
     is_bipartite,
 )
-from kmajority.graph import edge_subgraph, hierholzer_circuit
+from kmajority.graph import components, edge_subgraph, hierholzer_circuit
 from kmajority.graphio import format_graph, parse_graph
 from kmajority.reductions import raise_to_sk, split_high_degree
 from oracles import (

@@ -1,10 +1,11 @@
 """Scheme outputs stay byte-identical to the pinned digests.
 
-``scripts/output_digest.py`` hashes every colouring and per-round report of
-the benchmark workloads' instances.  The digests below are its ``--reports``
-lines for seed 1 and for seeds 1 2 3 (the script's default); a change that
-is meant to leave every output as it is must keep them, and one that moves
-an output on purpose updates them and says why.  The ``--inputs`` digests
+``scripts/output_digest.py`` hashes every colouring of the benchmark
+workloads' instances and, with ``--reports``, the ``params`` and ``rounds``
+that the CLI's ``--report`` prints of each scheme report.  The digests below
+are its ``--reports`` lines for seed 1 and for seeds 1 2 3 (the script's
+default); a change that is meant to leave every output as it is must keep
+them, and one that moves an output on purpose updates them and says why.  The ``--inputs`` digests
 hash the instance texts the workloads generate; a change to the random
 generators that is meant to keep every graph keeps them.
 """
@@ -18,15 +19,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
-    "large_graphs": "f572bf0766e6086b4cab6c3fb0c3648fe0e65998304cf93e2d8ca7d9787239ff",
-    "many_components": "4d96018909104517e598db92a17bb77bf557250c7843b77516db10e378f40c00",
-    "threshold_sweep": "9da4c5edcd37cf4dfa5a19483d3a97495273ae216a1d46ac147ae75a0c2edd65",
+    "large_graphs": "3051087a26dfd119d37dcd4e9419f359441606785fe0c90e2f87bb6e57d568e2",
+    "many_components": "45ac6906b571058d0b2544e23f554b08e5e03767ff280f87914a1d763c90ba13",
+    "threshold_sweep": "8d1ead495a6602ccf09c4ccc7f779f12b771c208d8d3da6b5f08e3821176cb41",
 }
 
 SEEDS_1_2_3_REPORTS = {
-    "large_graphs": "f37141871cebd63ec5cbc5d6a0c43ba09c258be50161df658e44b0b9e1c78b14",
-    "many_components": "410072967738fbed14dbc508683f66b4e7ef4bc731410e02c0295527ec1f5600",
-    "threshold_sweep": "86dae661a2c72d456a8bb0722a00b8c5a9167c093f1e6b1852365ee8b1a7a860",
+    "large_graphs": "b021831bbd42053b6656bc8d3a0aac8e13c86457141bbdaeb8c0138f19c5c048",
+    "many_components": "0670e8e603e1d87fe2ea45c99960a9660edc15bbbb673168d4822a01513340b0",
+    "threshold_sweep": "17fdd9679a4b1914902a6a18fa565f9b400e6c31971e09dcfc68a3a2804e12e4",
 }
 
 SEEDS_1_2_3_INPUTS = {

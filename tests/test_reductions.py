@@ -15,7 +15,6 @@ from kmajority import (
     check_majority,
     colour_sk_graph,
     colour_small_k,
-    components,
     pull_back_colouring,
     raise_to_sk,
     random_min_degree_graph,
@@ -23,6 +22,7 @@ from kmajority import (
     sk_degrees,
     split_high_degree,
 )
+from kmajority.graph import components
 from oracles import full_join, lift_violations, neighbour_pairs, split_high_degree_reference, split_origin
 
 

@@ -14,12 +14,12 @@ from kmajority import (
     InputError,
     InternalInvariantError,
     build_graph,
-    edge_subgraph,
     is_bipartite,
     random_min_degree_graph,
     round_weights,
     rounding,
 )
+from kmajority.graph import edge_subgraph
 from kmajority.rounding import _certify_int, _int_sums, _Kernel
 from oracles import (
     enforce_condition_ii,

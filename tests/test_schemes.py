@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from kmajority import (
     InputError,
     InternalInvariantError,
     PreconditionError,
+    RoundStat,
     SelectorExhaustedError,
     balanced_bicolouring,
     build_graph,
@@ -122,6 +124,62 @@ def test_general_on_random_graph():
 def test_general_requires_2k2():
     with pytest.raises(PreconditionError):
         colour_general_2k2(complete_graph(8), 2)
+
+
+# --------------------------------------------------------------------------
+# weighted stripping rounds (bipartite, general and refined schemes)
+# --------------------------------------------------------------------------
+
+
+def test_bipartite_refuses_a_rounding_ledger(monkeypatch):
+    # Bipartite roundings have no odd cycle, so a ledger entry is a breach;
+    # the colouring would still verify, as the injected entry changes no edge.
+    real = schemes.round_weights
+
+    def with_ledger(graph, weights, edges=None):
+        return dataclasses.replace(real(graph, weights, edges), exceptional=((0, (0, 1, 2)),))
+
+    monkeypatch.setattr(schemes, "round_weights", with_ledger)
+    with pytest.raises(InternalInvariantError, match="bipartite rounding produced exceptional"):
+        colour_bipartite(complete_bipartite(6, 6), 2)
+
+
+@pytest.mark.parametrize("weight", [Fraction(1), Fraction(1, 1000)], ids=["class", "residual"])
+@pytest.mark.parametrize(
+    "colour, graph, k",
+    [
+        (colour_general_2k2, complete_graph(9), 2),
+        (colour_refined, random_min_degree_graph(48, 45, seed=2), 5),
+    ],
+    ids=["general", "refined"],
+)
+def test_weighted_rounds_assert_both_round_bounds(monkeypatch, colour, graph, k, weight):
+    # Weight 1 puts every edge into round 1's class: k * count_1(v) = k * d(v) > d(v).
+    # Weight 1/1000 leaves nearly every edge, more than the residual bound
+    # d(v) * (k*delta - delta + 2k) / (k*delta) allows on these graphs.
+    # The match tells these raises from the final verification's.
+    monkeypatch.setattr(schemes, "general_alphas", lambda delta, k: (weight,) * k)
+    with pytest.raises(InternalInvariantError, match="round 1 degree bound fails at vertex 0"):
+        colour(graph, k)
+
+
+@pytest.mark.parametrize(
+    "colour, graph, k, round_colour",
+    [
+        (colour_bipartite, complete_bipartite(6, 6), 3, lambda i, k: k + 2 - i),
+        (colour_general_2k2, complete_graph(9), 2, lambda i, k: i),
+        (colour_refined, random_min_degree_graph(48, 45, seed=2), 5, lambda i, k: i),
+    ],
+    ids=["bipartite", "general", "refined"],
+)
+def test_round_records_hold_what_the_report_prints(colour, graph, k, round_colour):
+    colouring, report = colour(graph, k)
+    fields = {field.name for field in dataclasses.fields(RoundStat)}
+    printed = report.rounds_json()
+    assert len(printed) == len(report.rounds) == len(report.alphas) > 0
+    for stat, entry in zip(report.rounds, printed):
+        assert set(entry) == fields
+        assert stat.class_size == colouring.colours.count(round_colour(stat.index, k))
 
 
 # --------------------------------------------------------------------------
