@@ -23,8 +23,8 @@
   ``random_min_degree_graph(n, 16, seed=1)``, which is 16-regular with 8n
   edges.  Every vertex needs 3 more edges to reach S_4; at the default sizes
   ``raise_to_sk`` finds them all among the graph's own non-edges, so no
-  gadget is attached.  The column ``lifted`` counts the edges of the graph
-  that ``colour_sk_graph`` colours.
+  gadget is attached.  The column ``lifted`` counts the edges of the
+  lifted graph that ``colour_small_k`` colours.
 * ``parse``: ``parse_graph`` of ``format_graph(random_min_degree_graph(n, 18,
   seed=1))``, the text of the ``kernel`` graph, 9n edge lines.
 * ``lift``: ``raise_to_sk(split_high_degree(g, 3), 3)``, the S_3
@@ -49,13 +49,19 @@
   augmenting search over about 7 joins per copy meets it by flipping two, so
   no gadget is attached and each copy lifts to 77 edges.  A linear search
   keeps the layer at about x2 per doubling.
+* ``dense_extra``: ``random_min_degree_graph(n, n - 6, seed=1,
+  extra_edges=free - 5)``, the sampler itself, asked for all but 5 of the
+  ``free`` non-edges its base graph leaves.  The last extra edges miss all
+  500 of their draws and are picked from the sorted non-edges, which are
+  listed once; the column ``extra`` counts the extra edges.  The layer
+  grows with the n^2/2 edges, about x4 per doubling of n.
 
 The first three layers, ``lift`` and ``lift_join`` time disjoint unions as
-the copy count doubles, the other four a random graph as n doubles.  A linear layer grows
-about x2 per doubling.  Each of the N repeats times every size once, in
-turn, with the garbage collector off, so a swing in the host's speed hits
-all sizes of a repeat alike; the script prints each size's best time and
-its ratio to the previous size's.
+the copy count doubles, the other five a random graph as n doubles.  A
+linear layer grows about x2 per doubling.  Each of the N repeats times
+every size once, in turn, with the garbage collector off, so a swing in the
+host's speed hits all sizes of a repeat alike; the script prints each
+size's best time and its ratio to the previous size's.
 """
 
 import argparse
@@ -127,6 +133,17 @@ def lift(graph):
     return lambda: raise_to_sk(split_high_degree(graph, 3), 3), lifted.edge_count
 
 
+def dense_extra_args(n: int) -> dict:
+    """``random_min_degree_graph``'s arguments for the ``dense_extra`` graph on n vertices."""
+    free = n * (n - 1) // 2 - random_min_degree_graph(n, n - 6, seed=1).edge_count
+    return dict(n=n, min_degree=n - 6, seed=1, extra_edges=free - 5)
+
+
+def dense_extra(graph):
+    args = dense_extra_args(graph.vertex_count)
+    return lambda: random_min_degree_graph(**args), args["extra_edges"]
+
+
 def cliques(*sizes):
     return lambda copies: clique_union(sizes, copies)
 
@@ -183,6 +200,13 @@ LAYERS = {
     "lift": (cliques(10, 20), [25, 50, 100, 200], "copies", "lifted", lift),
     "lift_clique": (needy_clique, [1000, 2000, 4000, 8000], "n", "lifted", lift),
     "lift_join": (two_join_copies, [8, 16, 32, 64], "copies", "lifted", lift),
+    "dense_extra": (
+        lambda n: random_min_degree_graph(**dense_extra_args(n)),
+        [100, 200, 400, 800],
+        "n",
+        "extra",
+        dense_extra,
+    ),
 }
 
 
@@ -191,7 +215,8 @@ def main() -> int:
     parser.add_argument("layer", choices=LAYERS)
     parser.add_argument(
         "--sizes", type=int, nargs="+",
-        help="copy counts, or vertex counts for kernel, smallk, parse and lift_clique (default per layer)",
+        help="copy counts, or vertex counts for kernel, smallk, parse, lift_clique and dense_extra"
+        " (default per layer)",
     )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()

@@ -11,6 +11,7 @@ infeasibility exactly at desk scale.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,13 +104,15 @@ def _add_non_edges(
     range(size)``: any pair of ``range(size)`` at offset 0, a left-right
     pair at offset ``size``.  An edge takes the first of 500 draws that is a
     non-edge, or else the ``rng.randrange(len(rest))``-th of the ``rest`` of
-    the non-edges in sorted order, so every extra edge is placed.
+    the non-edges in sorted order, so every extra edge is placed.  ``rest``
+    is listed once, at the first such edge, and loses each edge added after.
     """
     slot_count = size * size if offset else size * (size - 1) // 2
     if count > slot_count - len(edges):
         raise InputError(
             f"{count} extra edges asked for, but only {slot_count - len(edges)} non-edges exist"
         )
+    rest = None
     for _ in range(count):
         for _attempt in range(500):
             u = rng.randrange(size)
@@ -118,14 +121,17 @@ def _add_non_edges(
             if u != v and key not in edges:
                 break
         else:
-            rest = [
-                (u, v)
-                for u in range(size)
-                for v in range(max(u + 1, offset), offset + size)
-                if (u, v) not in edges
-            ]
+            if rest is None:
+                rest = [
+                    (u, v)
+                    for u in range(size)
+                    for v in range(max(u + 1, offset), offset + size)
+                    if (u, v) not in edges
+                ]
             key = rest[rng.randrange(len(rest))]
         edges.add(key)
+        if rest is not None:
+            del rest[bisect_left(rest, key)]
 
 
 def _bipartite_regular(a: int, d: int, rng: random.Random) -> set[tuple[int, int]]:

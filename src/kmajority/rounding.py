@@ -473,11 +473,11 @@ def _rotate_cycle(vseq: Sequence[int], eseq: Sequence[int], start: int) -> list[
     return forward if forward[0] <= backward[0] else backward
 
 
-def _alternate(x: list[int], walk: Iterable[int], first: int, scale: int) -> None:
-    """Write ``first, scale - first, first, ...`` along ``walk``."""
+def _alternate(x: list[int], walk: Iterable[int], first: int) -> None:
+    """Write ``first, 1 - first, first, ...`` along ``walk``."""
     for e in walk:
         x[e] = first
-        first = scale - first
+        first = 1 - first
 
 
 def _resolve_cycles(
@@ -487,17 +487,17 @@ def _resolve_cycles(
 
     ``cycles`` holds them as ``(vertices, edges)`` in walk order, as
     ``_Kernel.run`` returns them; an even one is a kernel fault.  ``x[e]`` is
-    edge e's numerator over ``scale``, or ``-1`` for an edge outside the
-    rounded subset; every rounded edge off the cycles is integral (0 or
-    ``scale``).  First merges pairs of bad cycles (every edge exactly 1/2)
-    that are joined by a rounded edge: each cycle, walked from its end of
-    that edge, alternates 0/``scale`` starting at the edge's value, and the
-    edge flips.  An odd cycle's two edges at the start take the same value,
-    so every vertex sum stays intact.  Joining edges are taken in ascending
-    order, skipping cycles already merged.  The surviving cycles are then
-    rounded to nearest with the per-vertex tie rule; each remaining bad
-    cycle contributes one designated vertex, rounded up on both sides, to
-    the returned ledger.  Every cycle edge ends at 0 or ``scale``.
+    a cycle edge's numerator over ``scale``, 0 or 1 on every other rounded
+    edge, and ``-1`` on an edge outside the rounded subset.  First merges
+    pairs of bad cycles (every edge exactly 1/2) that are joined by a rounded
+    edge: each cycle, walked from its end of that edge, alternates 0/1
+    starting at the edge's value, and the edge flips.  An odd cycle's two
+    edges at the start take the same value, so every vertex sum stays intact.
+    Joining edges are taken in ascending order, skipping cycles already
+    merged.  The surviving cycles are then rounded to nearest with the
+    per-vertex tie rule; each remaining bad cycle contributes one designated
+    vertex, rounded up on both sides, to the returned ledger.  Every cycle
+    edge ends at 0 or 1.
     """
     for _, eseq in cycles:
         if len(eseq) % 2 == 0:
@@ -521,11 +521,11 @@ def _resolve_cycles(
         iu, iv = owner[u], owner[v]
         if iu in retired or iv in retired:
             continue
-        if x[e0] != 0 and x[e0] != scale:
+        if x[e0] != 0 and x[e0] != 1:
             raise InternalInvariantError(f"joining edge {e0} is not integral")
         for i, anchor in ((iu, u), (iv, v)):
-            _alternate(x, _rotate_cycle(*cycs[i], anchor), x[e0], scale)
-        x[e0] = scale - x[e0]
+            _alternate(x, _rotate_cycle(*cycs[i], anchor), x[e0])
+        x[e0] = 1 - x[e0]
         retired.update((iu, iv))
 
     ledger: list[tuple[int, tuple[int, ...]]] = []
@@ -535,7 +535,7 @@ def _resolve_cycles(
         if i in bad:
             anchor = min(vseq)
             walk_e = _rotate_cycle(vseq, eseq, anchor)
-            _alternate(x, walk_e, scale, scale)
+            _alternate(x, walk_e, 1)
             ledger.append((anchor, tuple(walk_e)))
         else:
             _round_mixed_cycle(scale, x, eseq)
@@ -543,12 +543,12 @@ def _resolve_cycles(
 
 
 def _round_mixed_cycle(scale: int, x: list[int], eseq: Sequence[int]) -> None:
-    """Nearest-integer rounding; runs of 1/2 alternate, anchored at the least edge id."""
+    """Nearest 0/1 of each numerator; runs of 1/2 alternate, anchored at the least edge id."""
     length = len(eseq)
     halves = [2 * x[e] == scale for e in eseq]
     for p, e in enumerate(eseq):
         if not halves[p]:
-            x[e] = 0 if 2 * x[e] < scale else scale
+            x[e] = 0 if 2 * x[e] < scale else 1
     if not any(halves):
         return
     if all(halves):
@@ -560,7 +560,7 @@ def _round_mixed_cycle(scale: int, x: list[int], eseq: Sequence[int]) -> None:
         while halves[p]:
             run.append(eseq[p])
             p = (p + 1) % length
-        _alternate(x, run, 0 if run.index(min(run)) & 1 else scale, scale)
+        _alternate(x, run, 0 if run.index(min(run)) & 1 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +647,8 @@ def round_weights(
 
     Pipeline: run the Euler passes and the walk kernel on the scaled integer
     values until every support component is gone or reduced to an odd cycle;
-    merge adjacent bad cycles; round the remaining cycles (designating one
+    build the result once, 0/1 off the cycles and numerators on them; merge
+    adjacent bad cycles; round the remaining cycles to 0/1 (designating one
     exceptional vertex per bad cycle); finally repair condition (ii) and
     certify (i)-(iii).
     """
@@ -663,21 +664,15 @@ def round_weights(
     kernel = _Kernel(graph, scale, zl)
     sums_z = kernel.sums
     cycles = kernel.run()
-    full = scale << kernel.top
-    # Off the terminal cycles every rounded edge is integral: 0 or its own scale.
-    x = [full if value > 0 else value for value in kernel.x]
+    # Off the terminal cycles a rounded edge is 0 or its own scale: 0 or 1.
+    x = [1 if value > 0 else value for value in kernel.x]
     for _, cycle in cycles:
         for e in cycle:
             x[e] = kernel.numerator(e)
-    ledger = _resolve_cycles(graph, full, x, cycles)
-    for _, cycle in cycles:
-        for e in cycle:
-            if x[e] != 0 and x[e] != full:
-                raise InternalInvariantError(f"edge {e} left fractional at {Fraction(x[e], full)}")
-    xi = [1 if value == full else value for value in x]
-    _enforce_ii_int(graph, ids, scale, sums_z, xi)
-    _certify_int(graph, ids, scale, sums_z, xi, ledger)
-    return RoundingResult(tuple(xi), tuple(ledger))
+    ledger = _resolve_cycles(graph, scale << kernel.top, x, cycles)
+    _enforce_ii_int(graph, ids, scale, sums_z, x)
+    _certify_int(graph, ids, scale, sums_z, x, ledger)
+    return RoundingResult(tuple(x), tuple(ledger))
 
 
 def _certify_int(

@@ -487,18 +487,14 @@ def _colour_sk4(graph: Graph) -> tuple[list[int], dict]:
 
 
 def colour_sk_graph(graph: Graph, k: int) -> SchemeOutcome:
-    """Colour a graph whose every degree already lies in S_k (k in {2, 3, 4})."""
+    """Colour a graph whose every degree already lies in S_k (k in {2, 3, 4}):
+    :func:`colour_small_k`, whose reductions return such a graph unchanged."""
     _require("small-k", None, k)
     allowed = set(sk_degrees(k))
     outside = [v for v in range(graph.vertex_count) if graph.degree(v) not in allowed]
     if outside:
         raise PreconditionError(f"vertices with degree outside S_{k}: {outside[:5]}")
-    return _finish(graph, *_colour_sk(graph, k))
-
-
-def _colour_sk(graph: Graph, k: int) -> tuple[list[int], SchemeReport]:
-    colours, info = {2: _colour_sk2, 3: _colour_sk3, 4: _colour_sk4}[k](graph)
-    return colours, SchemeReport("small-k", k, **info)
+    return colour_small_k(graph, k)
 
 
 def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
@@ -511,9 +507,9 @@ def colour_small_k(graph: Graph, k: int) -> SchemeOutcome:
     """
     _require("small-k", graph, k)
     lifted, _ = raise_to_sk(split_high_degree(graph, k), k)
-    colours, report = _colour_sk(lifted, k)
+    colours, info = {2: _colour_sk2, 3: _colour_sk3, 4: _colour_sk4}[k](lifted)
     pulled = pull_back_colouring(EdgeColouring(tuple(colours), k + 1), graph)
-    return _finish(graph, pulled.colours, report)
+    return _finish(graph, pulled.colours, SchemeReport("small-k", k, **info))
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,18 @@ def _labelled_graphs(draw):
 # walked again from 1, and two paths, whose four odd ends share the
 # auxiliary vertex's circuit.
 _REWALK = (build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]), [3] * 5)
+# Three triangles sharing vertex 0, walked again from 1.  Unlike on one
+# triangle, the sides then differ from those of the first circuit rotated to
+# start at 1.
+_REWALK_BOWTIES = (
+    build_graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)]),
+    None,
+)
 
 
 @given(_labelled_graphs(), st.sampled_from([None, _odd_vertices, _high_degree, _class_parity]))
 @example(_REWALK, _odd_vertices)
+@example(_REWALK_BOWTIES, _odd_vertices)
 @settings(max_examples=300)
 def test_split_is_the_reference_split(graph_and_labels, admissible):
     g, labels = graph_and_labels

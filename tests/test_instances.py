@@ -139,6 +139,23 @@ def test_generator_places_an_extra_edge_after_500_missed_draws(
     assert set(want.edges) < set(g.edges)
 
 
+def test_generator_places_many_extra_edges_from_one_list_of_non_edges():
+    # Each call asks for all but 5 non-edges.  In the general call the last 22
+    # extra edges miss all 500 of their draws, in the bipartite call the last
+    # 25, and each is picked from the sorted non-edges left, which are listed
+    # once.  The pinned graphs depend only on the random stream: the list
+    # must lose every edge added after it, drawn or picked, to keep them.
+    graphs = []
+    for n, delta, bipartite in [(160, 154, False), (240, 117, True)]:
+        base = random_min_degree_graph(n, delta, bipartite, seed=1)
+        slots = (n // 2) ** 2 if bipartite else n * (n - 1) // 2
+        g = random_min_degree_graph(n, delta, bipartite, 1, slots - base.edge_count - 5)
+        assert g.edge_count == slots - 5
+        graphs.append(g.edges)
+    digest = hashlib.sha256(repr(graphs).encode()).hexdigest()
+    assert digest == "948890046221144395e26cbf322a1c9f97d695c129887e1a0094f479ad0ce0c2"
+
+
 def test_generator_parameter_validation():
     with pytest.raises(InputError):
         random_min_degree_graph(4, 4)

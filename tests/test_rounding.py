@@ -212,12 +212,14 @@ def test_pendant_direction_star():
 
 def resolve(graph, values, cycles):
     """``_resolve_cycles`` on rational values, through numerators over their
-    lcm, with each cycle's vertices walked from its edge list."""
+    lcm on the cycles and 0/1 off them, with each cycle's vertices walked
+    from its edge list; returns the 0/1 values and the ledger."""
     scale = lcm(*(value.denominator for value in values))
-    x = [int(value * scale) for value in values]
+    on_cycles = {e for cycle in cycles for e in cycle}
+    x = [int(value * scale) if e in on_cycles else int(value) for e, value in enumerate(values)]
     pairs = [(walk_vertices(graph, cycle), list(cycle)) for cycle in cycles]
     ledger = rounding._resolve_cycles(graph, scale, x, pairs)
-    return [Fraction(value, scale) for value in x], ledger
+    return x, ledger
 
 
 @pytest.mark.parametrize("joining", [0, 1])
@@ -276,6 +278,14 @@ def test_mixed_cycle_half_run_starts_from_its_least_edge():
     out, ledger = resolve(g, values, [tuple(range(7))])
     assert out == [1, 0, 0, 1, 0, 1, 0]
     assert ledger == []
+
+
+def test_a_cycle_edge_left_unresolved_fails_certification(monkeypatch):
+    # A triangle at weight 2/3 is one terminal odd cycle, whose edges hold
+    # their numerator 2 (over 3) until the cycles are resolved.
+    monkeypatch.setattr(rounding, "_resolve_cycles", lambda graph, scale, x, cycles: [])
+    with pytest.raises(InternalInvariantError, match="edge 0 rounded to 2"):
+        round_weights(triangle(), [Fraction(2, 3)] * 3)
 
 
 def test_an_even_terminal_cycle_is_a_kernel_fault():

@@ -13,12 +13,16 @@ SCRIPT = ROOT / "scripts" / "scaling.py"
 
 @pytest.mark.parametrize(
     "layer",
-    ["eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift", "lift_clique", "lift_join"],
+    [
+        "eulersplit", "eliminate", "certify", "kernel", "smallk", "parse", "lift", "lift_clique",
+        "lift_join", "dense_extra",
+    ],
 )
 def test_scaling_script_prints_one_row_per_size(layer):
-    # kernel, smallk, parse and lift_clique sizes are vertex counts, and
-    # minimum degree 18 (16, 14) needs n >= 19 (17, 15)
-    sizes = ["20", "40"] if layer in ("kernel", "smallk", "parse", "lift_clique") else ["4", "8"]
+    # kernel, smallk, parse, lift_clique and dense_extra sizes are vertex
+    # counts, and minimum degree 18 (16, 14) needs n >= 19 (17, 15)
+    by_n = ("kernel", "smallk", "parse", "lift_clique", "dense_extra")
+    sizes = ["20", "40"] if layer in by_n else ["4", "8"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), layer, "--sizes", *sizes, "--repeats", "1"],

@@ -362,9 +362,51 @@ def test_small_k_rejects_low_degree():
         colour_small_k(complete_graph(4), 2)
 
 
+#: (n, d) of circulants with d in S_k: S_2 = {5, 7}, S_4 = {19, 23, 27, 31}.
+SK_SHAPES = {
+    2: [(6, 5), (8, 5), (8, 7), (10, 7)],
+    3: S3_SHAPES,
+    4: [(20, 19), (22, 19), (24, 23)],
+}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SK_SHAPES)).flatmap(
+    lambda k: st.tuples(st.just(k), strategies.regular_unions(SK_SHAPES[k], max_parts=3))
+))
+def test_sk_graph_is_colour_small_k_on_sk_graphs(k_and_graph):
+    # Both reductions return a graph in S_k as it came, so the guard's
+    # colouring and report are colour_small_k's.
+    k, g = k_and_graph
+    assert colour_sk_graph(g, k) == colour_small_k(g, k)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_sk_graph_checks_k_before_any_degree(k):
+    # K5's degrees lie in no S_k, so a degree check first would raise a
+    # PreconditionError.
+    with pytest.raises(InputError, match="small-k scheme supports k"):
+        colour_sk_graph(complete_graph(5), k)
+
+
 def test_sk_graph_rejects_a_degree_outside_sk():
     with pytest.raises(PreconditionError, match="degree outside S_2"):
         colour_sk_graph(complete_graph(5), 2)  # 4-regular; S_2 = {5, 7}
+
+
+def test_sk_graph_rejects_a_graph_that_colour_small_k_lifts():
+    k7 = complete_graph(7)  # 6-regular: at least k^2 = 4, but not in S_2
+    assert colour_small_k(k7, 2)[1].verdict.passed
+    with pytest.raises(PreconditionError, match="degree outside S_2"):
+        colour_sk_graph(k7, 2)
+
+
+@pytest.mark.parametrize("colour", [colour_sk_graph, colour_small_k])
+def test_small_k_refuses_a_graph_with_no_vertices(colour):
+    # No vertex has a degree outside S_k, but the minimum degree of no
+    # vertices reads 0, below k^2.
+    with pytest.raises(PreconditionError, match=r"minimum degree 0 below k\^2 = 4"):
+        colour(build_graph(0, []), 2)
 
 
 def test_half_split_puts_a_forced_surplus_on_the_least_admissible_vertex():

@@ -18,9 +18,8 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 #: Spans of ``PATCHES`` that no workload reaches: ``schemes`` keeps the
 #: wrapped names ``edge_subgraph`` and ``components`` (and ``eulersplit``
-#: ``components``) imported, but no longer calls them; ``colour_small_k``
-#: colours its lifted graph without ``colour_sk_graph``, whose check of the
-#: lifted colouring it no longer needs.
+#: ``components``) imported, but no longer calls them; ``colour_sk_graph``
+#: is an S_k guard in front of ``colour_small_k``, which no workload calls.
 DEAD_SPANS = {"graph.edge_subgraph", "graph.components", "schemes.colour_sk_graph"}
 
 
