@@ -18,7 +18,9 @@
   scheme at k=3.  The graph is 18-regular with 9n edges.  Two Euler passes,
   each linear, leave about 30% of the edges fractional, at mean degree about
   5; most of the time goes to the walk kernel's moves on what is left, whose
-  walks grow with n.
+  walks grow with n.  The column ``walked`` counts the edges the passes
+  leave live for the walk, a deterministic count where a time cannot settle
+  a ratio per doubling.
 * ``smallk``: ``colour_small_k`` at k=4 on
   ``random_min_degree_graph(n, 16, seed=1)``, which is 16-regular with 8n
   edges.  Every vertex needs 3 more edges to reach S_4; at the default sizes
@@ -78,6 +80,7 @@ from kmajority import (
     raise_to_sk,
     random_min_degree_graph,
     round_weights,
+    rounding,
     split_high_degree,
 )
 
@@ -113,9 +116,18 @@ def certify(graph):
     return lambda: round_weights(graph, weights), ledger
 
 
+def walked(graph, weights) -> int:
+    """The edges that the Euler passes of ``round_weights(graph, weights)``
+    leave live for the walk kernel."""
+    ids = range(graph.edge_count)
+    state = rounding._Kernel(graph, *rounding._scaled_weights(weights, ids), ids)
+    state._euler_passes([-1] * graph.vertex_count)
+    return sum(map(len, state.nbr)) // 2
+
+
 def kernel(graph):
     weights = [Fraction(5, 18)] * graph.edge_count
-    return lambda: round_weights(graph, weights), None
+    return lambda: round_weights(graph, weights), walked(graph, weights)
 
 
 def smallk(graph):
@@ -180,7 +192,7 @@ LAYERS = {
         lambda n: random_min_degree_graph(n, 18, seed=1),
         [250, 500, 1000, 2000],
         "n",
-        None,
+        "walked",
         kernel,
     ),
     "smallk": (

@@ -36,10 +36,13 @@ each odd one, and pushes each even closed trail as one +1/-1 move.  Signs
 alternate at each visit of a vertex and between the trail's ends, so the
 move sums to zero at every vertex (a kernel move, as below) and never
 doubles ``D``; on a uniform weight it makes half the trail integral.  A pass
-is linear in the live support.  Passes run while the mean live degree is at
-least 8, as on sparser supports they cost more than the walks they save, and
-repeat while one makes a quarter of the live edges integral, which bounds
-their work by 4m.
+is linear in the live support.  On one value class at mean live degree d it
+makes about 1/2 - 1/d of the live edges integral: half of each closed trail
+and none of F, which has fewer than n edges.  Passes run while the mean live
+degree is at least 6, where that is a third, as on sparser supports they
+cost more than the walks they save, and repeat while one makes a quarter of
+the live edges integral, which bounds their work by 4m; a pass on mixed
+values makes few edges integral and so ends them.
 
 The walk kernel then finishes the support.  It walks along live edges,
 never straight back, and keeps its walk from one move to the next; a
@@ -66,7 +69,7 @@ doubled when a move next reads it.  What is left, a component that is
 exactly one odd cycle, is handed over with the vertex order the walk holds
 for it and finished by ``_resolve_cycles``, over the final ``D``.
 
-One pass over the numerators sets the kernel up: it builds the live dicts
+One pass over the rounded edges sets the kernel up: it builds the live dicts
 and the weight sum of every vertex.  Every move, Euler-pass trail or walk,
 costs one pass to find both directions' least slack and their ties and one
 to apply the step; a lollipop or a dumbbell counts its stem or path once,
@@ -151,8 +154,9 @@ def _join_odd(es: list[int], first: tuple[int, int, int], second: tuple[int, int
 
 def _next_move(
     nbr: Sequence[dict[int, int]], vs: list[int], es: list[int], pos: list[int]
-) -> Optional[tuple[int, list[int], int, int]]:
-    """Extend the walk ``vs``/``es`` (a path of live edges) until it yields a move.
+) -> tuple[int, list[int], int, int]:
+    """Extend the walk ``vs``/``es`` (a path of live edges, or one vertex
+    with a live edge) until it yields a move.
 
     ``pos[v]`` is v's index in ``vs``, ``-1`` for a vertex off the walk; it
     is kept up to date as the walk grows or is laid anew.  At each vertex
@@ -165,7 +169,7 @@ def _next_move(
     whose stem it is, and on a dumbbell, whose path it is: the move runs
     along it twice, the odd cycle between the two runs keeping the sign.
     ``(_TERMINAL, cycle, 0, 0)`` is a component that is exactly one odd
-    cycle, and ``None`` means the walk's only vertex has no live edge.
+    cycle.
     """
     held = None  # the held odd closing (end, p, chord)
     end = len(vs) - 1
@@ -223,8 +227,6 @@ def _next_move(
             if held is not None:  # lollipop from the leaf reached into the held cycle
                 hend, p, c = held
                 return _MOVE, es[hend:][::-1] + [c] + es[p:hend], 0, len(es) - hend
-            if not es:
-                return None
             if len(nbr[vs[0]]) != 1:  # not from a leaf: walk on from the leaf reached
                 vs.reverse()
                 es.reverse()
@@ -240,13 +242,15 @@ def _next_move(
         x, back, chord = fresh_u, fresh, -1
 
 
-_EULER_DEGREE = 8  # the least mean live degree for an Euler pass
+_EULER_DEGREE = 6  # the least mean live degree for an Euler pass; a third goes integral there
 _EULER_SHARE = 4  # a pass must make 1/4 of the live edges integral to repeat
 
 
 def _euler_trails(graph: Graph, nbr: Sequence[dict[int, int]], live: list[int], used, cursors) -> list:
     """One Euler pass: edge-disjoint even closed trails of live edges, walked
     from each vertex of ``live`` (those with a live edge, ascending) in turn.
+    A vertex that an earlier circuit of the pass went through starts none: a
+    Hierholzer circuit uses every unused edge of its start's component.
     ``used`` (all True, and left so) and ``cursors`` are the walk's scratch;
     a vertex's cursor runs over its live-edge dict, whose keys ascend."""
     ends = graph.xor_ends
@@ -270,9 +274,14 @@ def _euler_trails(graph: Graph, nbr: Sequence[dict[int, int]], live: list[int], 
                     e = up[v]
                     used[e] = True  # into F
                     odd[ends[e] ^ v] ^= 1
+    edges = graph.edges
     trails = []
+    walked: set[int] = set()  # the vertices of the pass's circuits so far
     for start in live:
+        if start in walked:
+            continue
         trail = hierholzer_circuit(start, cursors, ends, used)
+        walked.update(*map(edges.__getitem__, trail))
         if len(trail) & 1:
             trail = _even_half(ends, start, trail)
         if trail:
@@ -303,12 +312,13 @@ class _Kernel:
     Edge ``e`` holds the value ``x[e] / (base << level[e])``; the common
     scale is ``base << top``, and a numerator is brought up to ``top`` when
     a move next reads it, so doubling the scale costs O(1).  Live edges are
-    those in ``nbr``; an edge outside the rounded subset holds ``-1`` and is
-    never live.  The one set-up pass over ``x`` also sums the values at each
-    vertex into ``sums``, the z-sums when ``x`` holds the weights.
+    those in ``nbr``; an edge outside the rounded subset ``ids`` holds ``-1``
+    and is never live.  The one set-up pass over the rounded edges also sums
+    their values at each vertex into ``sums``, the z-sums when ``x`` holds the
+    weights.
     """
 
-    def __init__(self, graph: Graph, scale: int, x: list[int]):
+    def __init__(self, graph: Graph, scale: int, x: list[int], ids: Sequence[int]):
         self.graph = graph
         self.edges = edges = graph.edges
         self.base = scale
@@ -317,7 +327,8 @@ class _Kernel:
         self.level = [0] * len(x)
         self.nbr = nbr = [{} for _ in range(graph.vertex_count)]
         self.sums = sums = [0] * graph.vertex_count
-        for e, value in enumerate(x):
+        for e in ids:
+            value = x[e]
             if value > 0:
                 u, v = edges[e]
                 sums[u] += value
@@ -348,12 +359,7 @@ class _Kernel:
                     return cycles
                 vs.append(start)
                 pos[start] = 0
-            found = _next_move(nbr, vs, es, pos)
-            if found is None:
-                pos[vs[0]] = -1
-                vs.clear()
-                continue
-            kind, walk, lo, hi = found
+            kind, walk, lo, hi = _next_move(nbr, vs, es, pos)
             if kind == _MOVE:
                 cut = self._sweep(walk, lo, hi, es, pos)
                 if cut == len(es):
@@ -370,6 +376,9 @@ class _Kernel:
                 pos[v] = -1
             del vs[cut + 1:]
             del es[cut:]
+            if not cut and not nbr[vs[0]]:  # nothing left to walk from
+                pos[vs[0]] = -1
+                vs.clear()
 
     def _euler_passes(self, pos: list[int]) -> None:
         """Push the even closed trails of Euler passes while the support is dense."""
@@ -451,7 +460,9 @@ class _Kernel:
                 u, v = edges[e]
                 del nbr[u][e]
                 del nbr[v][e]
-                k = min(pos[u], pos[v])
+                k, j = pos[u], pos[v]
+                if j < k:
+                    k = j
                 if 0 <= k < cut and es[k] == e:
                     cut = k
         if not dropped:
@@ -661,7 +672,7 @@ def round_weights(
     else:
         ids = _checked_edge_ids(graph, edges)
     scale, zl = _scaled_weights(weights, ids)
-    kernel = _Kernel(graph, scale, zl)
+    kernel = _Kernel(graph, scale, zl, ids)
     sums_z = kernel.sums
     cycles = kernel.run()
     # Off the terminal cycles a rounded edge is 0 or its own scale: 0 or 1.

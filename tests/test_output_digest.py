@@ -19,13 +19,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 
 SEED_1_REPORTS = {
-    "large_graphs": "3051087a26dfd119d37dcd4e9419f359441606785fe0c90e2f87bb6e57d568e2",
+    "large_graphs": "541731c67d7ee06442e84bb7edeb30fc59a755745ecd47bca6e88ed0bb60cb71",
     "many_components": "45ac6906b571058d0b2544e23f554b08e5e03767ff280f87914a1d763c90ba13",
     "threshold_sweep": "8d1ead495a6602ccf09c4ccc7f779f12b771c208d8d3da6b5f08e3821176cb41",
 }
 
 SEEDS_1_2_3_REPORTS = {
-    "large_graphs": "b021831bbd42053b6656bc8d3a0aac8e13c86457141bbdaeb8c0138f19c5c048",
+    "large_graphs": "1a6a3ec39f81ecd4b4c1d5495ee54cdcd03dfffa49781bd04b944ee0f17bb0e0",
     "many_components": "0670e8e603e1d87fe2ea45c99960a9660edc15bbbb673168d4822a01513340b0",
     "threshold_sweep": "17fdd9679a4b1914902a6a18fa565f9b400e6c31971e09dcfc68a3a2804e12e4",
 }

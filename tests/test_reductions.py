@@ -463,8 +463,8 @@ def test_a_path_that_repeats_a_pair_is_not_flipped(monkeypatch):
     # path 18 - 4 = 12 - 8 = 22 - 12 = 4 - 20 (or its reverse), which runs
     # round an odd cycle and uses the join 4 = 12 twice: flipping it would
     # drop that join twice.  Neither is flipped, and the two units go to a
-    # gadget.
-    g = random_min_degree_graph(23, 17, seed=957, extra_edges=12)
+    # gadget.  On the second graph the searches from 18 and from 25 likewise
+    # close paths that repeat a join.
     flips = []
     flip = reductions._flip
 
@@ -473,10 +473,16 @@ def test_a_path_that_repeats_a_pair_is_not_flipped(monkeypatch):
         return flips[-1][-1]
 
     monkeypatch.setattr(reductions, "_flip", recorded)
-    out, trace = raise_to_sk(g, 4)
-    assert lift_violations(g, out, 4) == []
-    assert (18, 20, False) in flips and (20, 18, False) in flips
-    assert trace.copies == 1
+    for (n, delta, seed, extra), (s, t) in [
+        ((23, 17, 957, 12), (18, 20)),
+        ((26, 22, 713, 3), (18, 25)),
+    ]:
+        g = random_min_degree_graph(n, delta, seed=seed, extra_edges=extra)
+        flips.clear()
+        out, trace = raise_to_sk(g, 4)
+        assert lift_violations(g, out, 4) == []
+        assert (s, t, False) in flips and (t, s, False) in flips
+        assert trace.copies == 1
 
 
 def test_raise_preconditions_and_size_guard():

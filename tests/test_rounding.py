@@ -14,6 +14,7 @@ from kmajority import (
     InputError,
     InternalInvariantError,
     build_graph,
+    colour_general_2k2,
     is_bipartite,
     random_min_degree_graph,
     round_weights,
@@ -115,7 +116,7 @@ def test_dumbbell_step_doubles_the_scale():
     # from both bounds, so the step is half a unit of 1/6 and D must double.
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 3)])
     z = [THIRD] * 3 + [HALF] + [THIRD] * 3
-    kernel = _Kernel(g, 6, [2, 2, 2, 3, 2, 2, 2])
+    kernel = _Kernel(g, 6, [2, 2, 2, 3, 2, 2, 2], range(7))
     kernel.run()
     assert kernel.top == 1
     result = round_weights(g, z)
@@ -410,7 +411,7 @@ def test_kernel_hands_over_each_terminal_cycle_with_its_vertex_order(gw):
     graph, weights = gw
     scale, zl = rounding._scaled_weights(weights, range(graph.edge_count))
     seen: set[int] = set()
-    for vertices, edges in _Kernel(graph, scale, zl).run():
+    for vertices, edges in _Kernel(graph, scale, zl, range(graph.edge_count)).run():
         length = len(edges)
         assert length % 2 == 1 and length >= 3
         assert len(vertices) == length
@@ -467,12 +468,42 @@ def test_first_euler_pass_makes_half_of_a_uniform_support_integral():
     # at -1 to 0 and the 55 at +1 to 10/18.  The support left has mean
     # degree 5, so no second pass runs.
     g = build_graph(22, strategies.circulant_edges(22, 10))
-    kernel = _Kernel(g, 18, [5] * g.edge_count)
+    kernel = _Kernel(g, 18, [5] * g.edge_count, range(g.edge_count))
     with oracles.euler_move_checks() as trails:
         kernel._euler_passes([-1] * g.vertex_count)
     assert [len(trail) for trail in trails] == [110]
     assert sorted(kernel.x) == [0] * 55 + [10] * 55
     assert sum(map(len, kernel.nbr)) == 2 * 55
+
+
+def test_second_euler_pass_runs_down_to_mean_degree_6():
+    # A connected 12-regular circulant with 144 edges at 5/18: the first
+    # pass's one circuit pushes 72 edges to 0 and 72 to 10/18.  Each vertex
+    # keeps 6 of them, at the gate, so a second pass walks their one circuit
+    # of 72 and pushes 36 to 1 and 36 to 2/18.  Those 36, at mean degree 3,
+    # are left to the walk.
+    g = build_graph(24, strategies.circulant_edges(24, 12))
+    kernel = _Kernel(g, 18, [5] * g.edge_count, range(g.edge_count))
+    with oracles.euler_move_checks() as trails:
+        kernel._euler_passes([-1] * g.vertex_count)
+    assert [len(trail) for trail in trails] == [144, 72]
+    assert sorted(kernel.x) == [0] * 72 + [2] * 36 + [18] * 36
+    assert sum(map(len, kernel.nbr)) == 2 * 36
+
+
+def test_euler_passes_leave_a_pinned_count_to_the_walk(monkeypatch):
+    # The general scheme's three roundings of one 18-regular graph (k=3,
+    # m=630): the edges each one's Euler passes leave live for the walk.
+    left = []
+    passes = rounding._Kernel._euler_passes
+
+    def counted(kernel, pos):
+        passes(kernel, pos)
+        left.append(sum(map(len, kernel.nbr)) // 2)
+
+    monkeypatch.setattr(rounding._Kernel, "_euler_passes", counted)
+    colour_general_2k2(random_min_degree_graph(70, 18, seed=1), 3)
+    assert left == [189, 167, 19]
 
 
 def test_odd_trail_keeps_an_even_closed_half():
@@ -507,7 +538,7 @@ def kernel_moves(draw):
         degree = draw(st.sampled_from([d for d in (4, 6, 8) if d < n]))
         graph = build_graph(n, strategies.circulant_edges(n, degree))
         m = graph.edge_count
-        nbr = _Kernel(graph, 2, [1] * m).nbr
+        nbr = _Kernel(graph, 2, [1] * m, range(m)).nbr
         move = rounding._euler_trails(graph, nbr, list(range(n)), [True] * m, [None] * n)[0]
         return graph, (move, 0, 0), [], top
     odd_cycle = st.integers(1, 3).map(lambda h: 2 * h + 1)
@@ -574,7 +605,7 @@ def test_sweep_matches_an_exact_push_on_kernel_moves(move_case, data):
     if es:
         for v in range(len(es) + 1):
             pos[v] = v
-    kernel = _Kernel(graph, base, [1] * graph.edge_count)
+    kernel = _Kernel(graph, base, [1] * graph.edge_count, range(graph.edge_count))
     before = [list(d.items()) for d in kernel.nbr]
     kernel.top, kernel.level, kernel.x = top, levels[:], values[:]
     exact = {e: Fraction(numerators[e], scale) for e in range(graph.edge_count)}
@@ -781,4 +812,4 @@ def test_round_weights_outputs_are_pinned(monkeypatch):
         digest.update(repr((result.x, result.exceptional)).encode())
     assert max(tops) > 0
     assert doubled_walks
-    assert digest.hexdigest() == "09978749d0f8dd15905221137667728b42ed9122504cda8df9c8ceb6ab65f14b"
+    assert digest.hexdigest() == "f87b09a2895079df564f5910c3dd2847a4848fb85c46bcd283a3c7aa287fca61"
